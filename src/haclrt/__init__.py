@@ -15,7 +15,6 @@ from .fisher import (
     FisherEstimate,
     determinant_scan,
     fd_hessian,
-    interior_shift,
     sigma_hat,
 )
 from .generators import (
@@ -75,7 +74,6 @@ __all__ = [
     "fd_hessian",
     "get_family",
     "hybrid_pvalue",
-    "interior_shift",
     "local_cones",
     "log_density",
     "log_density_and_derivs",

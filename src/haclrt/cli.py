@@ -22,8 +22,14 @@ import numpy as np
 from . import __version__
 from .errors import DomainError, NumericError
 from .estimate import FitConfig, mle
-from .fisher import determinant_scan, sigma_hat
-from .lrt import power_curve, run_test
+from .fisher import (
+    DELTA_TAU,
+    SCAN_DRAWS,
+    SIGMA_DRAWS,
+    determinant_scan,
+    sigma_hat,
+)
+from .lrt import NULL_DRAWS, POWER_DRAWS, power_curve, run_test
 from .sampler import pseudo_obs, sample
 from .scenarios import ScenarioSpec, rejection_table, run_scenario
 from .tree import HacTree, Hypothesis
@@ -325,9 +331,9 @@ def cmd_fit(ctx, data_path, tree_text, family, hyp_text, rank, starts):
               default="mc", show_default=True)
 @click.option("--sigma-at", type=click.Choice(["null", "full"]),
               default="null", show_default=True)
-@click.option("--m", type=int, default=5000, show_default=True,
+@click.option("--m", type=int, default=NULL_DRAWS, show_default=True,
               help="Monte Carlo null replicates.")
-@click.option("--n-sigma", type=int, default=100_000, show_default=True,
+@click.option("--n-sigma", type=int, default=SIGMA_DRAWS, show_default=True,
               help="Model draws behind a Monte Carlo covariance.")
 @click.option("--exact", is_flag=True,
               help="Conditional test at the exact adjusted level.")
@@ -367,10 +373,11 @@ def cmd_test(ctx, data_path, tree_text, family, hyp_text, method, alpha,
               default="mc", show_default=True)
 @click.option("--method", type=click.Choice(["analytic", "fd"]),
               default=None, help="Default: analytic when available.")
-@click.option("--n-mc", type=int, default=100_000, show_default=True)
+@click.option("--n-mc", type=int, default=SIGMA_DRAWS, show_default=True)
 @click.option("--atoms", "atoms_text", default=None,
               help='Tied nests whose rows are averaged, e.g. "(0,1)=(0)".')
-@click.option("--delta-tau", type=float, default=0.005, show_default=True)
+@click.option("--delta-tau", type=float, default=DELTA_TAU,
+              show_default=True)
 @click.option("--ridge", is_flag=True)
 @click.option("--pseudo-obs", "rank", is_flag=True)
 @click.pass_obj
@@ -409,9 +416,9 @@ def cmd_sigma(ctx, tree_text, family, theta_text, data_path, source, method,
 @click.option("--h-max", type=float, default=0.5, show_default=True)
 @click.option("--h-points", type=int, default=26, show_default=True)
 @click.option("--alpha", type=float, default=0.05, show_default=True)
-@click.option("--m", type=int, default=10_000, show_default=True)
-@click.option("--n-sigma", type=int, default=100_000, show_default=True)
-@click.option("--delta-tau", type=float, default=0.005, show_default=True,
+@click.option("--m", type=int, default=POWER_DRAWS, show_default=True)
+@click.option("--n-sigma", type=int, default=SIGMA_DRAWS, show_default=True)
+@click.option("--delta-tau", type=float, default=DELTA_TAU, show_default=True,
               help="Step behind a finite-difference covariance.")
 @click.pass_obj
 @_guard
@@ -439,9 +446,10 @@ def cmd_power(ctx, family, tau, h_text, h_max, h_points, alpha, m, n_sigma,
 @click.option("--family", required=True)
 @click.option("--offsets", "offsets_text", default=None,
               help="Comma-separated offsets from the domain edge.")
-@click.option("--n-mc", type=int, default=10_000, show_default=True)
+@click.option("--n-mc", type=int, default=SCAN_DRAWS, show_default=True)
 @click.option("--tree", "tree_text", default=None)
-@click.option("--delta-tau", type=float, default=0.005, show_default=True)
+@click.option("--delta-tau", type=float, default=DELTA_TAU,
+              show_default=True)
 @click.pass_obj
 @_guard
 def cmd_detscan(ctx, family, offsets_text, n_mc, tree_text, delta_tau):
@@ -480,8 +488,8 @@ def cmd_detscan(ctx, family, offsets_text, n_mc, tree_text, delta_tau):
 @click.option("--r", type=int, default=500, show_default=True,
               help="Replications per cell.")
 @click.option("--alpha", type=float, default=0.05, show_default=True)
-@click.option("--m", type=int, default=5000, show_default=True)
-@click.option("--n-sigma", type=int, default=100_000, show_default=True)
+@click.option("--m", type=int, default=NULL_DRAWS, show_default=True)
+@click.option("--n-sigma", type=int, default=SIGMA_DRAWS, show_default=True)
 @click.option("--sigma-variants", "variants_text", default="null:mc",
               show_default=True,
               help="Comma-separated at:source pairs (scenario II).")

@@ -29,6 +29,9 @@ from .sampler import sample
 from .tree import HacTree, node_name, validate_params
 
 __all__ = [
+    "DELTA_TAU",
+    "SCAN_DRAWS",
+    "SIGMA_DRAWS",
     "DetScan",
     "FdScheme",
     "FisherEstimate",
@@ -36,7 +39,6 @@ __all__ = [
     "fd_hessian",
     "fd_hessian_fn",
     "fd_scheme",
-    "interior_shift",
     "kendall_step",
     "sigma_hat",
 ]
@@ -45,9 +47,14 @@ Path = tuple[int, ...]
 
 EIG_RTOL = 1e-10        # smallest/largest eigenvalue cutoff for inversion
 RIDGE_SCALE = 1e-8      # optional ridge, times trace/p
+DELTA_TAU = 0.005       # Kendall-scale finite-difference step
+SIGMA_DRAWS = 100_000   # model draws behind a Monte Carlo covariance
+SCAN_DRAWS = 10_000     # model draws per determinant-scan cell
 
 
-def kendall_step(family: str, theta: float, delta_tau: float = 0.005) -> float:
+def kendall_step(
+    family: str, theta: float, delta_tau: float = DELTA_TAU
+) -> float:
     """Negative-side theta step matching a delta_tau drop in Kendall tau."""
     fam = get_family(family)
     if delta_tau == 0.0:
@@ -81,7 +88,7 @@ def fd_scheme(
     tree: HacTree,
     family: str,
     theta,
-    delta_tau: float = 0.005,
+    delta_tau: float = DELTA_TAU,
     tie_tol: float = 1e-8,
 ) -> FdScheme:
     if delta_tau <= 0.0:
@@ -211,7 +218,7 @@ def fd_hessian(
     tree: HacTree,
     family: str,
     theta,
-    delta_tau: float = 0.005,
+    delta_tau: float = DELTA_TAU,
     scheme: FdScheme | None = None,
 ) -> np.ndarray:
     """Mean over rows of the second-difference log-density Hessian."""
@@ -329,11 +336,11 @@ def sigma_hat(
     at: str = "bullet",
     source: str = "observed",
     method: str | None = None,
-    n_mc: int = 100_000,
+    n_mc: int = SIGMA_DRAWS,
     seed: int = 0,
     atoms: tuple[Path, ...] = (),
     ridge: bool = False,
-    delta_tau: float = 0.005,
+    delta_tau: float = DELTA_TAU,
 ) -> FisherEstimate:
     """Estimated information and its inverse at a fitted point.
 
@@ -400,56 +407,6 @@ def sigma_hat(
     )
 
 
-# --- interior shift -------------------------------------------------------
-
-
-def interior_shift(
-    tree: HacTree,
-    family: str,
-    theta,
-    atoms,
-    n: int,
-    delta_tau: float = 0.005,
-    g=None,
-) -> np.ndarray:
-    """Nudge chain-constrained estimates off the boundary.
-
-    Merged groups that span three or more levels leave their middle
-    nodes with no room for one-sided differences; each such group is
-    spread along a depth ramp lambda in [-1, 1] scaled by the node's
-    Kendall step and g(n) = O(1/sqrt n).  Groups spanning at most two
-    levels are returned unchanged.
-    """
-    fam = get_family(family)
-    vec = tree.theta_vector(theta).astype(float).copy()
-    gval = (1.0 / math.sqrt(n)) if g is None else float(g(n))
-    shifted_edges = []
-    for members in merge_groups(tree, tuple(atoms)).groups:
-        base = len(members[0])
-        rel = {m: len(m) - base for m in members}
-        span = max(rel.values())
-        if span < 2:
-            continue
-        for m in members:
-            lam = -1.0 + 2.0 * rel[m] / span
-            if lam != 0.0:
-                i = tree.param_pos[m]
-                vec[i] += lam * _step_magnitude(fam, vec[i], delta_tau) * gval
-        shifted_edges.extend(
-            (m[:-1], m) for m in members if len(m) > base and m[:-1] in members
-        )
-    rep = validate_params(tree, family, vec, tol=0.0)
-    if not rep.valid:
-        raise SchemeError(
-            f"interior shift leaves the parameter space: {rep.violations}"
-        )
-    still_tight = set(rep.tight) & set(shifted_edges)
-    if still_tight:
-        names = [f"{node_name(a)}={node_name(b)}" for a, b in still_tight]
-        raise SchemeError(f"interior shift failed to separate {names}")
-    return vec
-
-
 # --- determinant scan -----------------------------------------------------
 
 
@@ -480,10 +437,10 @@ class DetScan:
 def determinant_scan(
     family: str,
     offsets=None,
-    n_mc: int = 10_000,
+    n_mc: int = SCAN_DRAWS,
     seed: int = 0,
     tree: HacTree | None = None,
-    delta_tau: float = 0.005,
+    delta_tau: float = DELTA_TAU,
 ) -> DetScan:
     """det(sigma) on a grid hugging the cone origin, fd + Monte Carlo."""
     fam = get_family(family)

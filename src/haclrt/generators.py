@@ -2,8 +2,8 @@
 
 Each family bundles the generator psi, its inverse phi, the derivative
 formulas needed by the two-level density (t-derivatives of every order,
-first and second parameter derivatives, mixed derivatives), and the
-Kendall's tau map with its inverse.  Clayton and Gumbel carry the full
+first and second parameter derivatives of the inverse generator), and
+the Kendall's tau map with its inverse.  Clayton and Gumbel carry the full
 analytic suite; Frank and Joe provide values, first t-derivatives of any
 order, and tau maps, which is what sampling, generic density evaluation
 and finite-difference information estimates require.
@@ -17,6 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import integrate, optimize
+
+from .errors import DomainError
 
 MAX_DIM = 32
 
@@ -37,7 +39,6 @@ __all__ = [
     "phi_prime",
     "phi_derivs",
     "psi_t_deriv",
-    "psi_theta_derivs",
     "tau",
     "tau_inv",
     "stirling_s",
@@ -47,7 +48,7 @@ __all__ = [
 ]
 
 
-class UnsupportedFamilyError(NotImplementedError):
+class UnsupportedFamilyError(DomainError):
     """Requested operation has no implementation for this family."""
 
 
@@ -57,9 +58,11 @@ class UnsupportedFamilyError(NotImplementedError):
 
 def _check_dim(n: int, max_dim: int) -> None:
     if n < 0:
-        raise ValueError(f"order must be non-negative, got {n}")
+        raise DomainError(f"order must be non-negative, got {n}")
     if n > max_dim:
-        raise ValueError(f"order {n} exceeds the configured maximum {max_dim}")
+        raise DomainError(
+            f"order {n} exceeds the configured maximum {max_dim}"
+        )
 
 
 @lru_cache(maxsize=None)
@@ -129,7 +132,7 @@ def s_nk(x, n: int, k: int, order: int = 0, max_dim: int = MAX_DIM):
     """
     _check_dim(n, max_dim)
     if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1 or 2")
+        raise DomainError("order must be 0, 1 or 2")
     coeffs = _s_nk_coeffs(n, k)
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
@@ -152,7 +155,7 @@ def falling_factorial(x, n: int, order: int = 0, max_dim: int = MAX_DIM):
     """Falling factorial (x)_n = x(x-1)...(x-n+1) and its x-derivatives."""
     _check_dim(n, max_dim)
     if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1 or 2")
+        raise DomainError("order must be 0, 1 or 2")
     x = np.asarray(x, dtype=float)
     if n == 0:
         val = np.ones_like(x)
@@ -176,13 +179,6 @@ def falling_factorial(x, n: int, order: int = 0, max_dim: int = MAX_DIM):
     return out if out.ndim else float(out)
 
 
-def _ff_logderiv_sums(x: float, k: int) -> tuple[float, float]:
-    # sums 1/(x-i) and 1/(x-i)^2 over i = 0..k-1; valid when no factor vanishes
-    idx = np.arange(k, dtype=float)
-    r = 1.0 / (x - idx)
-    return float(r.sum()), float((r * r).sum())
-
-
 # ====================================================================
 # Families
 # ====================================================================
@@ -202,11 +198,8 @@ class ThetaDomain:
 class PhiDerivs:
     """Derivative suite of the inverse generator at (theta, u)."""
 
-    prime: np.ndarray          # d phi / du
-    second: np.ndarray         # d2 phi / du2
     dtheta: np.ndarray         # d phi / dtheta
     dtheta2: np.ndarray        # d2 phi / dtheta2
-    dtheta_du: np.ndarray      # d2 phi / dtheta du
 
 
 @dataclass(frozen=True)
@@ -223,7 +216,7 @@ def _validate_theta(fam: "GeneratorFamily", theta: float) -> None:
     if not fam.domain.contains(theta):
         lo = fam.domain.lo
         op = "(" if fam.domain.lo_open else "["
-        raise ValueError(
+        raise DomainError(
             f"{fam.name}: theta={theta} outside domain {op}{lo}, inf)"
         )
 
@@ -231,14 +224,14 @@ def _validate_theta(fam: "GeneratorFamily", theta: float) -> None:
 def _as_nonneg(t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
-        raise ValueError("t must be non-negative")
+        raise DomainError("t must be non-negative")
     return t
 
 
 def _as_unit(u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if np.any((u <= 0) | (u > 1)):
-        raise ValueError("u must lie in (0, 1]")
+        raise DomainError("u must lie in (0, 1]")
     return u
 
 
@@ -262,7 +255,6 @@ class GeneratorFamily:
     name: str = ""
     domain: ThetaDomain = ThetaDomain(0.0, True)
     tilt: float = 0.0          # gamma in the a-function base gamma**theta + t
-    has_theta_derivs: bool = False
     tau_lo_attainable: bool = False   # is tau = 0 reached at the domain edge?
 
     # -- generator values ------------------------------------------------
@@ -287,11 +279,6 @@ class GeneratorFamily:
             f"{self.name}: analytic psi derivatives are not available"
         )
 
-    def psi_theta_derivs(self, theta: float, t):
-        raise UnsupportedFamilyError(
-            f"{self.name}: analytic theta derivatives are not available"
-        )
-
     def phi_derivs(self, theta: float, u) -> PhiDerivs:
         raise UnsupportedFamilyError(
             f"{self.name}: analytic theta derivatives are not available"
@@ -313,7 +300,7 @@ class GeneratorFamily:
     def _check_tau_range(self, tau_val: float) -> None:
         lo_ok = tau_val >= 0.0 if self.tau_lo_attainable else tau_val > 0.0
         if not (lo_ok and tau_val < 1.0):
-            raise ValueError(
+            raise DomainError(
                 f"{self.name}: tau={tau_val} outside the attainable range"
             )
 
@@ -322,7 +309,6 @@ class Clayton(GeneratorFamily):
     name = "clayton"
     domain = ThetaDomain(0.0, True)
     tilt = 1.0
-    has_theta_derivs = True
     tau_lo_attainable = False
 
     def psi(self, theta, t):
@@ -354,27 +340,13 @@ class Clayton(GeneratorFamily):
         out = ff * np.exp((-1.0 / theta - k) * np.log1p(t))
         return out if out.ndim else float(out)
 
-    def psi_theta_derivs(self, theta, t):
-        _validate_theta(self, theta)
-        t = _as_nonneg(t)
-        L = np.log1p(t)
-        ps = self.psi(theta, t)
-        d1 = ps * L / theta**2
-        d2 = d1 * (L / theta**2 - 2.0 / theta)
-        pp = -(1.0 / theta) * np.exp((-1.0 / theta - 1.0) * L)
-        mixed = pp * (L / theta**2 - 1.0 / theta)
-        return d1, d2, mixed
-
     def phi_derivs(self, theta, u):
         _validate_theta(self, theta)
         u = _as_unit(u)
         lu = np.log(u)
-        prime = -theta * u ** (-theta - 1.0)
-        second = -prime * (theta + 1.0) / u
         dtheta = u ** (-theta) * (-lu)
         dtheta2 = dtheta * (-lu)
-        dtheta_du = prime * (1.0 / theta - lu)
-        return PhiDerivs(prime, second, dtheta, dtheta2, dtheta_du)
+        return PhiDerivs(dtheta, dtheta2)
 
     def dlog_neg_phi_prime_dtheta(self, theta, u):
         u = _as_unit(u)
@@ -393,7 +365,6 @@ class Gumbel(GeneratorFamily):
     name = "gumbel"
     domain = ThetaDomain(1.0, False)
     tilt = 0.0
-    has_theta_derivs = True
     tau_lo_attainable = True
 
     def psi(self, theta, t):
@@ -427,24 +398,10 @@ class Gumbel(GeneratorFamily):
         _check_dim(k, MAX_DIM)
         t = np.asarray(t, dtype=float)
         if np.any(t <= 0):
-            raise ValueError("t must be positive for Gumbel derivatives")
+            raise DomainError("t must be positive for Gumbel derivatives")
         logmag, sign = _gumbel_psi_k_logsign(theta, t, k)
         out = sign * np.exp(logmag)
         return out if out.ndim else float(out)
-
-    def psi_theta_derivs(self, theta, t):
-        _validate_theta(self, theta)
-        t = np.asarray(t, dtype=float)
-        if np.any(t <= 0):
-            raise ValueError("t must be positive for Gumbel derivatives")
-        ps = self.psi(theta, t)
-        r = np.exp(np.log(t) / theta)          # t**(1/theta)
-        L = np.log(t)
-        d1 = ps * r * L / theta**2
-        d2 = d1 * ((r - 1.0) * L / theta**2 - 2.0 / theta)
-        pp = -ps * np.exp((1.0 / theta - 1.0) * L) / theta
-        mixed = pp * ((r - 1.0) * L / theta**2 - 1.0 / theta)
-        return d1, d2, mixed
 
     def phi_derivs(self, theta, u):
         _validate_theta(self, theta)
@@ -452,14 +409,9 @@ class Gumbel(GeneratorFamily):
         ml = -np.log(u)
         lml = np.log(ml)
         ph = ml**theta
-        prime = -theta / u * ml ** (theta - 1.0)
-        second = prime / u * (-(theta - 1.0) / ml - 1.0)
         dtheta = ph * lml
         dtheta2 = dtheta * lml
-        # one more log factor than the value; sign follows from direct
-        # differentiation of log(-phi') = log th - log u + (th-1) log(-log u)
-        dtheta_du = prime * (1.0 / theta + lml)
-        return PhiDerivs(prime, second, dtheta, dtheta2, dtheta_du)
+        return PhiDerivs(dtheta, dtheta2)
 
     def dlog_neg_phi_prime_dtheta(self, theta, u):
         u = _as_unit(u)
@@ -500,7 +452,6 @@ def _gumbel_psi_k_logsign(theta: float, t: np.ndarray, k: int):
 class Frank(GeneratorFamily):
     name = "frank"
     domain = ThetaDomain(0.0, True)
-    has_theta_derivs = False
     tau_lo_attainable = False
 
     def psi(self, theta, t):
@@ -547,7 +498,6 @@ class Frank(GeneratorFamily):
 class Joe(GeneratorFamily):
     name = "joe"
     domain = ThetaDomain(1.0, False)
-    has_theta_derivs = False
     tau_lo_attainable = True
 
     def psi(self, theta, t):
@@ -696,7 +646,7 @@ def _tau_inv_bracketed(fam: GeneratorFamily, tau_val: float) -> float:
     if tau_val <= taus[0]:
         lo, hi = fam.domain.lo + 1e-12, grid.thetas[0]
     elif tau_val >= taus[-1]:
-        raise ValueError(f"{fam.name}: tau={tau_val} beyond tabulated range")
+        raise DomainError(f"{fam.name}: tau={tau_val} beyond tabulated range")
     else:
         i = int(np.searchsorted(taus, tau_val))
         lo, hi = grid.thetas[i - 1], grid.thetas[i]
@@ -752,11 +702,6 @@ def psi_t_deriv(family, theta: float, t, k: int):
     polylogarithm/recurrence representations.
     """
     return get_family(family).psi_t_deriv(theta, t, k)
-
-
-def psi_theta_derivs(family, theta: float, t):
-    """(d psi/d theta, d2 psi/d theta2, d2 psi/d theta dt) for Clayton/Gumbel."""
-    return get_family(family).psi_theta_derivs(theta, t)
 
 
 def tau(family, theta: float) -> float:

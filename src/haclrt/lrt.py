@@ -16,30 +16,32 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import stats
 
 from .errors import (
     DomainError,
-    HypothesisError,
     NumericError,
     SingularSigmaError,
 )
 from .estimate import FitConfig, FitResult, mle
-from .fisher import FisherEstimate, sigma_hat
+from .fisher import DELTA_TAU, SIGMA_DRAWS, FisherEstimate, sigma_hat
 from .generators import get_family, tau_inv
 from .tree import Cone, HacTree, Hypothesis, local_cones, node_name
 
 __all__ = [
     "ATOM_TOL",
+    "NULL_DRAWS",
+    "POWER_DRAWS",
     "MIXTURE_SETTINGS",
     "Projection",
     "MixtureLaw",
     "ConditionalResult",
     "PowerCurve",
     "LrtResult",
+    "FitPair",
     "project",
     "lrt_statistic",
     "null_statistics",
@@ -50,11 +52,16 @@ __all__ = [
     "hybrid_pvalue",
     "power_curve",
     "detect_setting",
+    "fit_pair",
+    "run_fitted",
     "run_test",
 ]
 
 # statistics at or below this are the boundary atom, p-value 1
 ATOM_TOL = 1e-8
+
+NULL_DRAWS = 5000       # draws of the simulated limit law per p-value
+POWER_DRAWS = 10_000    # Gaussian draws behind a power curve
 
 MIXTURE_SETTINGS = (
     "single-tie",      # p=2, one nest tied to the root
@@ -208,7 +215,7 @@ def null_statistics(
     cone: Cone,
     null_cones,
     h=None,
-    m: int = 5000,
+    m: int = NULL_DRAWS,
     seed=0,
     details: bool = False,
 ):
@@ -259,7 +266,7 @@ def mc_null_pvalue(
     cone: Cone,
     null_cones,
     h=None,
-    m: int = 5000,
+    m: int = NULL_DRAWS,
     seed=0,
 ) -> float:
     """Monte Carlo p-value under the simulated limit law.
@@ -496,7 +503,7 @@ def hybrid_pvalue(
     sigma,
     n: int,
     nuisance=None,
-    m: int = 5000,
+    m: int = NULL_DRAWS,
     seed=0,
     tight_tol: float = 1e-6,
 ) -> float:
@@ -606,11 +613,11 @@ def power_curve(
     sigma=None,
     alpha: float = 0.05,
     tree=None,
-    n_sigma: int = 100_000,
-    m: int = 10_000,
+    n_sigma: int = SIGMA_DRAWS,
+    m: int = POWER_DRAWS,
     seed: int = 0,
     e=(0.0, 1.0),
-    delta_tau: float = 0.005,
+    delta_tau: float = DELTA_TAU,
 ) -> PowerCurve:
     """Monte Carlo power of the single-tie test under local shifts.
 
@@ -811,50 +818,79 @@ class LrtResult:
         return json.dumps(self.to_dict())
 
 
-def run_test(
-    data,
-    tree,
+def _check_choices(method: str, sigma_at: str) -> None:
+    if method not in ("mc", "mixture", "conditional", "hybrid"):
+        raise DomainError(f"unknown method {method!r}")
+    if sigma_at not in ("null", "full"):
+        raise DomainError("sigma_at must be 'null' or 'full'")
+
+
+@dataclass(frozen=True)
+class FitPair:
+    """Full and null fits of one dataset, with their LR statistic."""
+
+    rows: np.ndarray
+    tree: HacTree
+    family: str
+    hypothesis: Hypothesis
+    fit_full: FitResult
+    fit_null: FitResult
+    statistic: float
+
+
+def fit_pair(
+    rows,
+    tree: HacTree,
     family: str,
-    hypothesis,
-    method: str = "mixture",
+    hypothesis: Hypothesis,
+    config: FitConfig = FitConfig(),
+) -> FitPair:
+    """Fit the full and the null model and compute the statistic.
+
+    A full fit that ends below the null fit raises NumericError here,
+    before any reference law is consulted.
+    """
+    fit_full = mle(rows, tree, family, config=config)
+    fit_null = mle(rows, tree, family, hypothesis=hypothesis, config=config)
+    return FitPair(
+        rows=rows,
+        tree=tree,
+        family=family,
+        hypothesis=hypothesis,
+        fit_full=fit_full,
+        fit_null=fit_null,
+        statistic=lrt_statistic(fit_null, fit_full),
+    )
+
+
+def run_fitted(
+    pair: FitPair,
+    method: str,
+    sigma_seed,
+    mc_seed,
     alpha: float = 0.05,
     sigma_source: str = "mc",
     sigma_at: str = "null",
-    n_sigma: int = 100_000,
-    m: int = 5000,
-    seed: int = 0,
-    config: FitConfig | None = None,
+    n_sigma: int = SIGMA_DRAWS,
+    m: int = NULL_DRAWS,
     exact: bool = False,
     nuisance=None,
     ridge: bool = False,
 ) -> LrtResult:
-    """Fit both models, pick a reference law, and report the test.
+    """Pick the reference law for a fitted pair and report the test.
 
     method "mixture" uses the closed-form law when the structure is
     recognized and otherwise falls back to the Monte Carlo null with a
     warning.  "mc" always simulates the limit law at the fitted null.
     "conditional" compares against chi-squared(nu) given where the
     full MLE landed, and "hybrid" folds fitted nuisance gaps into the
-    mean of the simulated limit.
+    mean of the simulated limit.  sigma_seed feeds the covariance
+    draws and mc_seed the simulated null.
     """
-    if method not in ("mc", "mixture", "conditional", "hybrid"):
-        raise DomainError(f"unknown method {method!r}")
-    if sigma_at not in ("null", "full"):
-        raise DomainError("sigma_at must be 'null' or 'full'")
-    hac = tree if isinstance(tree, HacTree) else HacTree(tree)
-    hyp = (
-        hypothesis
-        if isinstance(hypothesis, Hypothesis)
-        else Hypothesis.parse(hypothesis)
-    )
-    rows = np.asarray(getattr(data, "values", data), dtype=float)
-    fit_full = mle(rows, hac, family, config=config)
-    fit_null = mle(rows, hac, family, hypothesis=hyp, config=config)
-    statistic = lrt_statistic(fit_null, fit_full)
-
-    ss = np.random.SeedSequence(seed)
-    sigma_seed, mc_seed = ss.spawn(2)
-    seeds = {"root": seed, "sigma": "spawn(0)", "mc": "spawn(1)"}
+    _check_choices(method, sigma_at)
+    hac, hyp = pair.tree, pair.hypothesis
+    fit_full, fit_null = pair.fit_full, pair.fit_null
+    statistic = pair.statistic
 
     sigma_est = None
 
@@ -863,11 +899,11 @@ def run_test(
         if sigma_est is None:
             at_full = sigma_at == "full"
             sigma_est = sigma_hat(
-                rows,
+                pair.rows,
                 hac,
-                family,
+                pair.family,
                 fit_full.theta if at_full else fit_null.theta,
-                at="full" if at_full else "null",
+                at=sigma_at,
                 source=sigma_source,
                 n_mc=n_sigma,
                 seed=sigma_seed,
@@ -925,7 +961,7 @@ def run_test(
     else:  # hybrid
         p_value = hybrid_pvalue(
             fit_full, fit_null, hac, hyp, get_sigma().sigma,
-            n=rows.shape[0], nuisance=nuisance, m=m, seed=mc_seed,
+            n=pair.rows.shape[0], nuisance=nuisance, m=m, seed=mc_seed,
         )
         m_used = m
 
@@ -943,7 +979,48 @@ def run_test(
         conditional=conditional,
         cones=cones,
         m=m_used,
-        seeds=seeds,
         conservative=conservative,
         warning=warning,
+    )
+
+
+def run_test(
+    data,
+    tree,
+    family: str,
+    hypothesis,
+    method: str = "mixture",
+    alpha: float = 0.05,
+    sigma_source: str = "mc",
+    sigma_at: str = "null",
+    n_sigma: int = SIGMA_DRAWS,
+    m: int = NULL_DRAWS,
+    seed: int = 0,
+    config: FitConfig = FitConfig(),
+    exact: bool = False,
+    nuisance=None,
+    ridge: bool = False,
+) -> LrtResult:
+    """Fit both models, pick a reference law, and report the test.
+
+    The covariance and Monte Carlo seeds are the two children of
+    SeedSequence(seed); see run_fitted for the methods.
+    """
+    _check_choices(method, sigma_at)
+    hac = tree if isinstance(tree, HacTree) else HacTree(tree)
+    hyp = (
+        hypothesis
+        if isinstance(hypothesis, Hypothesis)
+        else Hypothesis.parse(hypothesis)
+    )
+    rows = np.asarray(getattr(data, "values", data), dtype=float)
+    pair = fit_pair(rows, hac, family, hyp, config=config)
+    sigma_seed, mc_seed = np.random.SeedSequence(seed).spawn(2)
+    result = run_fitted(
+        pair, method, sigma_seed, mc_seed,
+        alpha=alpha, sigma_source=sigma_source, sigma_at=sigma_at,
+        n_sigma=n_sigma, m=m, exact=exact, nuisance=nuisance, ridge=ridge,
+    )
+    return replace(
+        result, seeds={"root": seed, "sigma": "spawn(0)", "mc": "spawn(1)"}
     )

@@ -121,6 +121,10 @@ def _log_series(rng, lam: float, size: int) -> np.ndarray:
 
 _SIBUYA_TABLE_SIZE = 1 << 16
 
+# draws per slice of a large compound level: bounds the temporaries of
+# one level at a few slices instead of several arrays of every draw
+_SLICE = 1 << 20
+
 
 @lru_cache(maxsize=16)
 def _sibuya_log_surv_table(alpha: float) -> np.ndarray:
@@ -134,18 +138,21 @@ def _sibuya(rng, alpha: float, size: int) -> np.ndarray:
     P(K > k) = Gamma(k+1-alpha) / (Gamma(1-alpha) Gamma(k+1)) is
     inverted against a precomputed table for the bulk, integer bisection
     above it, and the asymptotic inverse beyond 2^53 where it is exact
-    to double precision.
+    to double precision.  The uniforms are drawn in slices, which leaves
+    the stream (and so every draw) as one call would give it.
     """
     if alpha >= 1.0:
         return np.ones(size)
-    w = np.clip(rng.random(size), 1e-300, 1.0)
-    lnw = np.log(w)
-    table = _sibuya_log_surv_table(alpha)   # descending in k
-    idx = np.searchsorted(-table, -lnw, side="left")
-    out = (idx + 1).astype(float)
-    tail = idx == table.size
-    if tail.any():
-        out[tail] = _sibuya_tail(alpha, lnw[tail])
+    neg_table = -_sibuya_log_surv_table(alpha)   # ascending in k
+    out = np.empty(size)
+    for lo in range(0, size, _SLICE):
+        lnw = np.log(np.clip(rng.random(min(_SLICE, size - lo)), 1e-300, 1.0))
+        idx = np.searchsorted(neg_table, -lnw, side="left")
+        piece = out[lo:lo + lnw.size]
+        piece[:] = idx + 1
+        tail = idx == neg_table.size
+        if tail.any():
+            piece[tail] = _sibuya_tail(alpha, lnw[tail])
     return out
 
 
@@ -187,21 +194,31 @@ def _frank_inner_count(rng, alpha: float, th_child: float, size: int) -> np.ndar
     lnc = float(_log1mexp(np.asarray(th_child)))
     use_sibuya = alpha * th_child > 1.0
     lgn = gammaln(1.0 - alpha)
-    out = np.empty(size)
-    pending = np.arange(size)
-    while pending.size:
-        k = pending.size
+    out = None
+    pending = None                  # None: every entry, in the first round
+    k = size
+    while k:
         if use_sibuya:
             cand = _sibuya(rng, alpha, k)
-            lacc = cand * lnc
         else:
             cand = _log_series(rng, th_child, k)
-            lacc = gammaln(cand - alpha) - lgn - gammaln(cand)
-        with np.errstate(divide="ignore"):
-            keep = np.log(rng.random(k)) <= lacc
-        out[pending[keep]] = cand[keep]
-        pending = pending[~keep]
-    return out
+        keep = np.empty(k, dtype=bool)
+        for lo in range(0, k, _SLICE):
+            c = cand[lo:lo + _SLICE]
+            if use_sibuya:
+                lacc = c * lnc
+            else:
+                lacc = gammaln(c - alpha) - lgn - gammaln(c)
+            with np.errstate(divide="ignore"):
+                keep[lo:lo + c.size] = np.log(rng.random(c.size)) <= lacc
+        if pending is None:
+            out = cand
+            pending = np.flatnonzero(~keep)
+        else:
+            out[pending[keep]] = cand[keep]
+            pending = pending[~keep]
+        k = pending.size
+    return np.empty(0) if out is None else out
 
 
 def _compound(rng, v, draw_one, max_draws: int, what: str) -> np.ndarray:
@@ -215,9 +232,21 @@ def _compound(rng, v, draw_one, max_draws: int, what: str) -> np.ndarray:
             "sampled exactly at this parameter value"
         )
     counts = v.astype(np.int64)
-    row = np.repeat(np.arange(v.size), counts)
     xs = draw_one(rng, int(counts.sum()))
-    return np.bincount(row, weights=xs, minlength=v.size)
+    # sum the draws of whole entries, about one slice at a time: each
+    # entry's sum is then added left to right, as one bincount over all
+    # draws would add it
+    ends = np.cumsum(counts)
+    out = np.zeros(v.size)
+    lo = start = 0
+    while lo < v.size:
+        hi = max(int(np.searchsorted(ends, start + _SLICE, side="right")),
+                 lo + 1)
+        row = np.repeat(np.arange(hi - lo), counts[lo:hi])
+        out[lo:hi] = np.bincount(row, weights=xs[start:ends[hi - 1]],
+                                 minlength=hi - lo)
+        lo, start = hi, int(ends[hi - 1])
+    return out
 
 
 # ====================================================================

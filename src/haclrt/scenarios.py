@@ -22,18 +22,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .errors import DomainError, NumericError, SingularSigmaError
-from .estimate import FitConfig, mle
-from .fisher import sigma_hat
-from .lrt import (
-    conditional_test,
-    hybrid_pvalue,
-    lrt_statistic,
-    mixture_law,
-    mixture_pvalue,
-)
+from .estimate import FitConfig
+from .fisher import SIGMA_DRAWS
+from .lrt import NULL_DRAWS, fit_pair, run_fitted
 from .sampler import sample
 from .tree import HacTree, Hypothesis
 
@@ -88,9 +81,8 @@ class ScenarioSpec:
     r: int = 500
     alpha: float = 0.05
     seed: int = 7_2021
-    m: int = 5000                          # MC null replicates
-    n_sigma: int = 100_000                 # model draws behind sigma
-    sigma_source: str = "mc"
+    m: int = NULL_DRAWS                    # MC null replicates
+    n_sigma: int = SIGMA_DRAWS             # model draws behind sigma
     sigma_variants: tuple[tuple[str, str], ...] = (("null", "mc"),)
     fit_config: FitConfig = field(default_factory=FitConfig)
 
@@ -196,14 +188,25 @@ def _record(base, method, statistic=None, p_value=None, reject=None,
     return rec
 
 
-def _sigma_or_error(data, tree, family, fit_null, fit_full, at, source,
-                    n_sigma, seed):
-    theta = fit_null.theta if at == "null" else fit_full.theta
-    atoms = (fit_null.branch or ()) if at == "null" else ()
-    return sigma_hat(
-        data, tree, family, theta,
-        at=at, source=source, n_mc=n_sigma, seed=seed, atoms=atoms,
-    )
+def _plan(spec: ScenarioSpec):
+    """Structures to fit, each with its (record name, method, sigma
+    variant index) triples, in record order."""
+    scenario = spec.scenario
+    tree = scenario_tree(scenario)
+    hyp = scenario_hypothesis(scenario)
+    if scenario == "I":
+        return [(tree, hyp, [("mixture", "mixture", 0),
+                             ("conditional", "conditional", 0)])]
+    if scenario == "II":
+        return [(tree, hyp, [(f"mixture[{at},{source}]", "mixture", i)
+                             for i, (at, source)
+                             in enumerate(spec.sigma_variants)])]
+    if scenario == "III":
+        return [(tree, hyp, [("mixture", "mixture", 0)])]
+    # IV, plus the simplified test that assumes the nuisance nest
+    # collapses into the root: the half/half mixture of the refit
+    return [(tree, hyp, [("hybrid", "hybrid", 0)]),
+            (HacTree(_TREE2_WIDE), hyp, [("simplified", "mixture", 0)])]
 
 
 def run_replicate(
@@ -218,12 +221,11 @@ def run_replicate(
 
     The data seed depends on the scenario, case, data family, sample
     size, and replicate index, but not on the model family, so the
-    same dataset is refit under every candidate model.
+    same dataset is refit under every candidate model.  A failed fit
+    marks its own methods and every later one with the fit's error.
     """
     scenario = spec.scenario
     case = _case_by_label(scenario, case_label)
-    tree = scenario_tree(scenario)
-    hyp = scenario_hypothesis(scenario)
     key = (
         SCENARIOS.index(scenario),
         _CASE_LETTERS.index(case.label),
@@ -242,104 +244,40 @@ def run_replicate(
         "null_true": case.null_true,
     }
     theta = case_theta(case, data_family)
-    data = sample(tree, theta, data_family, n, seed=children[0]).values
+    data = sample(scenario_tree(scenario), theta, data_family, n,
+                  seed=children[0]).values
 
+    plan = _plan(spec)
     records = []
-    try:
-        fit_full = mle(data, tree, model_family, config=spec.fit_config)
-        fit_null = mle(data, tree, model_family, hypothesis=hyp,
-                       config=spec.fit_config)
-        statistic = lrt_statistic(fit_null, fit_full)
-    except (DomainError, NumericError) as exc:
-        kind = "fit-domain" if isinstance(exc, DomainError) else "fit-numeric"
-        for method in _methods_for(spec):
-            records.append(_record(base, method, error=kind))
-        return records
-
-    if scenario == "I":
-        law = mixture_law("single-tie")
-        p = mixture_pvalue(law, statistic)
-        records.append(_record(base, "mixture", statistic, p,
-                               p < spec.alpha))
-        cond = conditional_test(fit_full, fit_null, tree, alpha=spec.alpha)
-        records.append(_record(base, "conditional", statistic,
-                               cond.p_value, cond.reject))
-    elif scenario == "II":
-        for i, (at, source) in enumerate(spec.sigma_variants):
-            method = f"mixture[{at},{source}]"
-            try:
-                est = _sigma_or_error(data, tree, model_family, fit_null,
-                                      fit_full, at, source, spec.n_sigma,
-                                      children[2 + i])
-                law = mixture_law("twin-pair", est.sigma)
-            except SingularSigmaError:
-                records.append(_record(base, method, statistic,
-                                       error="sigma-singular"))
-                continue
-            except (DomainError, NumericError):
-                records.append(_record(base, method, statistic,
-                                       error="sigma-domain"))
-                continue
-            p = mixture_pvalue(law, statistic)
-            records.append(_record(base, method, statistic, p,
-                                   p < spec.alpha))
-    elif scenario == "III":
-        law = mixture_law("twin-union")
-        p = mixture_pvalue(law, statistic)
-        records.append(_record(base, "mixture", statistic, p,
-                               p < spec.alpha))
-    else:  # IV
-        at, source = spec.sigma_variants[0]
+    for k, (tree, hyp, methods) in enumerate(plan):
         try:
-            est = _sigma_or_error(data, tree, model_family, fit_null,
-                                  fit_full, at, source, spec.n_sigma,
-                                  children[2])
-            p = hybrid_pvalue(
-                fit_full, fit_null, tree, hyp, est.sigma, n=n,
-                m=spec.m, seed=children[1],
-            )
-            records.append(_record(base, "hybrid", statistic, p,
-                                   p < spec.alpha))
-        except SingularSigmaError:
-            records.append(_record(base, "hybrid", statistic,
-                                   error="sigma-singular"))
-        except (DomainError, NumericError):
-            records.append(_record(base, "hybrid", statistic,
-                                   error="sigma-domain"))
-        records.append(_simplified_record(base, data, model_family, spec))
+            pair = fit_pair(data, tree, model_family, hyp,
+                            config=spec.fit_config)
+        except (DomainError, NumericError) as exc:
+            kind = ("fit-domain" if isinstance(exc, DomainError)
+                    else "fit-numeric")
+            records += [_record(base, name, error=kind)
+                        for _, _, later in plan[k:] for name, _, _ in later]
+            return records
+        for name, method, i in methods:
+            at, source = spec.sigma_variants[i]
+            try:
+                result = run_fitted(
+                    pair, method, children[2 + i], children[1],
+                    alpha=spec.alpha, sigma_source=source, sigma_at=at,
+                    n_sigma=spec.n_sigma, m=spec.m,
+                )
+            except SingularSigmaError:
+                records.append(_record(base, name, pair.statistic,
+                                       error="sigma-singular"))
+            except (DomainError, NumericError):
+                records.append(_record(base, name, pair.statistic,
+                                       error="sigma-domain"))
+            else:
+                p = result.p_value
+                records.append(_record(base, name, pair.statistic, p,
+                                       p < spec.alpha))
     return records
-
-
-def _simplified_record(base, data, model_family, spec):
-    """Test assuming the nuisance nest collapses into the root.
-
-    Refits on the collapsed structure and compares the statistic to
-    the (1 - 2 alpha) quantile of chi-squared(1), which matches the
-    half/half mixture decision at level alpha.
-    """
-    tree = HacTree(_TREE2_WIDE)
-    hyp = Hypothesis.parse("(0,1)=(0)")
-    try:
-        fit_full = mle(data, tree, model_family, config=spec.fit_config)
-        fit_null = mle(data, tree, model_family, hypothesis=hyp,
-                       config=spec.fit_config)
-        statistic = lrt_statistic(fit_null, fit_full)
-    except (DomainError, NumericError) as exc:
-        kind = "fit-domain" if isinstance(exc, DomainError) else "fit-numeric"
-        return _record(base, "simplified", error=kind)
-    c_alpha = float(stats.chi2.ppf(1.0 - 2.0 * spec.alpha, 1))
-    p = mixture_pvalue(mixture_law("single-tie"), statistic)
-    return _record(base, "simplified", statistic, p, statistic > c_alpha)
-
-
-def _methods_for(spec: ScenarioSpec) -> tuple[str, ...]:
-    if spec.scenario == "I":
-        return ("mixture", "conditional")
-    if spec.scenario == "II":
-        return tuple(f"mixture[{a},{s}]" for a, s in spec.sigma_variants)
-    if spec.scenario == "III":
-        return ("mixture",)
-    return ("hybrid", "simplified")
 
 
 # --------------------------------------------------------------------

@@ -212,10 +212,6 @@ class HacTree:
             )
         return vec.copy()
 
-    def theta_dict(self, vec) -> dict[str, float]:
-        vec = self.theta_vector(vec)
-        return {node_name(p): float(vec[i]) for p, i in self.param_pos.items()}
-
     def __repr__(self):
         return f"HacTree({self._nested!r})"
 

@@ -73,6 +73,17 @@ def test_sample_cone_violation_exits_2(runner):
     assert "cone" in err["message"]
 
 
+def test_unknown_family_exits_2(runner, tmp_path):
+    data = _sample_file(runner, tmp_path / "d.csv")
+    result = runner.invoke(main, [
+        "fit", "--data", str(data), "--tree", TREE, "--family", "nosuch",
+    ])
+    assert result.exit_code == 2
+    err = json.loads(result.stderr)
+    assert err["error"] == "UnsupportedFamilyError" and err["code"] == 2
+    assert "nosuch" in err["message"]
+
+
 # --- fit / test -----------------------------------------------------------
 
 

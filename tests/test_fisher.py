@@ -9,13 +9,12 @@ from haclrt.fisher import (
     fd_hessian,
     fd_hessian_fn,
     fd_scheme,
-    interior_shift,
     kendall_step,
     sigma_hat,
 )
 from haclrt.generators import tau_inv
 from haclrt.sampler import sample
-from haclrt.tree import HacTree, validate_params
+from haclrt.tree import HacTree
 
 TREE3 = HacTree([[1, 2], 3])
 TREE4 = HacTree([[1, 2], [3, 4]])
@@ -235,60 +234,6 @@ def test_sigma_serializes():
     d = est.to_dict()
     assert len(d["sigma"]) == 2 and len(d["steps"]) == 2
     assert d["method"] == "fd" and d["ridged"] is False
-
-
-# --- interior shift --------------------------------------------------------
-
-
-def test_interior_shift_chain_example():
-    step = abs(kendall_step("gumbel", 2.0))
-    shifted = interior_shift(
-        CHAIN, "gumbel", (2.0, 2.0, 2.0), ((2,), (2, 2)), n=400
-    )
-    want = np.array([2.0 - step / 20.0, 2.0, 2.0 + step / 20.0])
-    np.testing.assert_allclose(shifted, want, atol=1e-12)
-    rep = validate_params(CHAIN, "gumbel", shifted, tol=0.0)
-    assert rep.valid and not rep.tight
-    # the shifted point admits a central scheme everywhere
-    sch = fd_scheme(CHAIN, "gumbel", shifted)
-    assert list(sch.directions) == [0, 0, 0]
-
-
-def test_interior_shift_two_level_identity():
-    out = interior_shift(TREE3, "gumbel", (2.0, 2.0), ((1,),), n=400)
-    np.testing.assert_array_equal(out, [2.0, 2.0])
-    out4 = interior_shift(
-        TREE4, "clayton", (1.5, 1.5, 1.5), ((1,), (2,)), n=100
-    )
-    np.testing.assert_array_equal(out4, [1.5, 1.5, 1.5])
-
-
-def test_interior_shift_four_level_ramp():
-    t = HacTree([1, [2, [3, [4, 5]]]])
-    atoms = ((2,), (2, 2), (2, 2, 2))
-    out = interior_shift(t, "clayton", (1.0, 1.0, 1.0, 1.0), atoms, n=400)
-    assert np.all(np.diff(out) > 0)
-    assert out[1] < 1.0 < out[2]
-
-
-def test_interior_shift_domain_edge_fails():
-    with pytest.raises(SchemeError):
-        interior_shift(CHAIN, "gumbel", (1.0, 1.0, 1.0), ((2,), (2, 2)), 400)
-
-
-def test_interior_shift_custom_g():
-    step = abs(kendall_step("gumbel", 2.0))
-    shifted = interior_shift(
-        CHAIN,
-        "gumbel",
-        (2.0, 2.0, 2.0),
-        ((2,), (2, 2)),
-        400,
-        g=lambda n: 2.0 / np.sqrt(n),
-    )
-    np.testing.assert_allclose(
-        shifted, [2.0 - step / 10.0, 2.0, 2.0 + step / 10.0], atol=1e-12
-    )
 
 
 # --- determinant scan ------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import gammaln
 from scipy.stats import kendalltau, kstest, kstwo
 
+from haclrt import sampler
 from haclrt.density import clamp_unit, log_density, two_level_spec
 from haclrt.errors import DomainError, UnsupportedNestingError
 from haclrt.generators import get_family, tau_inv
@@ -107,6 +108,19 @@ def test_fixed_seed_replays_bit_identical():
     assert not np.array_equal(a.values, c.values)
     assert a.n == 200 and a.d == 3 and a.family == "clayton"
     assert a.theta == (1.0, 2.0) and a.tree == [[1, 2], 3]
+
+
+@pytest.mark.parametrize(
+    "family,theta", [("frank", (3.0, 8.0)), ("frank", (0.6, 1.4)),
+                     ("joe", (1.5, 3.0))],
+)
+def test_compound_rows_do_not_depend_on_slice_size(monkeypatch, family, theta):
+    # compound levels are drawn and summed in slices of draws; slices of
+    # a few draws must replay the rows that one slice of all gives
+    whole = sample(TREE3, theta, family, 300, seed=21).values
+    monkeypatch.setattr(sampler, "_SLICE", 7)
+    sliced = sample(TREE3, theta, family, 300, seed=21).values
+    assert np.array_equal(whole, sliced)
 
 
 def test_gumbel_unit_parameters_sample_independently():

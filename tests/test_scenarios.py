@@ -1,10 +1,13 @@
 """Scenario harness: case tables, seeding, and aggregation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from haclrt.errors import DomainError
+import haclrt.lrt as lrt_module
+from haclrt.errors import DomainError, SingularSigmaError
 from haclrt.estimate import FitConfig
 from haclrt.generators import tau_inv
 from haclrt.scenarios import (
@@ -184,6 +187,62 @@ def test_run_scenario_parallel_matches_sequential():
 def test_run_scenario_reproducible():
     spec = _tiny("III")
     assert run_scenario(spec) == run_scenario(spec)
+
+
+# --- error kinds ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("exc, kind", [(SingularSigmaError, "sigma-singular"),
+                                       (DomainError, "sigma-domain")])
+@pytest.mark.parametrize("scenario", ["II", "IV"])
+def test_sigma_failures_keep_the_statistic(monkeypatch, scenario, exc, kind):
+    spec = _tiny(scenario,
+                 sigma_variants=(("null", "mc"), ("full", "observed")))
+    clean = run_replicate(spec, "a", "gumbel", "gumbel", 48, 0)
+
+    def boom(*args, **kwargs):
+        raise exc("forced covariance failure")
+
+    monkeypatch.setattr(lrt_module, "sigma_hat", boom)
+    recs = run_replicate(spec, "a", "gumbel", "gumbel", 48, 0)
+    assert [r["method"] for r in recs] == [r["method"] for r in clean]
+    for rec, ref in zip(recs, clean):
+        assert ref["error"] is None
+        if rec["method"] == "simplified":     # needs no covariance
+            assert rec == ref
+            continue
+        assert rec["error"] == kind
+        assert rec["statistic"] == ref["statistic"]
+        assert rec["p_value"] is None and rec["reject"] is None
+
+
+@pytest.mark.parametrize("scenario, methods", [
+    ("I", ["mixture", "conditional"]),
+    ("II", ["mixture[null,mc]"]),
+    ("III", ["mixture"]),
+    ("IV", ["hybrid", "simplified"]),
+])
+def test_full_fit_below_null_fails_every_method(monkeypatch, scenario,
+                                                methods):
+    real_mle = lrt_module.mle
+    calls = []
+
+    def low_full(data, tree, family, hypothesis=None, config=FitConfig()):
+        calls.append(hypothesis)
+        fit = real_mle(data, tree, family, hypothesis=hypothesis,
+                       config=config)
+        if hypothesis is not None:
+            return fit
+        return dataclasses.replace(fit, loglik=fit.loglik - 1e6)
+
+    monkeypatch.setattr(lrt_module, "mle", low_full)
+    recs = run_replicate(_tiny(scenario), "a", "gumbel", "gumbel", 48, 0)
+    assert [r["method"] for r in recs] == methods
+    for rec in recs:
+        assert rec["error"] == "fit-numeric"
+        assert rec["statistic"] is None and rec["p_value"] is None
+    # one fit pair: scenario IV never refits the collapsed structure
+    assert len(calls) == 2
 
 
 # --- aggregation ----------------------------------------------------------
