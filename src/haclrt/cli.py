@@ -198,14 +198,6 @@ def _fail(exc, code):
 # input parsing
 # --------------------------------------------------------------------
 
-def _parse_tree(text: str) -> HacTree:
-    try:
-        nested = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"tree is not valid JSON: {exc}") from None
-    return HacTree(nested)
-
-
 def _parse_floats(text: str) -> np.ndarray:
     try:
         return np.array([float(v) for v in text.split(",") if v != ""])
@@ -279,7 +271,7 @@ def main(ctx, seed, jobs, out, fmt):
 @_guard
 def cmd_sample(ctx, tree_text, family, theta_text, n):
     """Draw n rows from a nested model."""
-    tree = _parse_tree(tree_text)
+    tree = HacTree.from_json(tree_text)
     theta = _parse_floats(theta_text)
     batch = sample(tree, theta, family, n, seed=ctx.seed)
     vals = batch.values
@@ -306,7 +298,7 @@ def cmd_sample(ctx, tree_text, family, theta_text, n):
 @_guard
 def cmd_fit(ctx, data_path, tree_text, family, hyp_text, rank, starts):
     """Maximum-likelihood fit, optionally under a constraint."""
-    tree = _parse_tree(tree_text)
+    tree = HacTree.from_json(tree_text)
     data = _read_data(data_path, rank)
     hyp = Hypothesis.parse(hyp_text) if hyp_text else None
     fit = mle(data, tree, family, hypothesis=hyp,
@@ -346,7 +338,7 @@ def cmd_fit(ctx, data_path, tree_text, family, hyp_text, rank, starts):
 def cmd_test(ctx, data_path, tree_text, family, hyp_text, method, alpha,
              sigma_source, sigma_at, m, n_sigma, exact, ridge, rank, starts):
     """Likelihood-ratio test of a structural hypothesis."""
-    tree = _parse_tree(tree_text)
+    tree = HacTree.from_json(tree_text)
     data = _read_data(data_path, rank)
     result = run_test(
         data, tree, family, hyp_text,
@@ -385,7 +377,7 @@ def cmd_test(ctx, data_path, tree_text, family, hyp_text, method, alpha,
 def cmd_sigma(ctx, tree_text, family, theta_text, data_path, source, method,
               n_mc, atoms_text, delta_tau, ridge, rank):
     """Asymptotic covariance of the parameter estimates."""
-    tree = _parse_tree(tree_text)
+    tree = HacTree.from_json(tree_text)
     theta = _parse_floats(theta_text)
     if source == "observed" and data_path is None:
         raise DomainError("--source observed needs --data")
@@ -455,7 +447,7 @@ def cmd_power(ctx, family, tau, h_text, h_max, h_points, alpha, m, n_sigma,
 def cmd_detscan(ctx, family, offsets_text, n_mc, tree_text, delta_tau):
     """det(sigma) on a parameter grid hugging the cone origin."""
     offsets = _parse_floats(offsets_text) if offsets_text else None
-    tree = _parse_tree(tree_text) if tree_text else None
+    tree = HacTree.from_json(tree_text) if tree_text else None
     scan = determinant_scan(
         family, offsets=offsets, n_mc=n_mc, seed=ctx.seed, tree=tree,
         delta_tau=delta_tau,

@@ -21,18 +21,23 @@ exact parameter ties (x_s = 1, where a_{s,q} = 0 for q < d_s).
 Frank and Joe get density values through a generic nested-differentiation
 path (h_s derivatives by implicit recursion, a_{s,q} as partial Bell
 polynomials); their analytic theta-derivatives are not provided.
+
+This module holds the family-agnostic algebra only: the a-tables, the
+B-convolutions, the t-chain and the generic path.  Every generator formula
+it evaluates (the psi_0^(k) column with its derivative ratios, the s_nk
+polynomials, the theta-derivatives of phi) comes from the family object in
+``generators``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .generators import GeneratorFamily, get_family, s_nk
+from .generators import GeneratorFamily, get_family, s_nk_table
 from .tree import HacTree
 
 __all__ = [
@@ -44,12 +49,9 @@ __all__ = [
     "log_density_and_derivs",
     "clamp_unit",
     "UNIT_CLAMP",
-    "ANALYTIC_FAMILIES",
 ]
 
 UNIT_CLAMP = 1e-12
-
-ANALYTIC_FAMILIES = ("clayton", "gumbel")
 
 
 @dataclass(frozen=True)
@@ -185,23 +187,20 @@ class _ChildTable:
     dct: np.ndarray
 
 
-def _child_table(fam_name, th0, ths, ds, t_s, lbeta, want_derivs):
-    n = t_s.shape[0]
+def _child_table(th0, ths, ds, lbeta, want_derivs):
     x = th0 / ths
     j = np.arange(1, ds + 1, dtype=float)
     e = j * x - ds                              # (ds,)
     elb = e[None, :] * lbeta[:, None]           # (n, ds)
     omega = elb.max(axis=1)
     xi = np.exp(elb - omega[:, None])
-    sp0 = np.array([s_nk(x, ds, int(q)) for q in range(1, ds + 1)])
+    sp0, sp1, sp2 = s_nk_table(x, ds)[:, 1:]    # s_{d_s,q}(x), q = 1..d_s
     v = xi * sp0[None, :]
     beta_inv = np.exp(-lbeta)[:, None]
     dt = e[None, :] * beta_inv * v
     if not want_derivs:
         z = None
         return _ChildTable(omega, v, dt, z, z, z, z, z, z, z, z)
-    sp1 = np.array([s_nk(x, ds, int(q), order=1) for q in range(1, ds + 1)])
-    sp2 = np.array([s_nk(x, ds, int(q), order=2) for q in range(1, ds + 1)])
     zeta = (j / ths)[None, :] * lbeta[:, None]
     xi_sp1 = xi * sp1[None, :]
     xi_sp2 = xi * sp2[None, :]
@@ -230,118 +229,6 @@ def _child_table(fam_name, th0, ths, ds, t_s, lbeta, want_derivs):
 
 
 # ====================================================================
-# psi_0^(k) column: log magnitudes and derivative ratios
-# ====================================================================
-
-@lru_cache(maxsize=None)
-def _ff_sigma(nu: float, k: int) -> tuple[float, float, float]:
-    # log|(nu)_k| and the first two log-derivative sums in nu
-    idx = np.arange(k, dtype=float)
-    r = 1.0 / (nu - idx)
-    logmag = float(np.sum(np.log(np.abs(nu - idx)))) if k else 0.0
-    return logmag, float(r.sum()), float((r * r).sum())
-
-
-class _PsiColumn:
-    """Per-k log psi_0^(k)(t) plus ratio rows for derivatives.
-
-    Ratios are with respect to f = psi_0^(k) as a function of (t, theta_0):
-    ft = f'/f (one more t-derivative), ftt = f''/f, fr = (d f/d theta_0)/f,
-    frr, frt analogous.  Shapes (n,) per k, stored in dicts keyed by k.
-    """
-
-    def __init__(self, fam_name, th0, t, k_lo, k_hi, want_derivs):
-        self.k_lo, self.k_hi = k_lo, k_hi
-        self.logmag = {}
-        self.sign = {}
-        self.ft = {}
-        self.ftt = {}
-        self.fr = {}
-        self.frr = {}
-        self.frt = {}
-        if fam_name == "clayton":
-            self._clayton(th0, t, want_derivs)
-        else:
-            self._gumbel(th0, t, want_derivs)
-
-    def _clayton(self, th0, t, want_derivs):
-        nu = -1.0 / th0
-        L = np.log1p(t)
-        einv = np.exp(-L)
-        for k in range(self.k_lo, self.k_hi + 1):
-            logff, s1, s2 = _ff_sigma(nu, k)
-            self.logmag[k] = logff + (nu - k) * L
-            self.sign[k] = float((-1.0) ** k)
-            self.ft[k] = (nu - k) * einv
-            self.ftt[k] = (nu - k) * (nu - k - 1.0) * einv**2
-            if not want_derivs:
-                continue
-            fr = (s1 + L) / th0**2
-            self.fr[k] = fr
-            self.frr[k] = fr**2 - s2 / th0**4 - 2.0 * (s1 + L) / th0**3
-            logff1, s1n, _ = _ff_sigma(nu, k + 1)
-            self.frt[k] = self.ft[k] * (s1n + L) / th0**2
-
-    def _gumbel(self, th0, t, want_derivs):
-        y = 1.0 / th0
-        L = np.log(t)
-        r = np.exp(y * L)                     # t**(1/theta_0)
-        psir_r = r * L / th0**2               # psi_dot/psi
-        psirr_r = psir_r * ((r - 1.0) * L / th0**2 - 2.0 / th0)
-        S0, S1, m = {}, {}, {}
-        for k in range(self.k_lo, self.k_hi + 3):
-            j = np.arange(1, k + 1, dtype=float)
-            expo = (j * y - k)[None, :] * L[:, None]
-            mk = expo.max(axis=1)
-            base = np.exp(expo - mk[:, None])
-            sk = np.array([stirling_sum(y, k, int(q)) for q in range(1, k + 1)])
-            sgn = np.array([(-1.0) ** q for q in range(1, k + 1)])
-            S0[k] = base @ (sgn * sk[:, 0])
-            m[k] = mk
-            if want_derivs and k <= self.k_hi + 1:
-                jL = j[None, :] * L[:, None]
-                S1[k] = (base * (-jL / th0**2)) @ (sgn * sk[:, 0]) + base @ (
-                    sgn * (-sk[:, 1] / th0**2)
-                )
-            if k > self.k_hi:
-                continue
-            self.logmag[k] = -r + mk + np.log(np.abs(S0[k]))
-            self.sign[k] = np.sign(S0[k])
-            if want_derivs:
-                jL = j[None, :] * L[:, None]
-                S2 = (
-                    (base * ((jL / th0**2) ** 2 + 2.0 * jL / th0**3))
-                    @ (sgn * sk[:, 0])
-                    + (base * (2.0 * jL / th0**4)) @ (sgn * sk[:, 1])
-                    + base @ (sgn * (sk[:, 2] / th0**4 + 2.0 * sk[:, 1] / th0**3))
-                )
-                self.fr[k] = psir_r + S1[k] / S0[k]
-                self.frr[k] = (
-                    psirr_r
-                    + 2.0 * psir_r * (S1[k] / S0[k])
-                    + S2 / S0[k]
-                )
-        for k in range(self.k_lo, self.k_hi + 1):
-            self.ft[k] = np.exp(m[k + 1] - m[k]) * S0[k + 1] / S0[k]
-            self.ftt[k] = np.exp(m[k + 2] - m[k]) * S0[k + 2] / S0[k]
-            if want_derivs:
-                self.frt[k] = self.ft[k] * (psir_r + S1[k + 1] / S0[k + 1])
-
-
-@lru_cache(maxsize=None)
-def _stirling_sum_cached(y: float, k: int, q: int) -> tuple[float, float, float]:
-    return (
-        float(s_nk(y, k, q)),
-        float(s_nk(y, k, q, order=1)),
-        float(s_nk(y, k, q, order=2)),
-    )
-
-
-def stirling_sum(y, k, q):
-    return np.array(_stirling_sum_cached(float(y), int(k), int(q)))
-
-
-# ====================================================================
 # t(u) chain: value and total theta-derivatives
 # ====================================================================
 
@@ -355,7 +242,7 @@ class _TChain:
     Tss: list
 
 
-def _t_chain(spec: TwoLevelSpec, rows, t_s, lbeta, tdot, tddot, want_derivs):
+def _t_chain(spec: TwoLevelSpec, rows, lbeta, tdot, tddot, want_derivs):
     fam = spec.family
     th0 = spec.theta[0]
     n = rows.shape[0]
@@ -415,12 +302,12 @@ def log_density_and_derivs(spec: TwoLevelSpec, u, order: int = 0):
     fam = spec.family
     _check_theta(fam, spec.theta)
     rows, squeeze = _as_rows(spec, u)
-    if order > 0 and fam.name not in ANALYTIC_FAMILIES:
+    if order > 0 and not fam.analytic:
         raise DomainError(
             f"{fam.name}: analytic score/hessian unavailable; "
             "use finite differences on the log-density"
         )
-    if fam.name in ANALYTIC_FAMILIES:
+    if fam.analytic:
         out = _eval_analytic(spec, rows, order)
     else:
         out = (_log_density_generic(spec, rows), None, None)
@@ -452,7 +339,7 @@ def _eval_analytic(spec: TwoLevelSpec, rows, order: int):
     want = order > 0
 
     # per-child ingredients
-    t_s, lbeta, tdot, tddot = [], [], [], []
+    lbeta, tdot, tddot = [], [], []
     log_b2 = np.zeros(n)
     g_sums = [None] * (m + 1)
     for s in range(m):
@@ -460,7 +347,6 @@ def _eval_analytic(spec: TwoLevelSpec, rows, order: int):
         us = rows[:, list(spec.child_cols[s])]
         phis = fam.phi(ths, us)
         ts = phis.sum(axis=1)
-        t_s.append(ts)
         lbeta.append(np.log1p(ts) if fam.tilt == 1.0 else np.log(ts))
         log_b2 += fam.log_neg_phi_prime(ths, us).sum(axis=1)
         if want:
@@ -476,12 +362,10 @@ def _eval_analytic(spec: TwoLevelSpec, rows, order: int):
     elif want:
         g_sums[0] = np.zeros(n)
 
-    chain = _t_chain(spec, rows, t_s, lbeta, tdot, tddot, want)
+    chain = _t_chain(spec, rows, lbeta, tdot, tddot, want)
 
     tables = [
-        _child_table(
-            fam.name, th0, spec.theta[1 + s], spec.ds[s], t_s[s], lbeta[s], want
-        )
+        _child_table(th0, spec.theta[1 + s], spec.ds[s], lbeta[s], want)
         for s in range(m)
     ]
     omega = (
@@ -493,7 +377,7 @@ def _eval_analytic(spec: TwoLevelSpec, rows, order: int):
     k_lo, k_hi = spec.K, d
     B, B_grads, B_hess = _b_tables(spec, tables, chain, tdot, tddot, order)
 
-    psi_col = _PsiColumn(fam.name, th0, chain.t, k_lo, k_hi, want)
+    psi_col = fam.psi_column(th0, chain.t, k_lo, k_hi, ratios=want)
     shift = np.max(
         np.stack([psi_col.logmag[k] for k in range(k_lo, k_hi + 1)]), axis=0
     )

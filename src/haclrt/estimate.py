@@ -16,7 +16,6 @@ from scipy.optimize import minimize
 from scipy.stats import kendalltau
 
 from .density import (
-    ANALYTIC_FAMILIES,
     log_density,
     log_density_and_derivs,
     two_level_spec,
@@ -274,7 +273,7 @@ def _fit_branch(data, tree, family, atoms, cfg: FitConfig):
     fam = get_family(family)
     lo = _box_lo(fam)
     hi = min(fam.tau_inv(cfg.tau_hi), cfg.theta_hi)
-    analytic = family in ANALYTIC_FAMILIES
+    analytic = fam.analytic
     fun = _objective(data, tree, family, pg, analytic)
     bounds = [(lo, hi)] + [(0.0, hi - lo)] * (pg.g - 1)
 

@@ -16,7 +16,6 @@ from itertools import combinations
 import numpy as np
 
 from .density import (
-    ANALYTIC_FAMILIES,
     clamp_unit,
     hessian,
     log_density,
@@ -350,8 +349,9 @@ def sigma_hat(
     sibling subtrees are enforced by group averaging.
     """
     vec = tree.theta_vector(theta)
+    fam = get_family(family)
     if method is None:
-        method = "analytic" if family in ANALYTIC_FAMILIES else "fd"
+        method = "analytic" if fam.analytic else "fd"
     if method not in ("analytic", "fd"):
         raise DomainError(f"unknown method {method!r}")
     if source == "mc":
@@ -365,9 +365,9 @@ def sigma_hat(
 
     steps = None
     if method == "analytic":
-        if family not in ANALYTIC_FAMILIES:
+        if not fam.analytic:
             raise DomainError(
-                f"{family}: no analytic hessian; use method='fd'"
+                f"{fam.name}: no analytic hessian; use method='fd'"
             )
         spec = two_level_spec(tree, family, vec)
         mean_hess = hessian(spec, rows).mean(axis=0)

@@ -1,18 +1,28 @@
 """Archimedean generator families and their derivative suites.
 
 Each family bundles the generator psi, its inverse phi, the derivative
-formulas needed by the two-level density (t-derivatives of every order,
-first and second parameter derivatives of the inverse generator), and
-the Kendall's tau map with its inverse.  Clayton and Gumbel carry the full
-analytic suite; Frank and Joe provide values, first t-derivatives of any
-order, and tau maps, which is what sampling, generic density evaluation
-and finite-difference information estimates require.
+formulas needed by the two-level density, and the Kendall's tau map with
+its inverse.  Clayton and Gumbel carry the full analytic suite, and each
+of its formulas lives here once:
+
+- ``psi_column``: log|psi^(k)(t)| and its sign for k in a range, plus the
+  ratio rows of its first and second t- and theta-derivatives;
+  ``psi_t_deriv`` is its one-k evaluation;
+- ``phi_derivs``: the first two theta-derivatives of phi;
+- ``log_neg_phi_prime`` and ``dlog_neg_phi_prime_dtheta``: log(-phi') and
+  its theta-derivative;
+- ``s_nk_table``: the polynomials s_nk(x) with their first two
+  x-derivatives, used by the Gumbel column and by the density's a-tables.
+
+Frank and Joe provide values, t-derivatives of any order and tau maps,
+which is what sampling, generic density evaluation and finite-difference
+information estimates require.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -27,6 +37,7 @@ __all__ = [
     "UnsupportedFamilyError",
     "ThetaDomain",
     "PhiDerivs",
+    "PsiColumn",
     "TauGrid",
     "GeneratorFamily",
     "Clayton",
@@ -44,7 +55,7 @@ __all__ = [
     "stirling_s",
     "stirling_S",
     "s_nk",
-    "falling_factorial",
+    "s_nk_table",
 ]
 
 
@@ -56,12 +67,12 @@ class UnsupportedFamilyError(DomainError):
 # Stirling-number machinery
 # ====================================================================
 
-def _check_dim(n: int, max_dim: int) -> None:
+def _check_dim(n: int) -> None:
     if n < 0:
         raise DomainError(f"order must be non-negative, got {n}")
-    if n > max_dim:
+    if n > MAX_DIM:
         raise DomainError(
-            f"order {n} exceeds the configured maximum {max_dim}"
+            f"order {n} exceeds the configured maximum {MAX_DIM}"
         )
 
 
@@ -100,82 +111,69 @@ def _stirling_second_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def stirling_s(n: int, k: int, max_dim: int = MAX_DIM) -> int:
+def stirling_s(n: int, k: int) -> int:
     """Signed Stirling number of the first kind s(n, k)."""
-    _check_dim(n, max_dim)
+    _check_dim(n)
     if k < 0 or k > n:
         return 0
     return _stirling_first_rows(n)[n][k]
 
 
-def stirling_S(n: int, k: int, max_dim: int = MAX_DIM) -> int:
+def stirling_S(n: int, k: int) -> int:
     """Stirling number of the second kind S(n, k)."""
-    _check_dim(n, max_dim)
+    _check_dim(n)
     if k < 0 or k > n:
         return 0
     return _stirling_second_rows(n)[n][k]
 
 
 @lru_cache(maxsize=None)
-def _s_nk_coeffs(n: int, k: int) -> tuple[int, ...]:
-    # coefficient of x^j in s_nk(x) = sum_j x^j s(n,j) S(j,k), j = 0..n
-    return tuple(
-        stirling_s(n, j) * stirling_S(j, k) for j in range(n + 1)
-    )
+def _s_nk_coeffs(n: int) -> np.ndarray:
+    # [order, k, j]: coefficient of x^(j - order) in the order-th
+    # x-derivative of s_nk(x) = sum_j x^j s(n,j) S(j,k); exact integer
+    # products rounded once to float
+    out = np.zeros((3, n + 1, n + 1))
+    for k in range(n + 1):
+        for j in range(n + 1):
+            c = stirling_s(n, j) * stirling_S(j, k)
+            out[:, k, j] = (float(c), float(c * j), float(c * j * (j - 1)))
+    out.flags.writeable = False
+    return out
 
 
-def s_nk(x, n: int, k: int, order: int = 0, max_dim: int = MAX_DIM):
+def s_nk_table(x, n: int) -> np.ndarray:
+    """s_nk(x) for k = 0..n with its first two x-derivatives.
+
+    Entry [order, k] of the (3, n + 1, *x.shape) result is the order-th
+    x-derivative of sum_{j=k}^n x^j s(n,j) S(j,k), summed from the highest
+    power down.  Not cached: a table costs O(n^2) flops, and its argument
+    x is a float that rarely repeats.
+    """
+    _check_dim(n)
+    x = np.asarray(x, dtype=float)
+    coeffs = _s_nk_coeffs(n).reshape((3, n + 1, n + 1) + (1,) * x.ndim)
+    powers = [x**j for j in range(n + 1)]
+    out = np.zeros((3, n + 1) + x.shape)
+    for j in range(n, -1, -1):
+        out[0] += coeffs[0, :, j] * powers[j]
+        if j >= 1:
+            out[1] += coeffs[1, :, j] * powers[j - 1]
+        if j >= 2:
+            out[2] += coeffs[2, :, j] * powers[j - 2]
+    return out
+
+
+def s_nk(x, n: int, k: int, order: int = 0):
     """Polynomial sum_{j=k}^n x^j s(n,j) S(j,k), or its derivative in x.
 
     `order` 0, 1 or 2 selects the value, first or second derivative.
     Accepts scalar or array x.
     """
-    _check_dim(n, max_dim)
-    if order not in (0, 1, 2):
-        raise DomainError("order must be 0, 1 or 2")
-    coeffs = _s_nk_coeffs(n, k)
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for j in range(n, -1, -1):
-        c = coeffs[j]
-        if c == 0:
-            continue
-        if order == 0:
-            out = out + float(c) * x**j
-        elif order == 1:
-            if j >= 1:
-                out = out + float(c * j) * x ** (j - 1)
-        else:
-            if j >= 2:
-                out = out + float(c * j * (j - 1)) * x ** (j - 2)
-    return out if out.ndim else float(out)
-
-
-def falling_factorial(x, n: int, order: int = 0, max_dim: int = MAX_DIM):
-    """Falling factorial (x)_n = x(x-1)...(x-n+1) and its x-derivatives."""
-    _check_dim(n, max_dim)
+    _check_dim(n)
     if order not in (0, 1, 2):
         raise DomainError("order must be 0, 1 or 2")
     x = np.asarray(x, dtype=float)
-    if n == 0:
-        val = np.ones_like(x)
-        out = val if order == 0 else np.zeros_like(x)
-        return out if out.ndim else float(out)
-    if order == 0:
-        out = np.ones_like(x)
-        for i in range(n):
-            out = out * (x - i)
-        return out if out.ndim else float(out)
-    rows = _stirling_first_rows(n)[n]
-    out = np.zeros_like(x)
-    for j in range(n, 0, -1):
-        c = rows[j]
-        if c == 0:
-            continue
-        if order == 1 and j >= 1:
-            out = out + float(c * j) * x ** (j - 1)
-        elif order == 2 and j >= 2:
-            out = out + float(c * j * (j - 1)) * x ** (j - 2)
+    out = s_nk_table(x, n)[order, k] if 0 <= k <= n else np.zeros_like(x)
     return out if out.ndim else float(out)
 
 
@@ -202,6 +200,28 @@ class PhiDerivs:
     dtheta2: np.ndarray        # d2 phi / dtheta2
 
 
+@dataclass
+class PsiColumn:
+    """log|psi^(k)(t)| and its sign for k = k_lo..k_hi, plus ratio rows.
+
+    The ratio rows are taken with respect to f = psi^(k) as a function of
+    (t, theta): ft = f_t/f, ftt = f_tt/f, fr = f_theta/f,
+    frr = f_theta,theta/f and frt = f_theta,t/f.  Every field maps k to
+    an (n,) row; the ratio fields stay empty unless requested.
+    """
+
+    logmag: dict = field(default_factory=dict)
+    sign: dict = field(default_factory=dict)
+    ft: dict = field(default_factory=dict)
+    ftt: dict = field(default_factory=dict)
+    fr: dict = field(default_factory=dict)
+    frr: dict = field(default_factory=dict)
+    frt: dict = field(default_factory=dict)
+
+    def value(self, k: int) -> np.ndarray:
+        return self.sign[k] * np.exp(self.logmag[k])
+
+
 @dataclass(frozen=True)
 class TauGrid:
     """Monotone (theta, tau) knot table used to bracket tau inversion."""
@@ -209,7 +229,6 @@ class TauGrid:
     family: str
     thetas: tuple[float, ...]
     taus: tuple[float, ...]
-    tol: float = 1e-12
 
 
 def _validate_theta(fam: "GeneratorFamily", theta: float) -> None:
@@ -256,6 +275,7 @@ class GeneratorFamily:
     domain: ThetaDomain = ThetaDomain(0.0, True)
     tilt: float = 0.0          # gamma in the a-function base gamma**theta + t
     tau_lo_attainable: bool = False   # is tau = 0 reached at the domain edge?
+    analytic: bool = False     # psi_column and the theta-derivative suite exist
 
     # -- generator values ------------------------------------------------
 
@@ -278,6 +298,19 @@ class GeneratorFamily:
         raise UnsupportedFamilyError(
             f"{self.name}: analytic psi derivatives are not available"
         )
+
+    def psi_column(self, theta: float, t, k_lo: int, k_hi: int,
+                   ratios: bool = False) -> PsiColumn:
+        """psi^(k)(t) on log scale for k = k_lo..k_hi over 1-d t."""
+        raise UnsupportedFamilyError(
+            f"{self.name}: analytic psi derivatives are not available"
+        )
+
+    def _psi_t_deriv_from_column(self, theta, t, k):
+        # one-k evaluation of psi_column, for any shape of t
+        col = self.psi_column(theta, np.atleast_1d(t).ravel(), k, k)
+        out = col.value(k).reshape(np.shape(t))
+        return out if out.ndim else float(out)
 
     def phi_derivs(self, theta: float, u) -> PhiDerivs:
         raise UnsupportedFamilyError(
@@ -310,6 +343,7 @@ class Clayton(GeneratorFamily):
     domain = ThetaDomain(0.0, True)
     tilt = 1.0
     tau_lo_attainable = False
+    analytic = True
 
     def psi(self, theta, t):
         _validate_theta(self, theta)
@@ -334,11 +368,29 @@ class Clayton(GeneratorFamily):
 
     def psi_t_deriv(self, theta, t, k):
         _validate_theta(self, theta)
-        _check_dim(k, MAX_DIM)
-        t = _as_nonneg(t)
-        ff = falling_factorial(-1.0 / theta, k)
-        out = ff * np.exp((-1.0 / theta - k) * np.log1p(t))
-        return out if out.ndim else float(out)
+        _check_dim(k)
+        return self._psi_t_deriv_from_column(theta, _as_nonneg(t), k)
+
+    def psi_column(self, theta, t, k_lo, k_hi, ratios=False):
+        # psi^(k)(t) = (nu)_k (1 + t)^(nu - k) with nu = -1/theta
+        col = PsiColumn()
+        nu = -1.0 / theta
+        L = np.log1p(t)
+        einv = np.exp(-L)
+        for k in range(k_lo, k_hi + 1):
+            logff, s1, s2 = _falling_log_sums(nu, k)
+            col.logmag[k] = logff + (nu - k) * L
+            col.sign[k] = float((-1.0) ** k)
+            if not ratios:
+                continue
+            col.ft[k] = (nu - k) * einv
+            col.ftt[k] = (nu - k) * (nu - k - 1.0) * einv**2
+            fr = (s1 + L) / theta**2
+            col.fr[k] = fr
+            col.frr[k] = fr**2 - s2 / theta**4 - 2.0 * (s1 + L) / theta**3
+            _, s1n, _ = _falling_log_sums(nu, k + 1)
+            col.frt[k] = col.ft[k] * (s1n + L) / theta**2
+        return col
 
     def phi_derivs(self, theta, u):
         _validate_theta(self, theta)
@@ -366,6 +418,7 @@ class Gumbel(GeneratorFamily):
     domain = ThetaDomain(1.0, False)
     tilt = 0.0
     tau_lo_attainable = True
+    analytic = True
 
     def psi(self, theta, t):
         _validate_theta(self, theta)
@@ -395,13 +448,64 @@ class Gumbel(GeneratorFamily):
 
     def psi_t_deriv(self, theta, t, k):
         _validate_theta(self, theta)
-        _check_dim(k, MAX_DIM)
+        _check_dim(k)
         t = np.asarray(t, dtype=float)
         if np.any(t <= 0):
             raise DomainError("t must be positive for Gumbel derivatives")
-        logmag, sign = _gumbel_psi_k_logsign(theta, t, k)
-        out = sign * np.exp(logmag)
-        return out if out.ndim else float(out)
+        if k == 0:
+            return self.psi(theta, t)
+        return self._psi_t_deriv_from_column(theta, t, k)
+
+    def psi_column(self, theta, t, k_lo, k_hi, ratios=False):
+        # psi^(k)(t) = psi(t) sum_q (-1)^q s_kq(y) t^(q y - k) with y = 1/theta;
+        # for theta >= 1 every summand shares the sign (-1)^k, so each sum
+        # is taken after a per-row shift m_k without cancellation (k >= 1)
+        col = PsiColumn()
+        y = 1.0 / theta
+        L = np.log(t)
+        r = np.exp(y * L)                     # t**(1/theta)
+        if ratios:
+            psir_r = r * L / theta**2         # psi_dot/psi
+            psirr_r = psir_r * ((r - 1.0) * L / theta**2 - 2.0 / theta)
+        S0, S1, m = {}, {}, {}
+        for k in range(k_lo, k_hi + (3 if ratios else 1)):
+            j = np.arange(1, k + 1, dtype=float)
+            expo = (j * y - k)[None, :] * L[:, None]
+            mk = expo.max(axis=1)
+            base = np.exp(expo - mk[:, None])
+            sk = s_nk_table(y, k)[:, 1:]
+            sgn = np.array([(-1.0) ** q for q in range(1, k + 1)])
+            S0[k] = base @ (sgn * sk[0])
+            m[k] = mk
+            if ratios:
+                jL = j[None, :] * L[:, None]
+                if k <= k_hi + 1:
+                    S1[k] = (base * (-jL / theta**2)) @ (sgn * sk[0]) + base @ (
+                        sgn * (-sk[1] / theta**2)
+                    )
+            if k > k_hi:
+                continue
+            col.logmag[k] = -r + mk + np.log(np.abs(S0[k]))
+            col.sign[k] = np.sign(S0[k])
+            if ratios:
+                S2 = (
+                    (base * ((jL / theta**2) ** 2 + 2.0 * jL / theta**3))
+                    @ (sgn * sk[0])
+                    + (base * (2.0 * jL / theta**4)) @ (sgn * sk[1])
+                    + base @ (sgn * (sk[2] / theta**4 + 2.0 * sk[1] / theta**3))
+                )
+                col.fr[k] = psir_r + S1[k] / S0[k]
+                col.frr[k] = (
+                    psirr_r
+                    + 2.0 * psir_r * (S1[k] / S0[k])
+                    + S2 / S0[k]
+                )
+        if ratios:
+            for k in range(k_lo, k_hi + 1):
+                col.ft[k] = np.exp(m[k + 1] - m[k]) * S0[k + 1] / S0[k]
+                col.ftt[k] = np.exp(m[k + 2] - m[k]) * S0[k + 2] / S0[k]
+                col.frt[k] = col.ft[k] * (psir_r + S1[k + 1] / S0[k + 1])
+        return col
 
     def phi_derivs(self, theta, u):
         _validate_theta(self, theta)
@@ -426,27 +530,12 @@ class Gumbel(GeneratorFamily):
         return 1.0 / (1.0 - tau_val)
 
 
-def _gumbel_psi_k_logsign(theta: float, t: np.ndarray, k: int):
-    """log-magnitude and sign of the k-th Gumbel generator derivative.
-
-    The derivative equals psi(t) * sum_j t**(j/theta - k) (-1)**j s_kj(1/theta);
-    for theta >= 1 every summand shares the sign (-1)**k, so the sum is done
-    on log scale without cancellation.
-    """
-    if k == 0:
-        lp = -np.exp(np.log(t) / theta)
-        return lp, np.ones_like(t)
-    x = 1.0 / theta
-    L = np.log(t)
-    shift = np.maximum((x - k) * L, (k * x - k) * L)
-    acc = np.zeros_like(t)
-    for j in range(1, k + 1):
-        w = float((-1) ** j) * s_nk(x, k, j)
-        acc = acc + w * np.exp((j * x - k) * L - shift)
-    sign = np.sign(acc)
-    with np.errstate(divide="ignore"):
-        logmag = -np.exp(L / theta) + shift + np.log(np.abs(acc))
-    return logmag, sign
+def _falling_log_sums(nu: float, k: int) -> tuple[float, float, float]:
+    # log|(nu)_k| and the first two log-derivative sums in nu
+    idx = np.arange(k, dtype=float)
+    r = 1.0 / (nu - idx)
+    logmag = float(np.sum(np.log(np.abs(nu - idx)))) if k else 0.0
+    return logmag, float(r.sum()), float((r * r).sum())
 
 
 class Frank(GeneratorFamily):
@@ -478,7 +567,7 @@ class Frank(GeneratorFamily):
 
     def psi_t_deriv(self, theta, t, k):
         _validate_theta(self, theta)
-        _check_dim(k, MAX_DIM)
+        _check_dim(k)
         t = _as_nonneg(t)
         if k == 0:
             return self.psi(theta, t)
@@ -522,7 +611,7 @@ class Joe(GeneratorFamily):
 
     def psi_t_deriv(self, theta, t, k):
         _validate_theta(self, theta)
-        _check_dim(k, MAX_DIM)
+        _check_dim(k)
         t = _as_nonneg(t)
         if k == 0:
             return self.psi(theta, t)

@@ -623,9 +623,10 @@ def power_curve(
 
     Each tau-scale value h' maps to a mean shift h = h' (dtheta/dtau) e
     of the limiting Gaussian; the test rejects when L exceeds the
-    (1 - 2 alpha) quantile of chi-squared(1).  The standard normal
-    draws are made once and reused across the grid and across families
-    called with the same seed, so curves are directly comparable.
+    (1 - 2 alpha) quantile of chi-squared(1).  Each shift draws L with
+    null_statistics from the same seed, so the standard normal draws are
+    shared across the grid and across families called with that seed,
+    and curves are directly comparable.
     When sigma is missing it is estimated from n_sigma model draws at
     the exchangeable null of the given tree (default [[1,2],3]);
     delta_tau is the step behind a finite-difference covariance there.
@@ -670,26 +671,19 @@ def power_curve(
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (2, 2):
         raise DomainError("sigma must be 2x2 for the power curve")
-    chol = _chol_pd(sigma)
 
     cone = Cone(2, ineq=np.array([[1.0, -1.0]]))
     null_cone = Cone(2, eq=np.array([[1.0, -1.0]]))
-    ops_full = _face_ops(cone, sigma)
-    ops_null = _face_ops(null_cone, sigma)
     c_alpha = float(stats.chi2.ppf(1.0 - 2.0 * alpha, 1))
     scale = _dtheta_dtau(family, tau)
     var_diff = sigma[0, 0] + sigma[1, 1] - 2.0 * sigma[0, 1]
 
-    rng = np.random.default_rng(seed)
-    base = rng.standard_normal((m, 2)) @ chol.T
     power = []
     atom = []
     for h in h_values:
-        z = base + (scale * h) * e
-        tol = 1e-9 * (1.0 + np.max(np.abs(z), axis=1))
-        q_full, _ = _batch_q(z, ops_full, tol)
-        q_null, _ = _batch_q(z, ops_null, tol)
-        draws = np.maximum(q_null - q_full, 0.0)
+        draws = null_statistics(
+            sigma, cone, null_cone, h=(scale * h) * e, m=m, seed=seed
+        )
         power.append(float(np.mean(draws > c_alpha)))
         # P(L = 0) = P(Z0 >= Z1), Gaussian with mean h1 - h0
         mean_diff = scale * h * (e[1] - e[0])

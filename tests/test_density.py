@@ -13,6 +13,7 @@ from haclrt.density import (
     score,
     two_level_spec,
 )
+from haclrt import density, generators
 from haclrt.density import _as_rows, _log_density_generic
 from haclrt.errors import DomainError
 from haclrt.generators import get_family
@@ -313,6 +314,29 @@ def test_analytic_derivatives_unavailable_for_frank_and_joe():
         spec = two_level_spec(TREE3, fam, (1.5, 2.5))
         with pytest.raises(DomainError):
             score(spec, np.full(3, 0.5))
+
+
+def _lru_entries():
+    return sum(
+        obj.cache_info().currsize
+        for mod in (density, generators)
+        for obj in vars(mod).values()
+        if hasattr(obj, "cache_info")
+    )
+
+
+def test_density_caches_stay_bounded_over_fresh_theta():
+    # no cache may be keyed on a float parameter: it would grow with every
+    # new theta an optimizer or a simulation visits
+    u = clamp_unit(np.random.default_rng(4).uniform(size=(8, 4)))
+    sizes = []
+    for i in range(100):
+        for fam, th0 in (("clayton", 0.9), ("gumbel", 1.3)):
+            theta = (th0 + 1e-3 * i, th0 + 0.5 + 2e-3 * i, th0 + 1.0 + 3e-3 * i)
+            log_density_and_derivs(two_level_spec(TREE4, fam, theta), u, order=2)
+        if i + 1 in (50, 100):
+            sizes.append(_lru_entries())
+    assert sizes[0] == sizes[1]
 
 
 def test_bad_order_rejected():

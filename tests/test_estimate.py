@@ -8,7 +8,7 @@ from scipy.optimize import minimize_scalar
 from haclrt.density import hessian, log_density, two_level_spec
 from haclrt.errors import DomainError
 from haclrt.estimate import FitConfig, loglik, merge_groups, mle
-from haclrt.generators import get_family, tau_inv
+from haclrt.generators import Clayton, Gumbel, get_family, tau_inv
 from haclrt.sampler import sample
 from haclrt.tree import HacTree, Hypothesis, validate_params
 
@@ -177,6 +177,17 @@ def test_row_permutation_invariance():
     a = mle(u, TREE4, "clayton")
     b = mle(u[perm], TREE4, "clayton")
     np.testing.assert_allclose(a.theta, b.theta, atol=1e-8)
+
+
+@pytest.mark.parametrize("instance", [Gumbel(), Clayton()], ids=["gumbel", "clayton"])
+def test_family_instance_fits_like_its_name(instance):
+    # the analytic gradient is chosen from the family, however it is passed
+    theta = (tau_inv(instance, 0.3), tau_inv(instance, 0.5))
+    u = sample(TREE3, theta, instance.name, 300, seed=37).values
+    by_name = mle(u, TREE3, instance.name)
+    by_instance = mle(u, TREE3, instance)
+    assert by_instance.to_dict() == by_name.to_dict()
+    np.testing.assert_array_equal(by_instance.theta, by_name.theta)
 
 
 @pytest.mark.parametrize("fam", ["frank", "joe"])

@@ -12,7 +12,7 @@ from haclrt.fisher import (
     kendall_step,
     sigma_hat,
 )
-from haclrt.generators import tau_inv
+from haclrt.generators import Gumbel, tau_inv
 from haclrt.sampler import sample
 from haclrt.tree import HacTree
 
@@ -147,6 +147,17 @@ def test_sigma_analytic_observed_is_inverse_mean_hessian():
     np.testing.assert_allclose(est.sigma @ est.info, np.eye(2), atol=1e-10)
     assert est.method == "analytic" and est.source == "observed"
     assert np.abs(est.info - est.info.T).max() < 1e-8
+
+
+def test_sigma_family_instance_takes_analytic_route():
+    th = (1.5, 2.5)
+    u = sample(TREE3, th, "gumbel", 500, seed=19).values
+    by_name = sigma_hat(u, TREE3, "gumbel", th)
+    by_instance = sigma_hat(u, TREE3, Gumbel(), th)
+    assert by_instance.method == "analytic"
+    np.testing.assert_array_equal(by_instance.info, by_name.info)
+    explicit = sigma_hat(u, TREE3, Gumbel(), th, method="analytic")
+    np.testing.assert_array_equal(explicit.sigma, by_name.sigma)
 
 
 def test_sigma_fd_close_to_analytic_interior():

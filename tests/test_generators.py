@@ -94,19 +94,24 @@ def test_stirling_rejects_orders_beyond_cap():
         G.s_nk(0.5, G.MAX_DIM + 1, 1)
 
 
-def test_falling_factorial_values_and_derivs():
-    assert G.falling_factorial(-1.0, 2) == pytest.approx(2.0)
-    assert G.falling_factorial(0.5, 3) == pytest.approx(0.5 * (-0.5) * (-1.5))
-    for x in (-0.7, 0.3, 2.5):
-        for n in (1, 2, 4):
-            d1 = G.falling_factorial(x, n, order=1)
-            d2 = G.falling_factorial(x, n, order=2)
-            assert d1 == pytest.approx(
-                _fd(lambda s: G.falling_factorial(s, n), x), rel=1e-6, abs=1e-8
-            )
-            assert d2 == pytest.approx(
-                _fd2(lambda s: G.falling_factorial(s, n), x), rel=1e-4, abs=1e-5
-            )
+def _s_nk_term_by_term(x, n, k, order):
+    # reference: one Stirling product per term, highest power first
+    out = np.zeros_like(np.asarray(x, dtype=float))
+    for j in range(n, order - 1, -1):
+        c = G.stirling_s(n, j) * G.stirling_S(j, k)
+        if c != 0:
+            out = out + float(c * math.perm(j, order)) * np.asarray(x) ** (j - order)
+    return out
+
+
+def test_s_nk_table_equals_term_by_term_sums():
+    for n in range(1, 15):
+        for x in (0.05, 0.37, 1.0 / 1.05, 1.0):
+            table = G.s_nk_table(x, n)
+            for order in range(3):
+                for k in range(n + 1):
+                    ref = _s_nk_term_by_term(x, n, k, order)
+                    assert table[order, k] == ref, (n, x, order, k)
 
 
 def test_s_nk_reduces_to_kronecker_at_one():
@@ -219,6 +224,40 @@ def test_psi_t_deriv_alternates_in_sign(family):
         for k in range(1, 8):
             val = G.psi_t_deriv(family, th, t, k)
             assert (-1.0) ** k * val > 0.0
+
+
+@pytest.mark.parametrize(
+    "family,theta",
+    [("clayton", th) for th in (0.2, 2.0, 8.0)]
+    + [("gumbel", th) for th in (1.05, 2.5, 8.0)],
+)
+def test_psi_t_deriv_matches_mpmath(family, theta):
+    # independent oracle: 50-digit numerical derivatives of the closed-form
+    # generator, so the check shares no code with psi_column
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        th = mp.mpf(theta)
+        if family == "clayton":
+            def f(s):
+                return (1 + s) ** (-1 / th)
+        else:
+            def f(s):
+                return mp.exp(-(s ** (1 / th)))
+        for t in (1e-4, 0.3, 5.0, 200.0):
+            ref = list(mp.diffs(f, mp.mpf(t), 8))
+            for k in range(1, 9):
+                val = G.psi_t_deriv(family, theta, t, k)
+                assert abs(mp.mpf(val) / ref[k] - 1) <= 1e-12, (t, k)
+
+
+def test_psi_column_rows_match_one_k_calls():
+    t = np.array([1e-3, 0.4, 3.0, 50.0])
+    for family, th in (("clayton", 1.7), ("gumbel", 2.2)):
+        col = G.get_family(family).psi_column(th, t, 2, 6)
+        for k in range(2, 7):
+            np.testing.assert_array_equal(
+                col.value(k), G.psi_t_deriv(family, th, t, k)
+            )
 
 
 def test_psi_t_deriv_vectorizes():
