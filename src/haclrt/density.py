@@ -23,10 +23,12 @@ path (h_s derivatives by implicit recursion, a_{s,q} as partial Bell
 polynomials); their analytic theta-derivatives are not provided.
 
 This module holds the family-agnostic algebra only: the a-tables, the
-B-convolutions, the t-chain and the generic path.  Every generator formula
-it evaluates (the psi_0^(k) column with its derivative ratios, the s_nk
-polynomials, the theta-derivatives of phi) comes from the family object in
-``generators``.
+t-chain, the generic path, and B = prod_s a_s with its first and second
+theta-derivatives, built as one forward product of second-order jets
+(each child's a-table with its theta-derivatives, one product rule step
+per child).  Every generator formula it evaluates (the psi_0^(k) column
+with its derivative ratios, the s_nk polynomials, the theta-derivatives
+of phi) comes from the family object in ``generators``.
 """
 
 from __future__ import annotations
@@ -124,9 +126,9 @@ def _check_theta(fam, vec):
             )
 
 
-def clamp_unit(u, eps: float = UNIT_CLAMP) -> np.ndarray:
+def clamp_unit(u) -> np.ndarray:
     """Clamp Monte Carlo draws into the open cube before evaluation."""
-    return np.clip(np.asarray(u, dtype=float), eps, 1.0 - eps)
+    return np.clip(np.asarray(u, dtype=float), UNIT_CLAMP, 1.0 - UNIT_CLAMP)
 
 
 def _as_rows(spec: TwoLevelSpec, u) -> np.ndarray:
@@ -166,28 +168,38 @@ def _polyunit(n: int) -> np.ndarray:
 # ====================================================================
 
 @dataclass
-class _ChildTable:
-    """Scaled a_{s,q} rows and their partial derivatives, q = 1..d_s.
+class _ChildJet:
+    """Second-order jet of child s's a-table, padded to exponents 0..d_s.
 
-    All arrays have shape (n, d_s); entries are the true quantities times
+    Column q of ``a`` holds a_{s,q} (column 0 is zero); ``ar``/``ac`` are
+    its derivatives in r = theta_0 and c = theta_s, and ``arr``, ``arc``,
+    ``acc`` the second derivatives.  Derivatives in theta_s are total:
+    t_s moves with theta_s.  Entries are the true quantities times
     exp(-omega) with the per-row scale omega fixed at the evaluation
     point, so derivative rows share the value row's scaling.
     """
 
     omega: np.ndarray
-    v: np.ndarray
-    dt: np.ndarray
-    dtt: np.ndarray
-    dr: np.ndarray       # d/d theta_0
-    dc: np.ndarray       # d/d theta_s at fixed t
-    drr: np.ndarray
-    drc: np.ndarray
-    dcc: np.ndarray
-    drt: np.ndarray      # d^2/(d theta_0 dt)
-    dct: np.ndarray
+    a: np.ndarray
+    ar: np.ndarray | None = None
+    ac: np.ndarray | None = None
+    arr: np.ndarray | None = None
+    arc: np.ndarray | None = None
+    acc: np.ndarray | None = None
 
 
-def _child_table(th0, ths, ds, lbeta, want_derivs):
+def _pad(cols: np.ndarray) -> np.ndarray:
+    # child coefficient rows live at exponents 1..d_s
+    out = np.zeros((cols.shape[0], cols.shape[1] + 1))
+    out[:, 1:] = cols
+    return out
+
+
+def _child_table(th0, ths, ds, lbeta, tdot, tddot, order):
+    """Child s's jet up to ``order``.
+
+    tdot and tddot are the first two theta_s-derivatives of t_s.
+    """
     x = th0 / ths
     j = np.arange(1, ds + 1, dtype=float)
     e = j * x - ds                              # (ds,)
@@ -196,18 +208,25 @@ def _child_table(th0, ths, ds, lbeta, want_derivs):
     xi = np.exp(elb - omega[:, None])
     sp0, sp1, sp2 = s_nk_table(x, ds)[:, 1:]    # s_{d_s,q}(x), q = 1..d_s
     v = xi * sp0[None, :]
+    jet = _ChildJet(omega, _pad(v))
+    if order == 0:
+        return jet
     beta_inv = np.exp(-lbeta)[:, None]
-    dt = e[None, :] * beta_inv * v
-    if not want_derivs:
-        z = None
-        return _ChildTable(omega, v, dt, z, z, z, z, z, z, z, z)
+    tdot = tdot[:, None]
     zeta = (j / ths)[None, :] * lbeta[:, None]
     xi_sp1 = xi * sp1[None, :]
-    xi_sp2 = xi * sp2[None, :]
 
-    dtt = (e[None, :] - 1.0) * beta_inv * dt
+    # partials at fixed t (dt, dr, dc, ...), composed into total
+    # theta_s-derivatives through tdot and tddot
+    dt = e[None, :] * beta_inv * v
     dr = zeta * v + xi_sp1 / ths
     dc = -x * zeta * v - xi_sp1 * th0 / ths**2
+    jet.ar = _pad(dr)
+    jet.ac = _pad(dc + dt * tdot)
+    if order == 1:
+        return jet
+    xi_sp2 = xi * sp2[None, :]
+    dtt = (e[None, :] - 1.0) * beta_inv * dt
     drt = beta_inv * ((j / ths)[None, :] * v + e[None, :] * dr)
     dct = beta_inv * ((-j * th0 / ths**2)[None, :] * v + e[None, :] * dc)
     drr = zeta * (dr + xi_sp1 / ths) + xi_sp2 / ths**2
@@ -225,7 +244,12 @@ def _child_table(th0, ths, ds, lbeta, want_derivs):
         + 2.0 * (th0 / ths**3) * xi_sp1
         + (th0**2 / ths**4) * xi_sp2
     )
-    return _ChildTable(omega, v, dt, dtt, dr, dc, drr, drc, dcc, drt, dct)
+    jet.arr = _pad(drr)
+    jet.arc = _pad(drc + drt * tdot)
+    jet.acc = _pad(
+        dcc + 2.0 * dct * tdot + dtt * tdot**2 + dt * tddot[:, None]
+    )
+    return jet
 
 
 # ====================================================================
@@ -339,7 +363,8 @@ def _eval_analytic(spec: TwoLevelSpec, rows, order: int):
     want = order > 0
 
     # per-child ingredients
-    lbeta, tdot, tddot = [], [], []
+    lbeta = []
+    tdot, tddot = [None] * m, [None] * m
     log_b2 = np.zeros(n)
     g_sums = [None] * (m + 1)
     for s in range(m):
@@ -351,8 +376,8 @@ def _eval_analytic(spec: TwoLevelSpec, rows, order: int):
         log_b2 += fam.log_neg_phi_prime(ths, us).sum(axis=1)
         if want:
             pd = fam.phi_derivs(ths, us)
-            tdot.append(pd.dtheta.sum(axis=1))
-            tddot.append(pd.dtheta2.sum(axis=1))
+            tdot[s] = pd.dtheta.sum(axis=1)
+            tddot[s] = pd.dtheta2.sum(axis=1)
             g_sums[1 + s] = fam.dlog_neg_phi_prime_dtheta(ths, us).sum(axis=1)
     if spec.leaf_cols:
         ul = rows[:, list(spec.leaf_cols)]
@@ -364,18 +389,19 @@ def _eval_analytic(spec: TwoLevelSpec, rows, order: int):
 
     chain = _t_chain(spec, rows, lbeta, tdot, tddot, want)
 
-    tables = [
-        _child_table(th0, spec.theta[1 + s], spec.ds[s], lbeta[s], want)
+    jets = [
+        _child_table(
+            th0, spec.theta[1 + s], spec.ds[s], lbeta[s], tdot[s], tddot[s],
+            order,
+        )
         for s in range(m)
     ]
-    omega = (
-        np.sum([tb.omega for tb in tables], axis=0) if m else np.zeros(n)
-    )
+    omega = np.sum([jet.omega for jet in jets], axis=0) if m else np.zeros(n)
 
     # B-polynomials: coefficient index = sum of q_s, valid range m..d-|L|
     n_leaf = len(spec.leaf_cols)
     k_lo, k_hi = spec.K, d
-    B, B_grads, B_hess = _b_tables(spec, tables, chain, tdot, tddot, order)
+    B, B_grads, B_hess = _b_jet(jets, n, order)
 
     psi_col = fam.psi_column(th0, chain.t, k_lo, k_hi, ratios=want)
     shift = np.max(
@@ -440,127 +466,40 @@ def _eval_analytic(spec: TwoLevelSpec, rows, order: int):
     return logc, grad, hess
 
 
-def _b_tables(spec, tables, chain, tdot, tddot, order):
-    """Convolution tables B, dB/dtheta_a, d2B/dtheta_a dtheta_b.
+def _b_jet(jets, n, order):
+    """B, dB/dtheta_a and d2B/dtheta_a dtheta_b (a <= b) in one pass.
 
-    Index j of each coefficient array corresponds to k = j + #root-leaves.
-    Derivatives in theta_s are total (the t_s argument moves with theta_s).
+    B is the product of the children's a-tables.  Multiplying the running
+    jet (V, G, H) by child c = 1+s's jet applies the product rule once:
+    every entry is multiplied by a, and the terms that differentiate the
+    new factor are added from the old V and G.  Index j of each
+    coefficient array corresponds to k = j + #root-leaves.
     """
-    n = chain.t.shape[0]
-    m = spec.m
-    d_minus_l = sum(spec.ds)
-
-    def pad(arr_cols):
-        # child coefficient rows live at exponents 1..d_s
-        out = np.zeros((n, arr_cols.shape[1] + 1))
-        out[:, 1:] = arr_cols
-        return out
-
-    vals = []
-    d_root = []
-    d_root2 = []
-    tot_c = []
-    tot_cc = []
-    tot_rc = []
-    for s, tb in enumerate(tables):
-        vals.append(pad(tb.v))
-        if order > 0:
-            d_root.append(pad(tb.dr))
-            tc = tb.dc + tb.dt * tdot[s][:, None]
-            tot_c.append(pad(tc))
-        if order > 1:
-            d_root2.append(pad(tb.drr))
-            tot_rc.append(pad(tb.drc + tb.drt * tdot[s][:, None]))
-            tot_cc.append(
-                pad(
-                    tb.dcc
-                    + 2.0 * tb.dct * tdot[s][:, None]
-                    + tb.dtt * tdot[s][:, None] ** 2
-                    + tb.dt * tddot[s][:, None]
-                )
-            )
-
-    # forward pass for (V, V_r, V_rr)
     V = _polyunit(n)
-    Vr = np.zeros((n, 1)) if order > 0 else None
-    Vrr = np.zeros((n, 1)) if order > 1 else None
-    prefixes = [(V, Vr, Vrr)]
-    for s in range(m):
-        a, ar, arr = vals[s], None, None
+    G = [np.zeros((n, 1))]
+    H = {(0, 0): np.zeros((n, 1))}
+    for s, jet in enumerate(jets):
+        c = 1 + s
+        a = jet.a
+        if order > 1:
+            H = {key: _polymul(h, a) for key, h in H.items()}
+            # (X + 2Y) + Z, not X += 2Y + Z: the order fixes the last bits
+            H[(0, 0)] = (
+                H[(0, 0)]
+                + 2.0 * _polymul(G[0], jet.ar)
+                + _polymul(V, jet.arr)
+            )
+            for t in range(1, c):
+                H[(0, t)] += _polymul(G[t], jet.ar)
+                H[(t, c)] = _polymul(G[t], jet.ac)
+            H[(0, c)] = _polymul(G[0], jet.ac) + _polymul(V, jet.arc)
+            H[(c, c)] = _polymul(V, jet.acc)
         if order > 0:
-            ar = d_root[s]
-        if order > 1:
-            arr = d_root2[s]
-        V2 = _polymul(V, a)
-        Vr2 = _polymul(Vr, a) + _polymul(V, ar) if order > 0 else None
-        Vrr2 = (
-            _polymul(Vrr, a) + 2.0 * _polymul(Vr, ar) + _polymul(V, arr)
-            if order > 1
-            else None
-        )
-        V, Vr, Vrr = V2, Vr2, Vrr2
-        prefixes.append((V, Vr, Vrr))
-    B = V
-    if order == 0:
-        return B, None, None
-
-    # suffix pass
-    sufV = [None] * (m + 1)
-    sufVr = [None] * (m + 1)
-    sufV[m] = _polyunit(n)
-    sufVr[m] = np.zeros((n, 1))
-    for s in range(m - 1, -1, -1):
-        sufV[s] = _polymul(vals[s], sufV[s + 1])
-        if order > 1:
-            sufVr[s] = _polymul(d_root[s], sufV[s + 1]) + _polymul(
-                vals[s], sufVr[s + 1]
-            )
-
-    def except_s(s):
-        return _polymul(prefixes[s][0], sufV[s + 1])
-
-    B_grads = [None] * spec.p
-    B_grads[0] = Vr
-    for s in range(m):
-        B_grads[1 + s] = _resize(_polymul(except_s(s), tot_c[s]), B.shape[1])
-    B_grads[0] = _resize(B_grads[0], B.shape[1])
-    if order == 1:
-        return B, B_grads, None
-
-    B_hess = {}
-    B_hess[(0, 0)] = _resize(Vrr, B.shape[1])
-    for s in range(m):
-        exc = except_s(s)
-        exc_r = _polymul(prefixes[s][1], sufV[s + 1]) + _polymul(
-            prefixes[s][0], sufVr[s + 1]
-        )
-        B_hess[(0, 1 + s)] = _resize(
-            _polymul(exc, tot_rc[s]) + _polymul(exc_r, tot_c[s]), B.shape[1]
-        )
-        B_hess[(1 + s, 1 + s)] = _resize(
-            _polymul(exc, tot_cc[s]), B.shape[1]
-        )
-        for r in range(s + 1, m):
-            middle = _polyunit(n)
-            for w in range(s + 1, r):
-                middle = _polymul(middle, vals[w])
-            both = _polymul(
-                _polymul(prefixes[s][0], middle), sufV[r + 1]
-            )
-            B_hess[(1 + s, 1 + r)] = _resize(
-                _polymul(_polymul(both, tot_c[s]), tot_c[r]), B.shape[1]
-            )
-    return B, B_grads, B_hess
-
-
-def _resize(arr, width):
-    if arr.shape[1] == width:
-        return arr
-    if arr.shape[1] > width:
-        return arr[:, :width]
-    out = np.zeros((arr.shape[0], width))
-    out[:, : arr.shape[1]] = arr
-    return out
+            G = [_polymul(g, a) for g in G]
+            G[0] += _polymul(V, jet.ar)
+            G.append(_polymul(V, jet.ac))
+        V = _polymul(V, a)
+    return V, (G if order > 0 else None), (H if order > 1 else None)
 
 
 def _psi_ratios_first(psi_col, chain, k_lo, k_hi, p):

@@ -49,6 +49,7 @@ RIDGE_SCALE = 1e-8      # optional ridge, times trace/p
 DELTA_TAU = 0.005       # Kendall-scale finite-difference step
 SIGMA_DRAWS = 100_000   # model draws behind a Monte Carlo covariance
 SCAN_DRAWS = 10_000     # model draws per determinant-scan cell
+TIE_TOL = 1e-8          # relative gap at which a stencil treats a tie as tight
 
 
 def kendall_step(
@@ -88,7 +89,6 @@ def fd_scheme(
     family: str,
     theta,
     delta_tau: float = DELTA_TAU,
-    tie_tol: float = 1e-8,
 ) -> FdScheme:
     if delta_tau <= 0.0:
         raise DomainError("delta_tau must be positive")
@@ -101,11 +101,11 @@ def fd_scheme(
     lock_up = np.zeros(p, dtype=bool)
     for par, ch in tree.constraint_pairs():
         ip, ic = tree.param_pos[par], tree.param_pos[ch]
-        if vec[ic] - vec[ip] <= tie_tol * (1.0 + abs(vec[ip])):
+        if vec[ic] - vec[ip] <= TIE_TOL * (1.0 + abs(vec[ip])):
             lock_up[ip] = True
             lock_down[ic] = True
     for i in range(p):
-        if vec[i] - fam.domain.lo <= tie_tol * (1.0 + abs(vec[i])):
+        if vec[i] - fam.domain.lo <= TIE_TOL * (1.0 + abs(vec[i])):
             lock_down[i] = True
 
     down = np.empty(p)

@@ -29,7 +29,7 @@ from .errors import (
 from .estimate import FitConfig, FitResult, mle
 from .fisher import DELTA_TAU, SIGMA_DRAWS, FisherEstimate, sigma_hat
 from .generators import get_family, tau_inv
-from .tree import Cone, HacTree, Hypothesis, local_cones, node_name
+from .tree import TIGHT_TOL, Cone, HacTree, Hypothesis, local_cones, node_name
 
 __all__ = [
     "ATOM_TOL",
@@ -129,17 +129,20 @@ def _face_ops(cone: Cone, sigma: np.ndarray):
     return ops
 
 
-def _batch_q(z, ops, tol):
+def _batch_q(z, ops):
     """Minimal q over feasible faces for a batch of points.
 
     Ties between faces keep the earlier (coarser) face; faces() yields
     subsets before their supersets, so at a tie the minimal face wins.
-    Returns (q, rank of the active rows at the winning face).
+    Returns (q, rank of the active rows at the winning face, index of
+    that face in ops).
     """
     n = z.shape[0]
+    tol = 1e-9 * (1.0 + np.max(np.abs(z), axis=1))
     best = np.full(n, np.inf)
     best_rank = np.zeros(n, dtype=int)
-    for _, q_form, proj, inactive, rank in ops:
+    best_face = np.zeros(n, dtype=int)
+    for i, (_, q_form, proj, inactive, rank) in enumerate(ops):
         q = np.einsum("ni,ij,nj->n", z, q_form, z)
         if inactive.shape[0]:
             slack = (z @ proj.T) @ inactive.T
@@ -147,36 +150,30 @@ def _batch_q(z, ops, tol):
         take = q < best
         best = np.where(take, q, best)
         best_rank = np.where(take, rank, best_rank)
+        best_face = np.where(take, i, best_face)
     if not np.all(np.isfinite(best)):
         raise NumericError("no feasible face found for some points")
-    return np.maximum(best, 0.0), best_rank
+    return np.maximum(best, 0.0), best_rank, best_face
 
 
 def project(z, cone: Cone, sigma) -> Projection:
     """Exact projection of z onto the cone under the Sigma metric.
 
-    Solves the equality-constrained quadratic on every face, keeps
-    the solutions feasible for the face's inactive inequalities, and
-    returns the global best.
+    The batch kernel of null_statistics run on one point: every face's
+    equality-constrained quadratic, kept where its solution is feasible
+    for the face's inactive inequalities, and the global best returned.
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (cone.p,):
         raise DomainError(f"z must have shape ({cone.p},)")
     sigma = np.asarray(sigma, dtype=float)
     _chol_pd(sigma)
-    tol = 1e-9 * (1.0 + float(np.max(np.abs(z), initial=0.0)))
-    best = None
-    for tight, q_form, proj, inactive, rank in _face_ops(cone, sigma):
-        y = proj @ z
-        if inactive.shape[0] and np.any(inactive @ y > tol):
-            continue
-        q = float(z @ q_form @ z)
-        if best is None or q < best[0] - 1e-15:
-            best = (max(q, 0.0), y, tight, rank)
-    if best is None:
-        raise NumericError("no feasible face found")
-    q, y, tight, rank = best
-    return Projection(z=z, z_star=y, q=q, face=tuple(tight), rank=rank)
+    ops = _face_ops(cone, sigma)
+    q, _, face = _batch_q(z[None, :], ops)
+    tight, _, proj, _, rank = ops[face[0]]
+    return Projection(
+        z=z, z_star=proj @ z, q=float(q[0]), face=tuple(tight), rank=rank
+    )
 
 
 # ====================================================================
@@ -243,13 +240,12 @@ def null_statistics(
         if h.shape != (p,):
             raise DomainError(f"h must have shape ({p},)")
         z = z + h
-    tol = 1e-9 * (1.0 + np.max(np.abs(z), axis=1))
 
-    q_full, rank_full = _batch_q(z, _face_ops(cone, sigma), tol)
+    q_full, rank_full, _ = _batch_q(z, _face_ops(cone, sigma))
     q_null = np.full(m, np.inf)
     rank_null = np.zeros(m, dtype=int)
     for c in cones:
-        q_c, rank_c = _batch_q(z, _face_ops(c, sigma), tol)
+        q_c, rank_c, _ = _batch_q(z, _face_ops(c, sigma))
         take = q_c < q_null
         q_null = np.where(take, q_c, q_null)
         rank_null = np.where(take, rank_c, rank_null)
@@ -440,7 +436,6 @@ def conditional_test(
     alpha: float = 0.05,
     gamma0: float | None = None,
     exact: bool = False,
-    tight_tol: float = 1e-6,
 ) -> ConditionalResult:
     """Reject based on chi-squared(nu) given the region of the full MLE.
 
@@ -461,9 +456,9 @@ def conditional_test(
     ambiguous = []
     for child in atoms:
         gap = vec[tree.param_pos[child]] - vec[tree.param_pos[child[:-1]]]
-        if gap > 10.0 * tight_tol:
+        if gap > 10.0 * TIGHT_TOL:
             nu += 1
-        elif gap > tight_tol:
+        elif gap > TIGHT_TOL:
             ambiguous.append(node_name(child))
     if exact:
         if gamma0 is None:
@@ -505,7 +500,6 @@ def hybrid_pvalue(
     nuisance=None,
     m: int = NULL_DRAWS,
     seed=0,
-    tight_tol: float = 1e-6,
 ) -> float:
     """MC p-value with nuisance gaps folded into the mean of Z.
 
@@ -536,9 +530,7 @@ def hybrid_pvalue(
                     f"node {node_name(p)} is constrained, not nuisance"
                 )
     pairs = tuple((p[:-1], p) for p in nuisance)
-    cone, null_cones = local_cones(
-        tree, hypothesis, vec, tight_tol=tight_tol, assume_tight=pairs
-    )
+    cone, null_cones = local_cones(tree, hypothesis, vec, assume_tight=pairs)
     h = np.zeros(tree.p)
     root_n = math.sqrt(n)
     for p in nuisance:
@@ -593,13 +585,12 @@ class PowerCurve:
         }
 
 
-def _dtheta_dtau(family: str, tau: float) -> float:
+def _dtheta_dtau(fam, tau: float) -> float:
     """Scale mapping a tau-scale shift to the parameter scale."""
-    if family == "gumbel":
+    if fam.name == "gumbel":
         return 1.0 / (1.0 - tau) ** 2
-    if family == "clayton":
+    if fam.name == "clayton":
         return 2.0 / (1.0 - tau) ** 2
-    fam = get_family(family)
     step = min(1e-5, tau / 8.0, (1.0 - tau) / 8.0)
     hi = tau_inv(fam, tau + step)
     lo = tau_inv(fam, tau - step)
@@ -612,7 +603,6 @@ def power_curve(
     h_values,
     sigma=None,
     alpha: float = 0.05,
-    tree=None,
     n_sigma: int = SIGMA_DRAWS,
     m: int = POWER_DRAWS,
     seed: int = 0,
@@ -628,7 +618,7 @@ def power_curve(
     shared across the grid and across families called with that seed,
     and curves are directly comparable.
     When sigma is missing it is estimated from n_sigma model draws at
-    the exchangeable null of the given tree (default [[1,2],3]);
+    the exchangeable null of the tree [[1,2],3];
     delta_tau is the step behind a finite-difference covariance there.
     Families whose tie-point information is unbounded (Joe) only have
     step-regularized covariances, and cross-family comparisons should
@@ -652,14 +642,12 @@ def power_curve(
             )
 
     if sigma is None:
-        hac = tree if isinstance(tree, HacTree) else HacTree(tree or [[1, 2], 3])
-        if hac.p != 2:
-            raise DomainError("default sigma needs a two-parameter tree")
+        hac = HacTree([[1, 2], 3])
         theta = tau_inv(fam, tau)
         est = sigma_hat(
             None,
             hac,
-            family,
+            fam.name,
             np.full(2, theta),
             source="mc",
             n_mc=n_sigma,
@@ -675,7 +663,7 @@ def power_curve(
     cone = Cone(2, ineq=np.array([[1.0, -1.0]]))
     null_cone = Cone(2, eq=np.array([[1.0, -1.0]]))
     c_alpha = float(stats.chi2.ppf(1.0 - 2.0 * alpha, 1))
-    scale = _dtheta_dtau(family, tau)
+    scale = _dtheta_dtau(fam, tau)
     var_diff = sigma[0, 0] + sigma[1, 1] - 2.0 * sigma[0, 1]
 
     power = []
@@ -690,7 +678,7 @@ def power_curve(
         atom.append(float(stats.norm.cdf(0.0, loc=mean_diff,
                                          scale=math.sqrt(var_diff))))
     return PowerCurve(
-        family=family,
+        family=fam.name,
         tau=tau,
         h_values=h_values,
         power=tuple(power),
@@ -711,7 +699,6 @@ def detect_setting(
     tree: HacTree,
     hypothesis: Hypothesis,
     theta_null=None,
-    tight_tol: float = 1e-6,
 ) -> str | None:
     """Match the tree and hypothesis to a known mixture setting.
 
@@ -754,7 +741,7 @@ def detect_setting(
         vec = np.asarray(theta_null, dtype=float)
         other = second if atoms[0] == first else first
         gap = vec[tree.param_pos[other]] - vec[tree.param_pos[()]]
-        return "tied-nuisance" if gap <= tight_tol else "free-nuisance"
+        return "tied-nuisance" if gap <= TIGHT_TOL else "free-nuisance"
     return None
 
 
@@ -868,7 +855,6 @@ def run_fitted(
     n_sigma: int = SIGMA_DRAWS,
     m: int = NULL_DRAWS,
     exact: bool = False,
-    nuisance=None,
     ridge: bool = False,
 ) -> LrtResult:
     """Pick the reference law for a fitted pair and report the test.
@@ -955,7 +941,7 @@ def run_fitted(
     else:  # hybrid
         p_value = hybrid_pvalue(
             fit_full, fit_null, hac, hyp, get_sigma().sigma,
-            n=pair.rows.shape[0], nuisance=nuisance, m=m, seed=mc_seed,
+            n=pair.rows.shape[0], m=m, seed=mc_seed,
         )
         m_used = m
 
@@ -992,7 +978,6 @@ def run_test(
     seed: int = 0,
     config: FitConfig = FitConfig(),
     exact: bool = False,
-    nuisance=None,
     ridge: bool = False,
 ) -> LrtResult:
     """Fit both models, pick a reference law, and report the test.
@@ -1013,7 +998,7 @@ def run_test(
     result = run_fitted(
         pair, method, sigma_seed, mc_seed,
         alpha=alpha, sigma_source=sigma_source, sigma_at=sigma_at,
-        n_sigma=n_sigma, m=m, exact=exact, nuisance=nuisance, ridge=ridge,
+        n_sigma=n_sigma, m=m, exact=exact, ridge=ridge,
     )
     return replace(
         result, seeds={"root": seed, "sigma": "spawn(0)", "mc": "spawn(1)"}

@@ -33,9 +33,13 @@ __all__ = [
     "validate_params",
     "collapse",
     "local_cones",
+    "TIGHT_TOL",
 ]
 
 MAX_FACE_CONSTRAINTS = 16
+
+# a nesting gap at or below this counts as tight (at equality)
+TIGHT_TOL = 1e-6
 
 
 def node_name(path: Path) -> str:
@@ -464,7 +468,6 @@ def local_cones(
     tree: HacTree,
     hypothesis: Hypothesis,
     theta0,
-    tight_tol: float = 1e-6,
     assume_tight: Sequence[tuple[Path, Path]] = (),
 ):
     """Local cones (A, A_null) of the parameter space and the null set.
@@ -482,11 +485,11 @@ def local_cones(
     tight_pairs = []
     for par, ch in tree.constraint_pairs():
         gap = vec[tree.param_pos[ch]] - vec[tree.param_pos[par]]
-        if gap < -tight_tol:
+        if gap < -TIGHT_TOL:
             raise DomainError(
                 f"theta0 violates theta{node_name(par)} <= theta{node_name(ch)}"
             )
-        if gap <= tight_tol or (par, ch) in forced:
+        if gap <= TIGHT_TOL or (par, ch) in forced:
             tight_pairs.append((par, ch))
 
     A = Cone(
@@ -500,7 +503,7 @@ def local_cones(
     for branch in hypothesis.branches:
         satisfied = all(
             abs(vec[tree.param_pos[ch]] - vec[tree.param_pos[ch[:-1]]])
-            <= tight_tol
+            <= TIGHT_TOL
             for ch in branch
         )
         if not satisfied:
@@ -521,6 +524,6 @@ def local_cones(
         )
     if not null_cones:
         raise HypothesisError(
-            f"no branch of {hypothesis} holds at theta0 within {tight_tol}"
+            f"no branch of {hypothesis} holds at theta0 within {TIGHT_TOL}"
         )
     return A, tuple(null_cones)

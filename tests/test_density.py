@@ -45,7 +45,7 @@ def _cdf_mixed_fd(spec, u, h=1e-3):
     return total / (2.0 * h) ** d
 
 
-def _fd_score(spec, u, h=1e-6):
+def _fd_score(spec, u, h=1e-6, f=log_density):
     th = np.array(spec.theta)
     g = np.zeros(spec.p)
     for a in range(spec.p):
@@ -53,25 +53,25 @@ def _fd_score(spec, u, h=1e-6):
         tp[a] += h
         tm[a] -= h
         g[a] = (
-            log_density(spec.with_theta(tp), u)
-            - log_density(spec.with_theta(tm), u)
+            f(spec.with_theta(tp), u)
+            - f(spec.with_theta(tm), u)
         ) / (2.0 * h)
     return g
 
 
-def _fd_hessian(spec, u, h=1e-4):
+def _fd_hessian(spec, u, h=1e-4, f=log_density):
     th = np.array(spec.theta)
     p = spec.p
     H = np.zeros((p, p))
-    f0 = log_density(spec, u)
+    f0 = f(spec, u)
     for a in range(p):
         tp, tm = th.copy(), th.copy()
         tp[a] += h
         tm[a] -= h
         H[a, a] = (
-            log_density(spec.with_theta(tp), u)
+            f(spec.with_theta(tp), u)
             - 2.0 * f0
-            + log_density(spec.with_theta(tm), u)
+            + f(spec.with_theta(tm), u)
         ) / h**2
         for b in range(a + 1, p):
             acc = 0.0
@@ -79,9 +79,15 @@ def _fd_hessian(spec, u, h=1e-4):
                 tq = th.copy()
                 tq[a] += sa * h
                 tq[b] += sb * h
-                acc += sa * sb * log_density(spec.with_theta(tq), u)
+                acc += sa * sb * f(spec.with_theta(tq), u)
             H[a, b] = H[b, a] = acc / (4.0 * h**2)
     return H
+
+
+def _log_density_past_ties(spec, u):
+    # the analytic formula continues smoothly through theta_s = theta_0, so
+    # central differences may straddle a tie that log_density would reject
+    return density._eval_analytic(spec, np.atleast_2d(u), 0)[0][0]
 
 
 # high-precision reference values (50-digit arithmetic, mixed partial of
@@ -155,14 +161,36 @@ def test_hessian_matches_central_differences(fam):
         assert np.all(np.abs(H - H_fd) / (1.0 + np.abs(H_fd)) < 1e-4)
 
 
+def _check_score_and_hessian(spec, u, f=log_density):
+    g, H = score(spec, u), hessian(spec, u)
+    assert np.all(np.abs(g - _fd_score(spec, u, f=f)) / (1 + np.abs(g)) < 1e-6)
+    assert np.all(np.abs(H - _fd_hessian(spec, u, f=f)) / (1 + np.abs(H)) < 1e-4)
+
+
 def test_score_and_hessian_on_wider_tree():
     tree = HacTree([[1, 2, 3, 4, 5], [6, 7, 8], 9, [10, 11, 12, 13]])
-    spec = two_level_spec(tree, "clayton", (0.6, 1.4, 2.2, 3.0))
     rng = np.random.default_rng(31)
-    u = rng.uniform(0.05, 0.95, tree.d)
-    g, H = score(spec, u), hessian(spec, u)
-    assert np.all(np.abs(g - _fd_score(spec, u)) / (1 + np.abs(g)) < 1e-6)
-    assert np.all(np.abs(H - _fd_hessian(spec, u)) / (1 + np.abs(H)) < 1e-4)
+    for fam, theta in [("clayton", (0.6, 1.4, 2.2, 3.0)),
+                       ("gumbel", (1.3, 1.9, 2.5, 3.1))]:
+        spec = two_level_spec(tree, fam, theta)
+        _check_score_and_hessian(spec, rng.uniform(0.05, 0.95, tree.d))
+
+
+@pytest.mark.parametrize("fam,root", [("clayton", 0.6), ("gumbel", 1.3)])
+@pytest.mark.parametrize("half_tied", [False, True], ids=["interior", "half-tied"])
+def test_score_and_hessian_on_six_nests(fam, root, half_tied):
+    # six nests exercise every cross-child Hessian term (15 pairs); in the
+    # half-tied case every other nest sits at the root parameter
+    tree = HacTree([[2 * k + 1, 2 * k + 2] for k in range(6)])
+    theta = (root,) + tuple(
+        root if half_tied and s % 2 == 0 else root + 0.4 * (s + 1)
+        for s in range(6)
+    )
+    spec = two_level_spec(tree, fam, theta)
+    rng = np.random.default_rng(47)
+    for _ in range(2):
+        u = rng.uniform(0.05, 0.95, tree.d)
+        _check_score_and_hessian(spec, u, f=_log_density_past_ties)
 
 
 @pytest.mark.parametrize("fam", ["clayton", "gumbel"])

@@ -24,7 +24,7 @@ from haclrt.lrt import (
     run_test,
 )
 from haclrt.sampler import sample
-from haclrt.tree import Cone, HacTree, Hypothesis, local_cones
+from haclrt.tree import TIGHT_TOL, Cone, HacTree, Hypothesis, local_cones
 
 TREE3 = HacTree([[1, 2], 3])
 TREE4 = HacTree([[1, 2], [3, 4]])
@@ -466,10 +466,9 @@ def test_conditional_partial_activity_counts_free_atoms():
 
 
 def test_conditional_ambiguous_gap_is_conservative():
-    tol = 1e-6
-    full = _fit([1.7, 1.7 + 5 * tol, 2.4], -100.0)
+    full = _fit([1.7, 1.7 + 5 * TIGHT_TOL, 2.4], -100.0)
     null = _fit([1.8, 1.8, 1.8], -101.0, branch=((1,), (2,)))
-    res = conditional_test(full, null, TREE4, tight_tol=tol)
+    res = conditional_test(full, null, TREE4)
     assert res.nu == 1                      # the 5*tol gap counts as tight
     assert res.ambiguous == ("(0,1)",)
 
@@ -544,6 +543,16 @@ def test_power_theta_scales():
     assert pc.theta_scale == pytest.approx(2.25, abs=1e-12)
     pc = power_curve("clayton", 1.0 / 3.0, [0.1], sigma=sigma, m=1000)
     assert pc.theta_scale * 0.1 == pytest.approx(0.45, abs=1e-12)
+
+
+def test_power_curve_family_instance_matches_its_name():
+    from haclrt.generators import Gumbel
+
+    by_name = power_curve("gumbel", 0.4, [0.1], sigma=np.eye(2), m=200)
+    by_obj = power_curve(Gumbel(), 0.4, [0.1], sigma=np.eye(2), m=200)
+    assert by_obj.theta_scale == by_name.theta_scale == 1.0 / 0.6**2
+    assert by_obj.family == "gumbel"
+    assert json.dumps(by_obj.to_dict()) == json.dumps(by_name.to_dict())
 
 
 def test_power_numeric_scale_matches_tau_slope():
