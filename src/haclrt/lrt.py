@@ -5,10 +5,12 @@ nonstandard limit when the null pins parameters to the boundary of the
 ordering cone.  The limit is L_inf = q(Z_null) - q(Z_full), where q is
 the squared Sigma-Mahalanobis distance from a Gaussian Z to its
 projection onto the local cone of the alternative (Z_full) and of the
-null set (Z_null).  This module computes the projections exactly by
-face enumeration, simulates the limit law, and provides the known
-chi-bar-squared mixtures for the small structures where the weights
-have closed forms.
+null set (Z_null).  This module computes the projections exactly:
+each draw takes the face of the cone whose KKT certificate (tight
+multipliers >= 0, inactive slacks <= 0) holds, tested for all faces
+at once, and the equality-constrained solution on that face.  It
+simulates the limit law, and provides the known chi-bar-squared
+mixtures for the small structures where the weights have closed forms.
 """
 
 from __future__ import annotations
@@ -91,6 +93,14 @@ def _chol_pd(sigma) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise DomainError("sigma must be a square matrix")
+    if not np.all(np.isfinite(sigma)):
+        raise DomainError("sigma has non-finite entries")
+    # cholesky reads only the lower triangle, while the face operators
+    # use the whole matrix.  The slack admits the roundoff asymmetry of
+    # sigma_hat's inv(): about 1e-9 relative at the condition number
+    # 1e10 it accepts (fisher.EIG_RTOL), 1e-10 already at 1e8.
+    if np.max(np.abs(sigma - sigma.T)) > 1e-6 * np.max(np.abs(sigma)):
+        raise DomainError("sigma is not symmetric")
     try:
         return np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
@@ -99,69 +109,133 @@ def _chol_pd(sigma) -> np.ndarray:
         ) from None
 
 
-def _face_ops(cone: Cone, sigma: np.ndarray):
+# floats in one chunk of certificate products in _batch_q; the rows per
+# chunk shrink as k * 2^k grows, so memory stays bounded in m and k
+_CERT_BUDGET = 2**20
+
+
+@dataclass(frozen=True)
+class _FaceOps:
+    """Operators of every face of a cone, in Cone.faces() order."""
+
+    faces: list             # tight inequality indices of each face
+    q_forms: np.ndarray     # (n_faces, p, p): q = z' Q z on the face
+    ranks: np.ndarray       # (n_faces,): rank of the face's active rows
+    cert: np.ndarray        # (k, n_faces, p): KKT certificate rows
+    tight: np.ndarray       # (k, n_faces): inequality i tight on face f
+
+
+def _face_ops(cone: Cone, sigma: np.ndarray) -> _FaceOps:
     """Per-face operators for the equality-constrained quadratics.
 
-    Minimizing (z-y)' Sigma^{-1} (z-y) subject to A y = 0 gives
-    y = P z with P = I - Sigma A' (A Sigma A')^- A and objective
-    value z' Q z with Q = A' (A Sigma A')^- A.  Both are linear in z,
-    so batches of draws reuse the same operators.
+    Minimizing (z-y)' Sigma^{-1} (z-y) subject to B y = 0, with B the
+    equalities stacked on the face's tight inequalities, gives
+    y = P z with P = I - Sigma Q, Q = B' M B, M = (B Sigma B')^+, and
+    objective value z' Q z.  The multipliers are M B z.  The face is the
+    projection's face exactly when every tight row's multiplier is
+    >= 0 and every inactive row's slack ineq_j P z is <= 0, so each
+    inequality i contributes one certificate row per face: -(M B)_i
+    scaled by (B Sigma B')_ii, which puts the multiplier in z's units,
+    when i is tight, and ineq_i P when it is not.  A face is certified
+    for z when the largest certificate row times z is <= 0.
     """
-    p = cone.p
+    p, k = cone.p, cone.n_ineq
+    r = cone.eq.shape[0]
     eye = np.eye(p)
-    ops = []
-    for tight in cone.faces():
-        rows = [cone.eq] if cone.eq.shape[0] else []
-        if tight:
-            rows.append(cone.ineq[list(tight)])
-        if rows:
-            a = np.vstack(rows)
+    faces = cone.faces()
+    q_forms = np.zeros((len(faces), p, p))
+    ranks = np.zeros(len(faces), dtype=int)
+    cert = np.empty((k, len(faces), p))
+    tight = np.zeros((k, len(faces)), dtype=bool)
+    for f, face in enumerate(faces):
+        on = list(face)
+        off = [i for i in range(k) if i not in face]
+        a = np.vstack([cone.eq, cone.ineq[on]])
+        if a.shape[0]:
             m = a @ sigma @ a.T
-            q_form = a.T @ np.linalg.pinv(m, hermitian=True) @ a
-            proj = eye - sigma @ q_form
-            rank = int(np.linalg.matrix_rank(a))
-        else:
-            q_form = np.zeros((p, p))
-            proj = eye
-            rank = 0
-        inactive = [i for i in range(cone.n_ineq) if i not in tight]
-        ops.append((tight, q_form, proj, cone.ineq[inactive], rank))
-    return ops
+            m_pinv = np.linalg.pinv(m, hermitian=True)
+            q_forms[f] = a.T @ m_pinv @ a
+            ranks[f] = np.linalg.matrix_rank(a)
+            cert[on, f] = -(m_pinv @ a)[r:] * np.diag(m)[r:, None]
+        cert[off, f] = cone.ineq[off] @ (eye - sigma @ q_forms[f])
+        tight[on, f] = True
+    return _FaceOps(faces, q_forms, ranks, cert, tight)
 
 
-def _batch_q(z, ops):
-    """Minimal q over feasible faces for a batch of points.
+def _least_feasible(z, s, tol, ops):
+    """Index of the least-q face whose solution is feasible, per row.
 
-    Ties between faces keep the earlier (coarser) face; faces() yields
-    subsets before their supersets, so at a tie the minimal face wins.
-    Returns (q, rank of the active rows at the winning face, index of
-    that face in ops).
+    The rule for rows no face certifies.  In exact arithmetic some face
+    always does (a linearly independent subset of the active rows has
+    nonnegative multipliers); rows without one come from roundoff, as
+    with dependent rows under an ill-conditioned Sigma.  s holds the
+    rows' certificate products; only the inactive rows' slacks count.
+    Ties keep the earlier (coarser) face.  The face with every
+    inequality tight has no slack, so a finite row always has a
+    feasible face.
     """
-    n = z.shape[0]
-    tol = 1e-9 * (1.0 + np.max(np.abs(z), axis=1))
-    best = np.full(n, np.inf)
-    best_rank = np.zeros(n, dtype=int)
-    best_face = np.zeros(n, dtype=int)
-    for i, (_, q_form, proj, inactive, rank) in enumerate(ops):
+    slack = np.where(ops.tight[:, :, None], -np.inf, s).max(axis=0)
+    best = np.full(z.shape[0], np.inf)
+    best_face = np.zeros(z.shape[0], dtype=int)
+    for f, q_form in enumerate(ops.q_forms):
         q = np.einsum("ni,ij,nj->n", z, q_form, z)
-        if inactive.shape[0]:
-            slack = (z @ proj.T) @ inactive.T
-            q = np.where(np.all(slack <= tol[:, None], axis=1), q, np.inf)
+        q = np.where(slack[f] <= tol, q, np.inf)
         take = q < best
         best = np.where(take, q, best)
-        best_rank = np.where(take, rank, best_rank)
-        best_face = np.where(take, i, best_face)
-    if not np.all(np.isfinite(best)):
+        best_face = np.where(take, f, best_face)
+    return best_face
+
+
+def _certified_faces(z, tol, ops: _FaceOps):
+    """Index of the first face whose certificate holds, per row of z."""
+    k, n_faces = ops.tight.shape
+    s = (ops.cert.reshape(k * n_faces, -1) @ z.T).reshape(k, n_faces, -1)
+    held = s.max(axis=0) <= tol
+    face = np.argmax(held, axis=0)
+    lost = ~held[face, np.arange(face.size)]
+    if np.any(lost):
+        face[lost] = _least_feasible(z[lost], s[:, :, lost], tol[lost], ops)
+    return face
+
+
+def _batch_q(z, ops: _FaceOps):
+    """Projection q for a batch of points, by KKT certificate.
+
+    Each row takes the first face whose certificate holds within the
+    tolerance 1e-9 (1 + max|z|); faces() yields subsets before their
+    supersets, so where several hold the coarser face wins.  The rows
+    are taken in chunks of _CERT_BUDGET floats of certificate products.
+    Rows that no face certifies fall back to the least q over the
+    feasible faces.  q is then z' Q z on each row's face.
+    Returns (q, rank of the active rows at that face, index of the face
+    in ops.faces).
+    """
+    n = z.shape[0]
+    k, n_faces = ops.tight.shape
+    tol = 1e-9 * (1.0 + np.max(np.abs(z), axis=1))
+    face = np.zeros(n, dtype=int)
+    if k:
+        step = max(1, _CERT_BUDGET // (k * n_faces))
+        for lo in range(0, n, step):
+            rows = slice(lo, lo + step)
+            face[rows] = _certified_faces(z[rows], tol[rows], ops)
+    q = np.empty(n)
+    order = np.argsort(face, kind="stable")
+    used, starts = np.unique(face[order], return_index=True)
+    for f, rows in zip(used, np.split(order, starts[1:])):
+        zf = z[rows]
+        q[rows] = np.einsum("ni,ij,nj->n", zf, ops.q_forms[f], zf)
+    if not np.all(np.isfinite(q)):
         raise NumericError("no feasible face found for some points")
-    return np.maximum(best, 0.0), best_rank, best_face
+    return np.maximum(q, 0.0), ops.ranks[face], face
 
 
 def project(z, cone: Cone, sigma) -> Projection:
     """Exact projection of z onto the cone under the Sigma metric.
 
-    The batch kernel of null_statistics run on one point: every face's
-    equality-constrained quadratic, kept where its solution is feasible
-    for the face's inactive inequalities, and the global best returned.
+    The batch kernel of null_statistics run on one point: the face
+    whose KKT certificate holds, and the equality-constrained solution
+    on it.
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (cone.p,):
@@ -169,10 +243,14 @@ def project(z, cone: Cone, sigma) -> Projection:
     sigma = np.asarray(sigma, dtype=float)
     _chol_pd(sigma)
     ops = _face_ops(cone, sigma)
-    q, _, face = _batch_q(z[None, :], ops)
-    tight, _, proj, _, rank = ops[face[0]]
+    q, rank, face = _batch_q(z[None, :], ops)
+    proj = np.eye(cone.p) - sigma @ ops.q_forms[face[0]]
     return Projection(
-        z=z, z_star=proj @ z, q=float(q[0]), face=tuple(tight), rank=rank
+        z=z,
+        z_star=proj @ z,
+        q=float(q[0]),
+        face=tuple(ops.faces[face[0]]),
+        rank=int(rank[0]),
     )
 
 
@@ -270,8 +348,8 @@ def mc_null_pvalue(
     p = (1 + #{draws >= L_n}) / (m + 1); the +1 keeps the estimate
     strictly positive and finite-sample valid.
     """
-    if statistic < 0.0:
-        raise DomainError("statistic must be nonnegative")
+    if not statistic >= 0.0:    # NaN included; inf is a valid statistic
+        raise DomainError(f"statistic must be nonnegative, got {statistic}")
     if m < 1000:
         raise DomainError("m must be at least 1000")
     draws = null_statistics(sigma, cone, null_cones, h=h, m=m, seed=seed)
@@ -388,8 +466,8 @@ def mixture_law(setting: str, sigma=None) -> MixtureLaw:
 
 def mixture_pvalue(law: MixtureLaw, statistic: float) -> float:
     """Survival probability of the mixture at the observed statistic."""
-    if statistic < 0.0:
-        raise DomainError("statistic must be nonnegative")
+    if not statistic >= 0.0:    # NaN included; inf is a valid statistic
+        raise DomainError(f"statistic must be nonnegative, got {statistic}")
     if statistic <= ATOM_TOL:
         return 1.0
     p = 0.0

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy import stats
 
 from haclrt.errors import DomainError, NumericError, SingularSigmaError
 from haclrt.estimate import FitResult, FitConfig, mle
+from haclrt import lrt
 from haclrt.lrt import (
     ATOM_TOL,
     LrtResult,
@@ -176,6 +178,228 @@ def test_project_local_mesh_optimality():
         assert checked > 50
 
 
+def test_project_rejects_asymmetric_sigma():
+    # cholesky reads only the lower triangle: the draws would use the
+    # identity while the face operators used the 0.9
+    sigma = np.array([[1.0, 0.9], [0.0, 1.0]])
+    with pytest.raises(DomainError, match="symmetric"):
+        project(np.array([2.0, 1.0]), CONE2, sigma)
+    with pytest.raises(DomainError, match="symmetric"):
+        null_statistics(sigma, CONE2, LINE2, m=10)
+
+
+def test_project_rejects_non_finite_sigma():
+    sigma = np.array([[1.0, np.nan], [0.0, 1.0]])
+    with pytest.raises(DomainError, match="non-finite"):
+        project(np.array([2.0, 1.0]), CONE2, sigma)
+    with pytest.raises(DomainError, match="non-finite"):
+        null_statistics(sigma, CONE2, LINE2, m=10)
+
+
+def test_sigma_symmetry_check_admits_inverse_roundoff():
+    # sigma_hat inverts information of condition number up to 1e10
+    u, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((7, 7)))
+    info = u @ np.diag(np.logspace(0, 10, 7)) @ u.T
+    sigma = np.linalg.inv(0.5 * (info + info.T))
+    assert np.max(np.abs(sigma - sigma.T)) > 1e-10 * np.max(np.abs(sigma))
+    cone = Cone(7, ineq=np.eye(7)[:6] - np.eye(7)[1:])
+    assert null_statistics(sigma, cone, cone, m=10).shape == (10,)
+
+
+# --- projection kernel against face enumeration ------------------------------
+
+
+def _enumerate_q(z, cone, sigma):
+    """Oracle: the least q over every face whose solution is feasible.
+
+    Each face's equality-constrained quadratic, kept for the rows where
+    its solution satisfies the face's inactive inequalities within
+    1e-9 (1 + max|z|); ties keep the earlier (coarser) face.
+    """
+    p = cone.p
+    tol = 1e-9 * (1.0 + np.max(np.abs(z), axis=1))
+    best = np.full(z.shape[0], np.inf)
+    best_rank = np.zeros(z.shape[0], dtype=int)
+    best_face = np.zeros(z.shape[0], dtype=int)
+    for i, tight in enumerate(cone.faces()):
+        a = np.vstack([cone.eq, cone.ineq[list(tight)]])
+        if a.shape[0]:
+            m = a @ sigma @ a.T
+            q_form = a.T @ np.linalg.pinv(m, hermitian=True) @ a
+            rank = int(np.linalg.matrix_rank(a))
+        else:
+            q_form, rank = np.zeros((p, p)), 0
+        proj = np.eye(p) - sigma @ q_form
+        inactive = [j for j in range(cone.n_ineq) if j not in tight]
+        q = np.einsum("ni,ij,nj->n", z, q_form, z)
+        if inactive:
+            slack = (z @ proj.T) @ cone.ineq[inactive].T
+            q = np.where(np.all(slack <= tol[:, None], axis=1), q, np.inf)
+        take = q < best
+        best = np.where(take, q, best)
+        best_rank = np.where(take, rank, best_rank)
+        best_face = np.where(take, i, best_face)
+    assert np.all(np.isfinite(best))
+    return np.maximum(best, 0.0), best_rank, best_face
+
+
+def _nests(k):
+    nested = [[2 * i + 1, 2 * i + 2] for i in range(k)]
+    return HacTree(nested + [3] if k == 1 else nested)  # root needs two
+
+
+def _all_tied(k):
+    return Hypothesis.parse(" & ".join(f"(0,{i})=(0)" for i in range(1, k + 1)))
+
+
+def _star_cone(k):
+    # k twin nests all tied to the root: k half-spaces
+    return local_cones(_nests(k), _all_tied(k), np.full(k + 1, 1.5))[0]
+
+
+def _chain_cone(k):
+    # [[[1,2],3],...]: k nested edges, all tight
+    nested = [1, 2]
+    for leaf in range(3, k + 3):
+        nested = [nested, leaf]
+    deep = "(0" + ",1" * k + ")"
+    hyp = Hypothesis.parse(f"{deep}=(0{',1' * (k - 1)})")
+    return local_cones(HacTree(nested), hyp, np.full(k + 1, 1.5))[0]
+
+
+def _hybrid_cone(k):
+    # every other nest strictly above the root, forced tight
+    theta = np.array([1.5] + [1.5 + (i % 2) for i in range(k)])
+    slack = [((), (i + 1,)) for i in range(k) if i % 2]
+    hyp = Hypothesis.parse("(0,1)=(0)")
+    return local_cones(_nests(k), hyp, theta, assume_tight=slack)[0]
+
+
+def _null_cone(k):
+    # k + 1 tied nests, the first at equality: one equality row and k
+    # half-spaces
+    hyp = Hypothesis.parse("(0,1)=(0)")
+    return local_cones(_nests(k + 1), hyp, np.full(k + 2, 1.5))[1][0]
+
+
+def _spd(rng, p):
+    w = rng.standard_normal((p, p))
+    return w @ w.T + 0.5 * np.eye(p)
+
+
+def _gauss(rng, sigma, m):
+    return rng.standard_normal((m, sigma.shape[0])) @ np.linalg.cholesky(sigma).T
+
+
+TREE_CONES = {
+    "star": _star_cone,
+    "chain": _chain_cone,
+    "hybrid": _hybrid_cone,
+    "null": _null_cone,
+}
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("kind", sorted(TREE_CONES))
+def test_batch_q_equals_face_enumeration_on_tree_cones(kind, k):
+    cone = TREE_CONES[kind](k)
+    assert cone.n_ineq == k
+    rng = np.random.default_rng(10 * k + len(kind))
+    sigma = _spd(rng, cone.p)
+    z = _gauss(rng, sigma, 2000)
+    q, rank, face = lrt._batch_q(z, lrt._face_ops(cone, sigma))
+    q0, rank0, face0 = _enumerate_q(z, cone, sigma)
+    assert np.array_equal(face, face0)
+    assert np.array_equal(rank, rank0)
+    assert np.array_equal(q, q0)
+
+
+def _dependent_cones(rng):
+    rows3 = np.array([[1.0, -1.0, 0.0], [1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
+    yield Cone(3, ineq=rows3[[0, 0, 1]])                    # duplicate row
+    yield Cone(3, ineq=np.vstack([2.0 * rows3[0], rows3[1]]),
+               eq=rows3[:1])                                # inside span(eq)
+    yield Cone(3, ineq=rows3, eq=rows3[2:] + rows3[:1])     # dependent ties
+    yield Cone(2, ineq=np.array([[1.0, -1.0], [1.0, 0.0], [0.0, -1.0]]))
+    for _ in range(6):                                      # k > p
+        yield Cone(3, ineq=rng.standard_normal((6, 3)))
+
+
+def test_batch_q_matches_face_enumeration_on_dependent_rows():
+    rng = np.random.default_rng(21)
+    for cone in _dependent_cones(rng):
+        sigma = _spd(rng, cone.p)
+        z = _gauss(rng, sigma, 2000)
+        q, _, _ = lrt._batch_q(z, lrt._face_ops(cone, sigma))
+        q0, _, _ = _enumerate_q(z, cone, sigma)
+        assert np.all(np.abs(q - q0) <= 1e-10 * (1.0 + q0))
+
+
+def test_uncertified_draws_take_the_least_feasible_face(monkeypatch):
+    # four rows in the plane and a metric of condition 1e6: roundoff
+    # leaves about half the draws without a certified face
+    taken = []
+    least_feasible = lrt._least_feasible
+
+    def recorded(z, *args):
+        taken.append(z)
+        return least_feasible(z, *args)
+
+    monkeypatch.setattr(lrt, "_least_feasible", recorded)
+    rng = np.random.default_rng(9)
+    cone = Cone(2, ineq=rng.standard_normal((4, 2)))
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    sigma = u @ np.diag([1.0, 1e6]) @ u.T
+    sigma = 0.5 * (sigma + sigma.T)
+    z = _gauss(rng, sigma, 2000)
+    q, rank, face = lrt._batch_q(z, lrt._face_ops(cone, sigma))
+    q0, rank0, face0 = _enumerate_q(z, cone, sigma)
+    lost = (z[:, None, :] == np.vstack(taken)[None]).all(axis=2).any(axis=1)
+    assert 100 < np.count_nonzero(lost) < 2000
+    assert np.array_equal(face[lost], face0[lost])
+    assert np.array_equal(rank[lost], rank0[lost])
+    assert np.array_equal(q[lost], q0[lost])
+
+
+def test_null_statistics_equals_face_enumeration_on_six_nests():
+    tree = _nests(6)
+    cone, null_cones = local_cones(tree, _all_tied(6), np.full(7, 2.0))
+    sigma = _spd(np.random.default_rng(6), 7)
+    draws, info = null_statistics(
+        sigma, cone, null_cones, m=5000, seed=17, details=True
+    )
+    z = _gauss(np.random.default_rng(17), sigma, 5000)
+    q_full, rank_full, _ = _enumerate_q(z, cone, sigma)
+    q_null, rank_null, _ = _enumerate_q(z, null_cones[0], sigma)
+    assert len(null_cones) == 1
+    assert np.array_equal(info["q_full"], q_full)
+    assert np.array_equal(info["q_null"], q_null)
+    assert np.array_equal(draws, np.maximum(q_null - q_full, 0.0))
+    assert np.array_equal(info["nu"], np.maximum(rank_null - rank_full, 0))
+
+
+def test_batch_q_memory_does_not_grow_with_draws():
+    # 12 half-spaces, 4096 faces: one chunk of certificate products is
+    # _CERT_BUDGET floats whatever m is; the per-draw outputs and the
+    # chunk's smaller arrays at m = 20,000 take under 2 MiB more
+    cone = _star_cone(12)
+    rng = np.random.default_rng(12)
+    sigma = _spd(rng, 13)
+    z = _gauss(rng, sigma, 20_000)
+    ops = lrt._face_ops(cone, sigma)
+    tracemalloc.start()
+    try:
+        q, rank, face = lrt._batch_q(z, ops)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * lrt._CERT_BUDGET + 2 * 2**20
+    q0, rank0, face0 = _enumerate_q(z[:200], cone, sigma)
+    assert np.array_equal(face[:200], face0)
+    assert np.array_equal(rank[:200], rank0)
+    assert np.array_equal(q[:200], q0)
+
+
 # --- statistic -------------------------------------------------------------
 
 
@@ -252,6 +476,14 @@ def test_mc_pvalue_validates_inputs():
         mc_null_pvalue(-0.5, np.eye(2), CONE2, LINE2, m=2000)
     with pytest.raises(SingularSigmaError):
         mc_null_pvalue(1.0, np.ones((2, 2)), CONE2, LINE2, m=2000)
+
+
+def test_mc_pvalue_rejects_nan_statistic():
+    # a NaN would count no draw >= itself: p = 1/(m+1), a false rejection
+    with pytest.raises(DomainError, match="nan"):
+        mc_null_pvalue(np.nan, np.eye(2), CONE2, LINE2, m=2000)
+    p = mc_null_pvalue(np.inf, np.eye(2), CONE2, LINE2, m=2000)
+    assert p == 1.0 / 2001.0
 
 
 def test_one_tie_limit_law_matches_half_half_mixture():
@@ -427,6 +659,13 @@ def test_mixture_pvalue_strictly_decreasing():
     # continuity toward the origin: survival tends to 1 - gamma0
     # (the chi2(1) cdf rises like sqrt(x), hence the loose tolerance)
     assert vals[0] == pytest.approx(1.0 - law.weights[0], abs=1e-3)
+
+
+def test_mixture_pvalue_rejects_nan_statistic():
+    law = mixture_law("single-tie")
+    with pytest.raises(DomainError, match="nan"):
+        mixture_pvalue(law, float("nan"))
+    assert mixture_pvalue(law, math.inf) == 0.0
 
 
 def test_mixture_pvalue_rejects_negative():
