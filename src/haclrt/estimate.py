@@ -22,7 +22,7 @@ from .density import (
 )
 from .errors import ConvergenceError, DomainError, NumericError
 from .generators import get_family
-from .tree import HacTree, Hypothesis, node_name
+from .tree import HacTree, Hypothesis, node_name, validate_params
 
 __all__ = [
     "FitConfig",
@@ -39,18 +39,19 @@ Path = tuple[int, ...]
 # finite so the line search can recover by backtracking
 _PENALTY = 1e10
 
+MAXITER = 500
+GTOL = 1e-6         # projected-gradient sup norm, mean loglik
+FTOL = 1e-10        # relative loglik change
+JITTER = 0.08       # tau-scale sd of the perturbed starts
+THETA_HI = 1e4
+TAU_HI = 0.999
+ACTIVE_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class FitConfig:
     n_perturbed: int = 4
-    maxiter: int = 500
-    gtol: float = 1e-6          # projected-gradient sup norm, mean loglik
-    ftol: float = 1e-10         # relative loglik change
-    jitter: float = 0.08        # tau-scale sd of the perturbed starts
     seed: int = 1777            # internal; refits are bit-reproducible
-    theta_hi: float = 1e4
-    tau_hi: float = 0.999
-    active_tol: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -221,8 +222,8 @@ def _starts(data, tree, fam, pg, lo, hi, cfg: FitConfig) -> list[np.ndarray]:
     rng = np.random.default_rng(cfg.seed)
     xs = []
     for r in range(1 + cfg.n_perturbed):
-        taus_g = base if r == 0 else base + rng.normal(0.0, cfg.jitter, pg.g)
-        th = _theta_from_taus(fam, taus_g, lo, hi, cfg.tau_hi)
+        taus_g = base if r == 0 else base + rng.normal(0.0, JITTER, pg.g)
+        th = _theta_from_taus(fam, taus_g, lo, hi, TAU_HI)
         xs.append(pg.to_x(_project_cone(pg, th, lo, hi)))
     return xs
 
@@ -268,17 +269,21 @@ def _projected_sup_norm(grad, x, bounds, tol=1e-10) -> float:
     return float(out)
 
 
-def _fit_branch(data, tree, family, atoms, cfg: FitConfig):
+def _fit_branch(data, tree, family, atoms, cfg: FitConfig, start):
     pg = merge_groups(tree, atoms)
     fam = get_family(family)
     lo = _box_lo(fam)
-    hi = min(fam.tau_inv(cfg.tau_hi), cfg.theta_hi)
+    hi = min(fam.tau_inv(TAU_HI), THETA_HI)
     analytic = fam.analytic
     fun = _objective(data, tree, family, pg, analytic)
     bounds = [(lo, hi)] + [(0.0, hi - lo)] * (pg.g - 1)
 
+    if start is None:
+        x0s = _starts(data, tree, fam, pg, lo, hi, cfg)
+    else:
+        x0s = [pg.to_x([start[tree.param_pos[m[0]]] for m in pg.groups])]
     fits, fails = [], []
-    for x0 in _starts(data, tree, fam, pg, lo, hi, cfg):
+    for x0 in x0s:
         try:
             res = minimize(
                 fun,
@@ -286,11 +291,7 @@ def _fit_branch(data, tree, family, atoms, cfg: FitConfig):
                 jac=True if analytic else None,
                 method="L-BFGS-B",
                 bounds=bounds,
-                options={
-                    "maxiter": cfg.maxiter,
-                    "ftol": cfg.ftol,
-                    "gtol": cfg.gtol,
-                },
+                options={"maxiter": MAXITER, "ftol": FTOL, "gtol": GTOL},
             )
         except (DomainError, NumericError, FloatingPointError) as err:
             fails.append(str(err))
@@ -300,9 +301,7 @@ def _fit_branch(data, tree, family, atoms, cfg: FitConfig):
             continue
         fits.append(res)
     if not fits:
-        raise ConvergenceError(
-            f"all {1 + cfg.n_perturbed} starts failed: {fails}"
-        )
+        raise ConvergenceError(f"all {len(x0s)} starts failed: {fails}")
 
     best = min(fits, key=lambda r: r.fun)
     grad = np.atleast_1d(np.asarray(best.jac, dtype=float))
@@ -311,9 +310,9 @@ def _fit_branch(data, tree, family, atoms, cfg: FitConfig):
     for gi in range(pg.g):
         top = pg.groups[gi][0]
         if gi == 0:
-            if best.x[0] <= lo + cfg.active_tol:
+            if best.x[0] <= lo + ACTIVE_TOL:
                 active.append(f"{node_name(top)}=lo")
-        elif best.x[gi] <= cfg.active_tol:
+        elif best.x[gi] <= ACTIVE_TOL:
             active.append(f"{node_name(top)}={node_name(top[:-1])}")
     theta = pg.expand(pg.from_x(best.x))
     ll = loglik(data, tree, family, theta)
@@ -324,7 +323,7 @@ def _fit_branch(data, tree, family, atoms, cfg: FitConfig):
         theta=theta,
         loglik=ll,
         converged=bool(best.success),
-        n_starts=1 + cfg.n_perturbed,
+        n_starts=len(x0s),
         active=tuple(active),
         grad_norm=gnorm,
         start_logliks=start_lls,
@@ -338,12 +337,16 @@ def mle(
     family: str,
     hypothesis: Hypothesis | None = None,
     config: FitConfig = FitConfig(),
+    start=None,
 ) -> FitResult:
     """Best local maximum of the likelihood over Theta (or its subset).
 
     With a hypothesis, equality atoms are substituted by parameter
     merging; union branches are solved independently and the best
-    branch wins, ties broken toward fewer merges.
+    branch wins, ties broken toward fewer merges.  start, a parameter
+    vector in the cone, replaces the Kendall-tau starts with one
+    L-BFGS-B start there; each group starts at the value of its top
+    node.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[1] != tree.d:
@@ -356,12 +359,16 @@ def mle(
         raise DomainError(
             f"need at least p+1 = {tree.p + 1} rows, got {data.shape[0]}"
         )
+    if start is not None:
+        start = tree.theta_vector(start)
+        if not validate_params(tree, family, start).valid:
+            raise DomainError("start lies outside the parameter space")
     if hypothesis is None:
-        return _fit_branch(data, tree, family, (), config)
+        return _fit_branch(data, tree, family, (), config, start)
 
     hypothesis.check_against(tree)
     results = [
-        _fit_branch(data, tree, family, branch, config)
+        _fit_branch(data, tree, family, branch, config, start)
         for branch in hypothesis.branches
     ]
     best_ll = max(r.loglik for r in results)

@@ -38,7 +38,6 @@ __all__ = [
     "ThetaDomain",
     "PhiDerivs",
     "PsiColumn",
-    "TauGrid",
     "GeneratorFamily",
     "Clayton",
     "Gumbel",
@@ -220,15 +219,6 @@ class PsiColumn:
 
     def value(self, k: int) -> np.ndarray:
         return self.sign[k] * np.exp(self.logmag[k])
-
-
-@dataclass(frozen=True)
-class TauGrid:
-    """Monotone (theta, tau) knot table used to bracket tau inversion."""
-
-    family: str
-    thetas: tuple[float, ...]
-    taus: tuple[float, ...]
 
 
 def _validate_theta(fam: "GeneratorFamily", theta: float) -> None:
@@ -717,7 +707,8 @@ def _joe_tau_integral(theta: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def _tau_grid(fam_name: str) -> TauGrid:
+def _tau_grid(fam_name: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Monotone (thetas, taus) knots that bracket tau inversion."""
     fam = get_family(fam_name)
     if fam_name == "frank":
         thetas = np.geomspace(1e-4, 5e4, 160)
@@ -726,19 +717,19 @@ def _tau_grid(fam_name: str) -> TauGrid:
     else:
         raise UnsupportedFamilyError(fam_name)
     taus = tuple(fam.tau(float(t)) for t in thetas)
-    return TauGrid(fam_name, tuple(float(t) for t in thetas), taus)
+    return tuple(float(t) for t in thetas), taus
 
 
 def _tau_inv_bracketed(fam: GeneratorFamily, tau_val: float) -> float:
-    grid = _tau_grid(fam.name)
-    taus = np.asarray(grid.taus)
+    thetas, taus = _tau_grid(fam.name)
+    taus = np.asarray(taus)
     if tau_val <= taus[0]:
-        lo, hi = fam.domain.lo + 1e-12, grid.thetas[0]
+        lo, hi = fam.domain.lo + 1e-12, thetas[0]
     elif tau_val >= taus[-1]:
         raise DomainError(f"{fam.name}: tau={tau_val} beyond tabulated range")
     else:
         i = int(np.searchsorted(taus, tau_val))
-        lo, hi = grid.thetas[i - 1], grid.thetas[i]
+        lo, hi = thetas[i - 1], thetas[i]
     return float(
         optimize.brentq(
             lambda th: fam.tau(th) - tau_val, lo, hi, xtol=1e-13, rtol=1e-15

@@ -8,7 +8,9 @@ projection onto the local cone of the alternative (Z_full) and of the
 null set (Z_null).  This module computes the projections exactly:
 each draw takes the face of the cone whose KKT certificate (tight
 multipliers >= 0, inactive slacks <= 0) holds, tested for all faces
-at once, and the equality-constrained solution on that face.  It
+at once, and the equality-constrained solution on that face.  A Cone's
+rows are linearly independent, so some face is certified for every
+draw; the certificate is the projection's only rule.  It
 simulates the limit law, and provides the known chi-bar-squared
 mixtures for the small structures where the weights have closed forms.
 """
@@ -122,7 +124,6 @@ class _FaceOps:
     q_forms: np.ndarray     # (n_faces, p, p): q = z' Q z on the face
     ranks: np.ndarray       # (n_faces,): rank of the face's active rows
     cert: np.ndarray        # (k, n_faces, p): KKT certificate rows
-    tight: np.ndarray       # (k, n_faces): inequality i tight on face f
 
 
 def _face_ops(cone: Cone, sigma: np.ndarray) -> _FaceOps:
@@ -137,16 +138,17 @@ def _face_ops(cone: Cone, sigma: np.ndarray) -> _FaceOps:
     inequality i contributes one certificate row per face: -(M B)_i
     scaled by (B Sigma B')_ii, which puts the multiplier in z's units,
     when i is tight, and ineq_i P when it is not.  A face is certified
-    for z when the largest certificate row times z is <= 0.
+    for z when the largest certificate row times z is <= 0.  The cone's
+    rows are linearly independent, so a face's active rows have full
+    row rank: the equalities plus its tight inequalities.
     """
     p, k = cone.p, cone.n_ineq
     r = cone.eq.shape[0]
     eye = np.eye(p)
     faces = cone.faces()
     q_forms = np.zeros((len(faces), p, p))
-    ranks = np.zeros(len(faces), dtype=int)
+    ranks = np.array([r + len(face) for face in faces], dtype=int)
     cert = np.empty((k, len(faces), p))
-    tight = np.zeros((k, len(faces)), dtype=bool)
     for f, face in enumerate(faces):
         on = list(face)
         off = [i for i in range(k) if i not in face]
@@ -155,47 +157,20 @@ def _face_ops(cone: Cone, sigma: np.ndarray) -> _FaceOps:
             m = a @ sigma @ a.T
             m_pinv = np.linalg.pinv(m, hermitian=True)
             q_forms[f] = a.T @ m_pinv @ a
-            ranks[f] = np.linalg.matrix_rank(a)
             cert[on, f] = -(m_pinv @ a)[r:] * np.diag(m)[r:, None]
         cert[off, f] = cone.ineq[off] @ (eye - sigma @ q_forms[f])
-        tight[on, f] = True
-    return _FaceOps(faces, q_forms, ranks, cert, tight)
-
-
-def _least_feasible(z, s, tol, ops):
-    """Index of the least-q face whose solution is feasible, per row.
-
-    The rule for rows no face certifies.  In exact arithmetic some face
-    always does (a linearly independent subset of the active rows has
-    nonnegative multipliers); rows without one come from roundoff, as
-    with dependent rows under an ill-conditioned Sigma.  s holds the
-    rows' certificate products; only the inactive rows' slacks count.
-    Ties keep the earlier (coarser) face.  The face with every
-    inequality tight has no slack, so a finite row always has a
-    feasible face.
-    """
-    slack = np.where(ops.tight[:, :, None], -np.inf, s).max(axis=0)
-    best = np.full(z.shape[0], np.inf)
-    best_face = np.zeros(z.shape[0], dtype=int)
-    for f, q_form in enumerate(ops.q_forms):
-        q = np.einsum("ni,ij,nj->n", z, q_form, z)
-        q = np.where(slack[f] <= tol, q, np.inf)
-        take = q < best
-        best = np.where(take, q, best)
-        best_face = np.where(take, f, best_face)
-    return best_face
+    return _FaceOps(faces, q_forms, ranks, cert)
 
 
 def _certified_faces(z, tol, ops: _FaceOps):
-    """Index of the first face whose certificate holds, per row of z."""
-    k, n_faces = ops.tight.shape
+    """Index of the first face whose certificate holds, per row of z.
+
+    -1 marks a row that no face certifies.
+    """
+    k, n_faces, _ = ops.cert.shape
     s = (ops.cert.reshape(k * n_faces, -1) @ z.T).reshape(k, n_faces, -1)
     held = s.max(axis=0) <= tol
-    face = np.argmax(held, axis=0)
-    lost = ~held[face, np.arange(face.size)]
-    if np.any(lost):
-        face[lost] = _least_feasible(z[lost], s[:, :, lost], tol[lost], ops)
-    return face
+    return np.where(held.any(axis=0), np.argmax(held, axis=0), -1)
 
 
 def _batch_q(z, ops: _FaceOps):
@@ -205,13 +180,16 @@ def _batch_q(z, ops: _FaceOps):
     tolerance 1e-9 (1 + max|z|); faces() yields subsets before their
     supersets, so where several hold the coarser face wins.  The rows
     are taken in chunks of _CERT_BUDGET floats of certificate products.
-    Rows that no face certifies fall back to the least q over the
-    feasible faces.  q is then z' Q z on each row's face.
+    On a cone's independent rows some face holds for every finite row
+    in exact arithmetic; a row that none certifies (a non-finite row,
+    or roundoff under a Sigma conditioned far beyond the 1e10 that
+    sigma_hat admits) raises NumericError.  q is then z' Q z on each
+    row's face.
     Returns (q, rank of the active rows at that face, index of the face
     in ops.faces).
     """
     n = z.shape[0]
-    k, n_faces = ops.tight.shape
+    k, n_faces, _ = ops.cert.shape
     tol = 1e-9 * (1.0 + np.max(np.abs(z), axis=1))
     face = np.zeros(n, dtype=int)
     if k:
@@ -219,6 +197,9 @@ def _batch_q(z, ops: _FaceOps):
         for lo in range(0, n, step):
             rows = slice(lo, lo + step)
             face[rows] = _certified_faces(z[rows], tol[rows], ops)
+    lost = np.count_nonzero(face < 0)
+    if lost:
+        raise NumericError(f"no face certifies {lost} of {n} points")
     q = np.empty(n)
     order = np.argsort(face, kind="stable")
     used, starts = np.unique(face[order], return_index=True)
@@ -226,7 +207,7 @@ def _batch_q(z, ops: _FaceOps):
         zf = z[rows]
         q[rows] = np.einsum("ni,ij,nj->n", zf, ops.q_forms[f], zf)
     if not np.all(np.isfinite(q)):
-        raise NumericError("no feasible face found for some points")
+        raise NumericError("non-finite projection q for some points")
     return np.maximum(q, 0.0), ops.ranks[face], face
 
 
@@ -235,7 +216,9 @@ def project(z, cone: Cone, sigma) -> Projection:
 
     The batch kernel of null_statistics run on one point: the face
     whose KKT certificate holds, and the equality-constrained solution
-    on it.
+    on it.  A Cone's rows are linearly independent, so such a face
+    exists; a point that no face certifies under roundoff raises
+    NumericError.
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (cone.p,):
@@ -906,11 +889,16 @@ def fit_pair(
 ) -> FitPair:
     """Fit the full and the null model and compute the statistic.
 
-    A full fit that ends below the null fit raises NumericError here,
-    before any reference law is consulted.
+    A full fit that ends below the null fit by more than ATOM_TOL in
+    the statistic is replaced by a refit with one start at the null
+    optimum: that point is feasible for the full model, and descent
+    from it cannot end below it.
     """
     fit_full = mle(rows, tree, family, config=config)
     fit_null = mle(rows, tree, family, hypothesis=hypothesis, config=config)
+    if 2.0 * (fit_full.loglik - fit_null.loglik) < -ATOM_TOL:
+        fit_full = mle(rows, tree, family, config=config,
+                       start=fit_null.theta)
     return FitPair(
         rows=rows,
         tree=tree,

@@ -270,10 +270,6 @@ class Hypothesis:
     def is_union(self) -> bool:
         return len(self.branches) > 1
 
-    def atoms(self) -> tuple[Path, ...]:
-        seen = dict.fromkeys(a for b in self.branches for a in b)
-        return tuple(seen)
-
     def __str__(self):
         parts = []
         for branch in self.branches:
@@ -401,7 +397,14 @@ def collapse(tree: HacTree, theta, tol: float = 0.0):
 
 @dataclass(frozen=True)
 class Cone:
-    """Polyhedral cone {z: ineq @ z <= 0, eq @ z = 0} in R^p."""
+    """Polyhedral cone {z: ineq @ z <= 0, eq @ z = 0} in R^p.
+
+    The rows of eq and ineq together must be linearly independent.  The
+    local cones of a nesting tree satisfy this, since their rows are
+    distinct tree edges e_parent - e_child.  On such rows every point
+    has a face whose KKT certificate holds, which is the only rule the
+    projection in haclrt.lrt uses.
+    """
 
     p: int
     ineq: np.ndarray = field(default=None)  # (m, p)
@@ -424,6 +427,13 @@ class Cone:
             raise DomainError(
                 f"too many inequality constraints ({ineq.shape[0]}) "
                 f"for face enumeration"
+            )
+        rows = np.vstack([eq, ineq])
+        if not np.all(np.isfinite(rows)):
+            raise DomainError("constraint rows must be finite")
+        if np.linalg.matrix_rank(rows) < rows.shape[0]:
+            raise DomainError(
+                "constraint rows must be linearly independent"
             )
         ineq.setflags(write=False)
         eq.setflags(write=False)
@@ -449,12 +459,6 @@ class Cone:
             np.all(np.abs(self.eq @ z) <= tol)
         )
         return ok_ineq and ok_eq
-
-    def rank(self) -> int:
-        """Dimension of the cone's linear span complement: rank of eq rows."""
-        if self.eq.shape[0] == 0:
-            return 0
-        return int(np.linalg.matrix_rank(self.eq))
 
 
 def _pair_row(tree: HacTree, par: Path, ch: Path) -> np.ndarray:

@@ -230,3 +230,14 @@ def test_config_is_honored():
     fit = mle(u, TREE3, "clayton", config=cfg)
     assert fit.n_starts == 1
     assert len(fit.start_logliks) == 1
+
+
+def test_start_runs_one_descent_from_it():
+    u = sample(TREE3, (1.0, 2.0), "clayton", 200, seed=41).values
+    start = np.array([1.2, 1.2])
+    fit = mle(u, TREE3, "clayton", start=start)
+    assert fit.n_starts == 1
+    assert len(fit.start_logliks) == 1
+    assert fit.loglik >= loglik(u, TREE3, "clayton", start)
+    with pytest.raises(DomainError):
+        mle(u, TREE3, "clayton", start=[2.0, 1.0])

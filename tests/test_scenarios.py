@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 import haclrt.lrt as lrt_module
+import haclrt.scenarios as scenarios_module
 from haclrt.errors import DomainError, SingularSigmaError
 from haclrt.estimate import FitConfig
 from haclrt.generators import tau_inv
@@ -227,10 +228,11 @@ def test_full_fit_below_null_fails_every_method(monkeypatch, scenario,
     real_mle = lrt_module.mle
     calls = []
 
-    def low_full(data, tree, family, hypothesis=None, config=FitConfig()):
-        calls.append(hypothesis)
+    def low_full(data, tree, family, hypothesis=None, config=FitConfig(),
+                 start=None):
+        calls.append((hypothesis, start is not None))
         fit = real_mle(data, tree, family, hypothesis=hypothesis,
-                       config=config)
+                       config=config, start=start)
         if hypothesis is not None:
             return fit
         return dataclasses.replace(fit, loglik=fit.loglik - 1e6)
@@ -241,8 +243,35 @@ def test_full_fit_below_null_fails_every_method(monkeypatch, scenario,
     for rec in recs:
         assert rec["error"] == "fit-numeric"
         assert rec["statistic"] is None and rec["p_value"] is None
-    # one fit pair: scenario IV never refits the collapsed structure
-    assert len(calls) == 2
+    # one fit pair, whose full refit from the null optimum is lowered
+    # too: scenario IV never refits the collapsed structure
+    assert [(h is None, warm) for h, warm in calls] == [
+        (True, False), (False, False), (True, True)]
+
+
+def test_full_fit_refit_from_null_optimum(monkeypatch):
+    # the Kendall-tau starts of this replicate's full fit stall at a
+    # cusp of the clayton density at the tie, below the null fit
+    spec = ScenarioSpec("I", cases=("c",), data_families=("gumbel",),
+                        model_families=("clayton",), n_values=(512,),
+                        r=500, seed=815, fit_config=FitConfig(n_perturbed=2))
+    pairs = []
+    real_fit_pair = scenarios_module.fit_pair
+
+    def recorded(*args, **kwargs):
+        pairs.append(real_fit_pair(*args, **kwargs))
+        return pairs[-1]
+
+    monkeypatch.setattr(scenarios_module, "fit_pair", recorded)
+    recs = run_replicate(spec, "c", "gumbel", "clayton", 512, 461)
+    (pair,) = pairs
+    assert pair.fit_full.loglik >= pair.fit_null.loglik
+    assert pair.fit_full.n_starts == len(pair.fit_full.start_logliks) == 1
+    assert [r["method"] for r in recs] == ["mixture", "conditional"]
+    for rec in recs:
+        assert rec["error"] is None and rec["p_value"] is not None
+        assert rec["statistic"] == pytest.approx(25.870151016532645,
+                                                 rel=1e-9)
 
 
 # --- aggregation ----------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from haclrt.errors import DomainError, HypothesisError
@@ -260,7 +260,26 @@ def test_cone_basics():
     assert c.contains([-1.0, 2.0])
     assert not c.contains([2.0, 1.0])
     assert c.faces() == [(), (0,)]
-    assert c.rank() == 0
+    assert c.eq.shape[0] == 0
+
+
+def _dependent_cones(rng):
+    rows3 = np.array([[1.0, -1.0, 0.0], [1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
+    yield dict(p=3, ineq=rows3[[0, 0, 1]])                  # duplicate row
+    yield dict(p=3, ineq=np.vstack([2.0 * rows3[0], rows3[1]]),
+               eq=rows3[:1])                                # inside span(eq)
+    yield dict(p=3, ineq=rows3, eq=rows3[2:] + rows3[:1])   # dependent ties
+    yield dict(p=2, ineq=np.array([[1.0, -1.0], [1.0, 0.0], [0.0, -1.0]]))
+    for _ in range(6):                                      # k > p
+        yield dict(p=3, ineq=rng.standard_normal((6, 3)))
+
+
+def test_cone_refuses_dependent_rows():
+    for rows in _dependent_cones(np.random.default_rng(21)):
+        with pytest.raises(DomainError, match="independent"):
+            Cone(**rows)
+    with pytest.raises(DomainError, match="finite"):
+        Cone(2, ineq=np.array([[1.0, np.nan]]))
 
 
 def test_cone_scaling_invariance():
@@ -292,7 +311,6 @@ def test_local_cones_intersection_geometry():
     A, A0 = local_cones(t, h, [2.0, 2.0, 2.0])
     assert A.n_ineq == 2
     assert A0[0].eq.shape[0] == 2
-    assert A0[0].rank() == 2
 
 
 def test_local_cones_interior_full_space():
@@ -392,6 +410,39 @@ def test_collapse_idempotent_random(spec, data):
     assert t1.to_nested() == t2.to_nested()
     np.testing.assert_array_equal(th1, th2)
     assert validate_params(t1, "clayton", th1, tol=0.0).in_cone
+
+
+@st.composite
+def tied_hypothesis(draw, tree):
+    """A hypothesis on tree's edges: a union of intersections of atoms."""
+    edges = [ch for _, ch in tree.constraint_pairs()]
+    atom = st.sampled_from(edges)
+    branches = draw(st.lists(st.lists(atom, min_size=1, max_size=3),
+                             min_size=1, max_size=3))
+    return Hypothesis(tuple(tuple(sorted(set(b))) for b in branches))
+
+
+@settings(max_examples=50, deadline=None)
+@given(spec=random_tree_spec(), data=st.data())
+def test_local_cones_have_independent_rows(spec, data):
+    # random ties, unions, intersections and forced-tight pairs: every
+    # cone local_cones builds has independent rows, as Cone requires
+    t = HacTree(spec)
+    assume(t.p >= 2)
+    pairs = t.constraint_pairs()
+    hyp = data.draw(tied_hypothesis(t))
+    tied = {a for branch in hyp.branches for a in branch}
+    gaps = {ch: 0.0 if ch in tied else data.draw(st.sampled_from([0.0, 0.3]))
+            for _, ch in pairs}
+    theta = np.empty(t.p)
+    for path, i in t.param_pos.items():
+        theta[i] = 1.0 if path == () else (
+            theta[t.param_pos[path[:-1]]] + gaps[path])
+    forced = data.draw(st.lists(st.sampled_from(pairs), max_size=3))
+    cone, null_cones = local_cones(t, hyp, theta, assume_tight=forced)
+    for c in (cone, *null_cones):
+        rows = np.vstack([c.eq, c.ineq])
+        assert np.linalg.matrix_rank(rows) == rows.shape[0]
 
 
 def test_lca_depth_two():
