@@ -29,6 +29,18 @@ theta-derivatives, built as one forward product of second-order jets
 per child).  Every generator formula it evaluates (the psi_0^(k) column
 with its derivative ratios, the s_nk polynomials, the theta-derivatives
 of phi) comes from the family object in ``generators``.
+
+Every per-row polynomial table (the a-tables and their jets, B and its
+derivatives, the generic path's Bell coefficients) is stored
+coefficient-major, as an (L, n) array with one contiguous row per
+coefficient, so each coefficient update is one contiguous pass.
+``log_density_and_derivs`` evaluates the rows in blocks of ``ROW_BLOCK``
+and concatenates the results, which keeps those tables cache-sized.  Two
+rules keep every row's numbers bit-identical to one pass over all rows:
+no block holds a single row (a trailing one joins the block before it),
+and every block starts at a multiple of ``ROW_BLOCK``.  Both exist for
+the matrix-vector products of Gumbel's psi column: BLAS takes another
+path for a single row, and its unrolled kernels group rows by offset.
 """
 
 from __future__ import annotations
@@ -54,6 +66,8 @@ __all__ = [
 ]
 
 UNIT_CLAMP = 1e-12
+# rows evaluated together; every block starts at a multiple of this
+ROW_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -147,20 +161,20 @@ def _as_rows(spec: TwoLevelSpec, u) -> np.ndarray:
 # ====================================================================
 
 def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # row-wise polynomial product; coefficient index = exponent
-    n, la = a.shape
-    lb = b.shape[1]
-    out = np.zeros((n, la + lb - 1))
+    # per-column polynomial product; row index = exponent
+    la, n = a.shape
+    lb = b.shape[0]
+    out = np.zeros((la + lb - 1, n))
     for i in range(lb):
-        bi = b[:, i : i + 1]
-        if np.all(bi == 0.0):
+        bi = b[i]
+        if not bi.any():
             continue
-        out[:, i : i + la] += a * bi
+        out[i : i + la] += a * bi
     return out
 
 
 def _polyunit(n: int) -> np.ndarray:
-    return np.ones((n, 1))
+    return np.ones((1, n))
 
 
 # ====================================================================
@@ -171,7 +185,7 @@ def _polyunit(n: int) -> np.ndarray:
 class _ChildJet:
     """Second-order jet of child s's a-table, padded to exponents 0..d_s.
 
-    Column q of ``a`` holds a_{s,q} (column 0 is zero); ``ar``/``ac`` are
+    Row q of ``a`` holds a_{s,q} (row 0 is zero); ``ar``/``ac`` are
     its derivatives in r = theta_0 and c = theta_s, and ``arr``, ``arc``,
     ``acc`` the second derivatives.  Derivatives in theta_s are total:
     t_s moves with theta_s.  Entries are the true quantities times
@@ -190,8 +204,8 @@ class _ChildJet:
 
 def _pad(cols: np.ndarray) -> np.ndarray:
     # child coefficient rows live at exponents 1..d_s
-    out = np.zeros((cols.shape[0], cols.shape[1] + 1))
-    out[:, 1:] = cols
+    out = np.zeros((cols.shape[0] + 1, cols.shape[1]))
+    out[1:] = cols
     return out
 
 
@@ -203,32 +217,32 @@ def _child_table(th0, ths, ds, lbeta, tdot, tddot, order):
     x = th0 / ths
     j = np.arange(1, ds + 1, dtype=float)
     e = j * x - ds                              # (ds,)
-    elb = e[None, :] * lbeta[:, None]           # (n, ds)
-    omega = elb.max(axis=1)
-    xi = np.exp(elb - omega[:, None])
+    elb = e[:, None] * lbeta[None, :]           # (ds, n)
+    omega = elb.max(axis=0)
+    xi = np.exp(elb - omega)
     sp0, sp1, sp2 = s_nk_table(x, ds)[:, 1:]    # s_{d_s,q}(x), q = 1..d_s
-    v = xi * sp0[None, :]
+    v = xi * sp0[:, None]
     jet = _ChildJet(omega, _pad(v))
     if order == 0:
         return jet
-    beta_inv = np.exp(-lbeta)[:, None]
-    tdot = tdot[:, None]
-    zeta = (j / ths)[None, :] * lbeta[:, None]
-    xi_sp1 = xi * sp1[None, :]
+    beta_inv = np.exp(-lbeta)
+    e = e[:, None]
+    zeta = (j / ths)[:, None] * lbeta
+    xi_sp1 = xi * sp1[:, None]
 
     # partials at fixed t (dt, dr, dc, ...), composed into total
     # theta_s-derivatives through tdot and tddot
-    dt = e[None, :] * beta_inv * v
+    dt = e * beta_inv * v
     dr = zeta * v + xi_sp1 / ths
     dc = -x * zeta * v - xi_sp1 * th0 / ths**2
     jet.ar = _pad(dr)
     jet.ac = _pad(dc + dt * tdot)
     if order == 1:
         return jet
-    xi_sp2 = xi * sp2[None, :]
-    dtt = (e[None, :] - 1.0) * beta_inv * dt
-    drt = beta_inv * ((j / ths)[None, :] * v + e[None, :] * dr)
-    dct = beta_inv * ((-j * th0 / ths**2)[None, :] * v + e[None, :] * dc)
+    xi_sp2 = xi * sp2[:, None]
+    dtt = (e - 1.0) * beta_inv * dt
+    drt = beta_inv * ((j / ths)[:, None] * v + e * dr)
+    dct = beta_inv * ((-j * th0 / ths**2)[:, None] * v + e * dc)
     drr = zeta * (dr + xi_sp1 / ths) + xi_sp2 / ths**2
     drc = (
         -(zeta / ths) * v
@@ -247,7 +261,7 @@ def _child_table(th0, ths, ds, lbeta, tdot, tddot, order):
     jet.arr = _pad(drr)
     jet.arc = _pad(drc + drt * tdot)
     jet.acc = _pad(
-        dcc + 2.0 * dct * tdot + dtt * tdot**2 + dt * tddot[:, None]
+        dcc + 2.0 * dct * tdot + dtt * tdot**2 + dt * tddot
     )
     return jet
 
@@ -331,16 +345,32 @@ def log_density_and_derivs(spec: TwoLevelSpec, u, order: int = 0):
             f"{fam.name}: analytic score/hessian unavailable; "
             "use finite differences on the log-density"
         )
-    if fam.analytic:
-        out = _eval_analytic(spec, rows, order)
-    else:
-        out = (_log_density_generic(spec, rows), None, None)
+    parts = [
+        _eval_analytic(spec, rows[lo:hi], order, lo) if fam.analytic
+        else (_log_density_generic(spec, rows[lo:hi], lo), None, None)
+        for lo, hi in _row_blocks(rows.shape[0])
+    ]
+    out = tuple(
+        None if parts[0][i] is None else np.concatenate([q[i] for q in parts])
+        for i in range(3)
+    )
     if squeeze:
-        out = tuple(
-            None if o is None else (o[0] if o.ndim else o) for o in out
-        )
-        out = (out[0], out[1], out[2])
+        out = tuple(None if o is None else o[0] for o in out)
     return out
+
+
+def _row_blocks(n: int):
+    # ROW_BLOCK-row ranges; a trailing single row joins the block before
+    # it, and zero rows still make one (empty) block
+    starts = list(range(0, n, ROW_BLOCK)) or [0]
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return zip(starts, starts[1:] + [n])
+
+
+def _raise_bad_rows(ok, first, what):
+    bad = first + np.where(~ok)[0][:5]
+    raise NumericError(f"{what} failed on rows {bad.tolist()}")
 
 
 def log_density(spec: TwoLevelSpec, u):
@@ -355,7 +385,7 @@ def hessian(spec: TwoLevelSpec, u):
     return log_density_and_derivs(spec, u, order=2)[2]
 
 
-def _eval_analytic(spec: TwoLevelSpec, rows, order: int):
+def _eval_analytic(spec: TwoLevelSpec, rows, order: int, first: int = 0):
     fam = spec.family
     th0 = spec.theta[0]
     n, d = rows.shape
@@ -414,15 +444,14 @@ def _eval_analytic(spec: TwoLevelSpec, rows, order: int):
     psi_hat = {}
     for k in range(k_lo, k_hi + 1):
         psi_hat[k] = psi_col.sign[k] * np.exp(psi_col.logmag[k] - shift)
-        term = B[:, k - n_leaf] * psi_hat[k]
+        term = B[k - n_leaf] * psi_hat[k]
         y = term - comp
         tnew = D + y
         comp = (tnew - D) - y
         D = tnew
     if np.any(~np.isfinite(D)) or np.any(sign_d * D <= 0.0):
-        bad = np.where(~(sign_d * D > 0.0))[0][:5]
-        raise NumericError(
-            f"density sign/finiteness check failed on rows {bad.tolist()}"
+        _raise_bad_rows(
+            sign_d * D > 0.0, first, "density sign/finiteness check"
         )
     logc = shift + omega + np.log(sign_d * D) + log_b2
     if order == 0:
@@ -436,7 +465,7 @@ def _eval_analytic(spec: TwoLevelSpec, rows, order: int):
         acc = np.zeros(n)
         for k in range(k_lo, k_hi + 1):
             j = k - n_leaf
-            acc += (B_grads[a][:, j] + B[:, j] * R1[a][k]) * psi_hat[k]
+            acc += (B_grads[a][j] + B[j] * R1[a][k]) * psi_hat[k]
         S[:, a] = acc / D
     grad = S.copy()
     grad[:, 0] += g_sums[0]
@@ -453,10 +482,10 @@ def _eval_analytic(spec: TwoLevelSpec, rows, order: int):
             for k in range(k_lo, k_hi + 1):
                 j = k - n_leaf
                 acc += (
-                    B_hess[(a, b)][:, j]
-                    + B_grads[a][:, j] * R1[b][k]
-                    + B_grads[b][:, j] * R1[a][k]
-                    + B[:, j] * R2[(a, b)][k]
+                    B_hess[(a, b)][j]
+                    + B_grads[a][j] * R1[b][k]
+                    + B_grads[b][j] * R1[a][k]
+                    + B[j] * R2[(a, b)][k]
                 ) * psi_hat[k]
             hess[:, a, b] = acc / D - S[:, a] * S[:, b]
             hess[:, b, a] = hess[:, a, b]
@@ -476,8 +505,8 @@ def _b_jet(jets, n, order):
     coefficient array corresponds to k = j + #root-leaves.
     """
     V = _polyunit(n)
-    G = [np.zeros((n, 1))]
-    H = {(0, 0): np.zeros((n, 1))}
+    G = [np.zeros((1, n))]
+    H = {(0, 0): np.zeros((1, n))}
     for s, jet in enumerate(jets):
         c = 1 + s
         a = jet.a
@@ -570,7 +599,7 @@ class _BellMemo:
         return got
 
 
-def _log_density_generic(spec: TwoLevelSpec, rows) -> np.ndarray:
+def _log_density_generic(spec: TwoLevelSpec, rows, first: int = 0):
     fam = spec.family
     th0 = spec.theta[0]
     n, d = rows.shape
@@ -597,9 +626,9 @@ def _log_density_generic(spec: TwoLevelSpec, rows) -> np.ndarray:
             for r in range(2, i + 1):
                 rhs = rhs - psi0_at_h[r] * bell(i, r)
             bell.append(rhs / psi0_at_h[1])
-        coeffs = np.zeros((n, ds + 1))
+        coeffs = np.zeros((ds + 1, n))
         for q in range(1, ds + 1):
-            coeffs[:, q] = bell(ds, q)
+            coeffs[q] = bell(ds, q)
         child_polys.append(coeffs)
     if spec.leaf_cols:
         ul = rows[:, list(spec.leaf_cols)]
@@ -612,9 +641,9 @@ def _log_density_generic(spec: TwoLevelSpec, rows) -> np.ndarray:
     total = np.zeros(n)
     comp = np.zeros(n)
     sign_d = (-1.0) ** d
-    for j in range(B.shape[1]):
+    for j in range(B.shape[0]):
         k = j + n_leaf
-        col = B[:, j]
+        col = B[j]
         if not np.any(col):
             continue
         term = col * np.asarray(fam.psi_t_deriv(th0, t, k))
@@ -624,8 +653,5 @@ def _log_density_generic(spec: TwoLevelSpec, rows) -> np.ndarray:
         total = tot
     val = sign_d * total
     if np.any(~np.isfinite(val)) or np.any(val <= 0.0):
-        bad = np.where(~(val > 0.0))[0][:5]
-        raise NumericError(
-            f"generic density evaluation failed on rows {bad.tolist()}"
-        )
+        _raise_bad_rows(val > 0.0, first, "generic density evaluation")
     return np.log(val) + log_b2

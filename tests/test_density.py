@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from haclrt.density import (
 )
 from haclrt import density, generators
 from haclrt.density import _as_rows, _log_density_generic
-from haclrt.errors import DomainError
+from haclrt.errors import DomainError, NumericError
 from haclrt.generators import get_family
+from haclrt.sampler import sample
 from haclrt.tree import HacTree
 
 TREE3 = HacTree([[1, 2], 3])
@@ -307,6 +309,90 @@ def test_vectorized_rows_match_scalar_calls():
         assert li == pytest.approx(logc[i], abs=1e-14)
         assert gi == pytest.approx(g[i], abs=1e-14)
         assert Hi == pytest.approx(H[i], abs=1e-14)
+
+
+# --- row blocks ----------------------------------------------------------
+
+SIX_NESTS = HacTree([[2 * k + 1, 2 * k + 2] for k in range(6)])
+BLOCK_TREES = {
+    "d4": TREE4,
+    "d6": HacTree([[1, 2, 3], 4, [5, 6]]),
+    "six-nests": SIX_NESTS,
+}
+
+
+@pytest.mark.parametrize("tail", [1, 2, 7])
+@pytest.mark.parametrize("tree", BLOCK_TREES.values(), ids=BLOCK_TREES.keys())
+@pytest.mark.parametrize("fam", ["clayton", "gumbel", "frank", "joe"])
+def test_row_blocks_match_one_pass(monkeypatch, fam, tree, tail):
+    # every row's numbers are the same whichever block evaluates it
+    rng = np.random.default_rng(83 + tail)
+    spec = _random_spec(rng, fam, tree)
+    u = rng.uniform(0.05, 0.95, (3 * 64 + tail, tree.d))
+    order = 2 if get_family(fam).analytic else 0
+    monkeypatch.setattr(density, "ROW_BLOCK", 10**9)
+    whole = log_density_and_derivs(spec, u, order)
+    monkeypatch.setattr(density, "ROW_BLOCK", 64)
+    blocked = log_density_and_derivs(spec, u, order)
+    for one, many in zip(whole, blocked):
+        assert (one is None) == (many is None)
+        assert one is None or np.array_equal(one, many)
+
+
+def test_row_blocks_start_on_multiples_and_absorb_a_single_row(monkeypatch):
+    monkeypatch.setattr(density, "ROW_BLOCK", 64)
+    assert list(density._row_blocks(0)) == [(0, 0)]
+    assert list(density._row_blocks(1)) == [(0, 1)]
+    assert list(density._row_blocks(129)) == [(0, 64), (64, 129)]
+    assert list(density._row_blocks(130)) == [(0, 64), (64, 128), (128, 130)]
+
+
+@pytest.mark.parametrize("fam", ["clayton", "gumbel", "frank", "joe"])
+def test_zero_rows_give_empty_outputs(fam):
+    spec = two_level_spec(TREE4, fam, (1.5, 2.0, 2.5))
+    order = 2 if get_family(fam).analytic else 0
+    logc, g, H = log_density_and_derivs(spec, np.empty((0, 4)), order)
+    assert logc.shape == (0,)
+    if order:
+        assert g.shape == (0, 3) and H.shape == (0, 3, 3)
+
+
+def test_numeric_error_names_the_global_row(monkeypatch):
+    # frank on two six-leaf nests at theta=(8, 30, 40) fails on some model
+    # draws; put one such row at index 69, in the second 64-row block
+    tree = HacTree([[1, 2, 3, 4, 5, 6], [7, 8, 9, 10, 11, 12]])
+    spec = two_level_spec(tree, "frank", (8.0, 30.0, 40.0))
+    draws = clamp_unit(sample(tree, spec.theta, "frank", 300, seed=3).values)
+    good, bad = [], []
+    with np.errstate(all="ignore"):
+        for row in draws:
+            try:
+                log_density(spec, row)
+                good.append(row)
+            except NumericError:
+                bad.append(row)
+        assert bad and len(good) >= 100
+        u = np.vstack([good[:69], bad[:1], good[69:100]])
+        monkeypatch.setattr(density, "ROW_BLOCK", 64)
+        with pytest.raises(NumericError, match=r"rows \[69\]"):
+            log_density(spec, u)
+
+
+def test_hessian_peak_memory_on_six_nests():
+    # rows are evaluated in blocks, so no (rows x coefficients) table of
+    # the whole batch is ever held
+    spec = two_level_spec(
+        SIX_NESTS, "gumbel", (1.3, 1.5, 1.8, 2.0, 2.4, 2.9, 3.3)
+    )
+    u = np.random.default_rng(61).uniform(0.05, 0.95, (100_000, 12))
+    tracemalloc.start()
+    try:
+        H = hessian(spec, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert H.shape == (100_000, 7, 7)
+    assert peak < 200 * 2**20
 
 
 # --- argument and domain checking ---------------------------------------
