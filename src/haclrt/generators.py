@@ -536,8 +536,14 @@ class Frank(GeneratorFamily):
     def psi(self, theta, t):
         _validate_theta(self, theta)
         t = _as_nonneg(t)
-        # 1 - (1-e^-theta) e^-t = -expm1(-t) + exp(-t-theta), both positive
-        out = -np.log(-np.expm1(-t) + np.exp(-t - theta)) / theta
+        # psi = -log(1 - w)/theta with w = (1-e^-theta) e^-t.  For w <= 1/2
+        # log1p keeps small psi accurate; above it, 1 - w is the sum of
+        # -expm1(-t) and exp(-t-theta), both positive, added on log scale
+        # so that neither term underflows as t -> 0 or theta grows
+        w = -math.expm1(-theta) * np.exp(-t)
+        with np.errstate(divide="ignore"):
+            near = np.logaddexp(np.log(-np.expm1(-t)), -t - theta)
+            out = -np.where(w <= 0.5, np.log1p(-w), near) / theta
         return out if out.ndim else float(out)
 
     def phi(self, theta, u):

@@ -250,6 +250,22 @@ def test_psi_t_deriv_matches_mpmath(family, theta):
                 assert abs(mp.mpf(val) / ref[k] - 1) <= 1e-12, (t, k)
 
 
+@pytest.mark.parametrize("theta", [0.5, 5.0, 14.0, 745.0, 800.0, 3998.0])
+def test_frank_psi_matches_mpmath(theta):
+    # 3998 is tau_inv(0.999), the fit's upper bound.  The reference is the
+    # closed form -log(1 - (1 - e^-theta) e^-t)/theta; 2000 working digits
+    # keep 50 correct ones in 1 - w down to w = 1 - e^-3998
+    mp = pytest.importorskip("mpmath")
+    ts = (0.0, 1e-300, 1e-8, 1.0, 10.0, 30.0, 36.0, 700.0)
+    got = G.psi("frank", theta, np.array(ts))
+    with mp.workdps(2000):
+        for t, val in zip(ts, got):
+            w = (1 - mp.exp(-mp.mpf(theta))) * mp.exp(-mp.mpf(t))
+            ref = -mp.log(1 - w) / theta
+            assert abs(mp.mpf(val) / ref - 1) <= 4e-16, t
+            assert G.psi("frank", theta, t) == val
+
+
 def test_psi_column_rows_match_one_k_calls():
     t = np.array([1e-3, 0.4, 3.0, 50.0])
     for family, th in (("clayton", 1.7), ("gumbel", 2.2)):
