@@ -20,7 +20,10 @@ exact parameter ties (x_s = 1, where a_{s,q} = 0 for q < d_s).
 
 Frank and Joe get density values through a generic nested-differentiation
 path (h_s derivatives by implicit recursion, a_{s,q} as partial Bell
-polynomials); their analytic theta-derivatives are not provided.
+polynomials); their theta-derivatives are not provided, so "analytic"
+names the Clayton/Gumbel theta-suite only.  Both paths read the same
+log-scale psi_0^(k) column of the family and end in one psi sum,
+``_psi_sum``: per-row shift, compensated sum over k, and the sign check.
 
 This module holds the family-agnostic algebra only: the a-tables, the
 t-chain, the generic path, and B = prod_s a_s with its first and second
@@ -45,6 +48,7 @@ path for a single row, and its unrolled kernels group rows by offset.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -368,11 +372,6 @@ def _row_blocks(n: int):
     return zip(starts, starts[1:] + [n])
 
 
-def _raise_bad_rows(ok, first, what):
-    bad = first + np.where(~ok)[0][:5]
-    raise NumericError(f"{what} failed on rows {bad.tolist()}")
-
-
 def log_density(spec: TwoLevelSpec, u):
     return log_density_and_derivs(spec, u, order=0)[0]
 
@@ -434,26 +433,8 @@ def _eval_analytic(spec: TwoLevelSpec, rows, order: int, first: int = 0):
     B, B_grads, B_hess = _b_jet(jets, n, order)
 
     psi_col = fam.psi_column(th0, chain.t, k_lo, k_hi, ratios=want)
-    shift = np.max(
-        np.stack([psi_col.logmag[k] for k in range(k_lo, k_hi + 1)]), axis=0
-    )
-
-    sign_d = (-1.0) ** d
-    D = np.zeros(n)
-    comp = np.zeros(n)  # compensated accumulation over k
-    psi_hat = {}
-    for k in range(k_lo, k_hi + 1):
-        psi_hat[k] = psi_col.sign[k] * np.exp(psi_col.logmag[k] - shift)
-        term = B[k - n_leaf] * psi_hat[k]
-        y = term - comp
-        tnew = D + y
-        comp = (tnew - D) - y
-        D = tnew
-    if np.any(~np.isfinite(D)) or np.any(sign_d * D <= 0.0):
-        _raise_bad_rows(
-            sign_d * D > 0.0, first, "density sign/finiteness check"
-        )
-    logc = shift + omega + np.log(sign_d * D) + log_b2
+    psi_hat, D, log_sum = _psi_sum(spec, psi_col, B, omega, first)
+    logc = log_sum + log_b2
     if order == 0:
         return logc, None, None
 
@@ -493,6 +474,42 @@ def _eval_analytic(spec: TwoLevelSpec, rows, order: int, first: int = 0):
     for s in range(m):
         hess[:, 1 + s, 1 + s] -= spec.ds[s] / spec.theta[1 + s] ** 2
     return logc, grad, hess
+
+
+def _psi_sum(spec, psi_col, B, omega, first):
+    """D = sum_{k=K..d} B_{k-|L|} psi_hat[k], psi_hat = psi_0^(k)(t)/e^shift.
+
+    shift is each row's largest log|psi_0^(k)|; B may carry a per-row
+    scale e^-omega.  Returns psi_hat, D and shift + omega + log((-1)^d D),
+    or fails the block naming the global rows where (-1)^d D is not
+    finite and positive.
+    """
+    k_lo, k_hi = spec.K, spec.d
+    n_leaf = len(spec.leaf_cols)
+    shift = functools.reduce(
+        np.maximum, [psi_col.logmag[k] for k in range(k_lo, k_hi + 1)]
+    )
+    # compensated sum over k, in place; comp carries the lost low bits
+    D, tnew, comp, y = (np.zeros(shift.shape) for _ in range(4))
+    psi_hat = {}
+    for k in range(k_lo, k_hi + 1):
+        psi_hat[k] = ph = psi_col.logmag[k] - shift
+        np.exp(ph, out=ph)
+        ph *= psi_col.sign[k]
+        np.multiply(B[k - n_leaf], ph, out=y)
+        y -= comp
+        np.add(D, y, out=tnew)
+        np.subtract(tnew, D, out=comp)
+        comp -= y
+        D, tnew = tnew, D
+    sD = (-1.0) ** spec.d * D
+    ok = (sD > 0.0) & (sD < np.inf)
+    if not ok.all():
+        bad = first + np.flatnonzero(~ok)[:5]
+        raise NumericError(
+            f"density sign/finiteness check failed on rows {bad.tolist()}"
+        )
+    return psi_hat, D, shift + omega + np.log(sD)
 
 
 def _b_jet(jets, n, order):
@@ -590,6 +607,8 @@ class _BellMemo:
     def __call__(self, n: int, k: int) -> np.ndarray:
         if n == 0 or k == 0:
             return self._memo.get((n, k), self._zero)
+        if k == 1:
+            return self.x[n - 1]
         got = self._memo.get((n, k))
         if got is None:
             acc = np.zeros_like(self._zero)
@@ -602,12 +621,11 @@ class _BellMemo:
 def _log_density_generic(spec: TwoLevelSpec, rows, first: int = 0):
     fam = spec.family
     th0 = spec.theta[0]
-    n, d = rows.shape
-    n_leaf = len(spec.leaf_cols)
+    n = rows.shape[0]
 
     log_b2 = np.zeros(n)
     t = np.zeros(n)
-    child_polys = []
+    B = _polyunit(n)
     for s in range(spec.m):
         ths = spec.theta[1 + s]
         ds = spec.ds[s]
@@ -617,41 +635,23 @@ def _log_density_generic(spec: TwoLevelSpec, rows, first: int = 0):
         h_val = fam.phi(th0, fam.psi(ths, ts))
         t += h_val
         # h-derivatives by implicit differentiation of psi_s = psi_0 . h
-        psi0_at_h = [None] + [
-            np.asarray(fam.psi_t_deriv(th0, h_val, r)) for r in range(1, ds + 1)
-        ]
+        col_h = fam.psi_column(th0, h_val, 1, ds)
+        col_s = fam.psi_column(ths, ts, 1, ds)
+        psi0_at_h = {r: col_h.value(r) for r in range(1, ds + 1)}
         bell = _BellMemo(n)
         for i in range(1, ds + 1):
-            rhs = np.asarray(fam.psi_t_deriv(ths, ts, i))
+            rhs = col_s.value(i)
             for r in range(2, i + 1):
                 rhs = rhs - psi0_at_h[r] * bell(i, r)
             bell.append(rhs / psi0_at_h[1])
         coeffs = np.zeros((ds + 1, n))
         for q in range(1, ds + 1):
             coeffs[q] = bell(ds, q)
-        child_polys.append(coeffs)
+        B = _polymul(B, coeffs) if s else coeffs
     if spec.leaf_cols:
         ul = rows[:, list(spec.leaf_cols)]
         t += fam.phi(th0, ul).sum(axis=1)
         log_b2 += fam.log_neg_phi_prime(th0, ul).sum(axis=1)
 
-    B = _polyunit(n)
-    for coeffs in child_polys:
-        B = _polymul(B, coeffs)
-    total = np.zeros(n)
-    comp = np.zeros(n)
-    sign_d = (-1.0) ** d
-    for j in range(B.shape[0]):
-        k = j + n_leaf
-        col = B[j]
-        if not np.any(col):
-            continue
-        term = col * np.asarray(fam.psi_t_deriv(th0, t, k))
-        y = term - comp
-        tot = total + y
-        comp = (tot - total) - y
-        total = tot
-    val = sign_d * total
-    if np.any(~np.isfinite(val)) or np.any(val <= 0.0):
-        _raise_bad_rows(val > 0.0, first, "generic density evaluation")
-    return np.log(val) + log_b2
+    col = fam.psi_column(th0, t, spec.K, spec.d)
+    return _psi_sum(spec, col, B, 0.0, first)[2] + log_b2

@@ -2,21 +2,22 @@
 
 Each family bundles the generator psi, its inverse phi, the derivative
 formulas needed by the two-level density, and the Kendall's tau map with
-its inverse.  Clayton and Gumbel carry the full analytic suite, and each
-of its formulas lives here once:
+its inverse.  Every family has ``psi_column``, log|psi^(k)(t)| and its
+sign for k in a range, summed from same-sign terms (Eulerian polynomials
+for Frank, Stirling numbers for Joe); ``psi_t_deriv`` is one k of it.
+Clayton and Gumbel also carry the analytic theta-derivative suite, and
+each of its formulas lives here once:
 
-- ``psi_column``: log|psi^(k)(t)| and its sign for k in a range, plus the
-  ratio rows of its first and second t- and theta-derivatives;
-  ``psi_t_deriv`` is its one-k evaluation;
+- the ratio rows of ``psi_column``: first and second t- and
+  theta-derivatives of psi^(k);
 - ``phi_derivs``: the first two theta-derivatives of phi;
 - ``log_neg_phi_prime`` and ``dlog_neg_phi_prime_dtheta``: log(-phi') and
   its theta-derivative;
 - ``s_nk_table``: the polynomials s_nk(x) with their first two
   x-derivatives, used by the Gumbel column and by the density's a-tables.
 
-Frank and Joe provide values, t-derivatives of any order and tau maps,
-which is what sampling, generic density evaluation and finite-difference
-information estimates require.
+Frank and Joe have no theta-derivatives, so their fits and information
+estimates use finite differences.
 """
 
 from __future__ import annotations
@@ -203,6 +204,10 @@ class PhiDerivs:
 class PsiColumn:
     """log|psi^(k)(t)| and its sign for k = k_lo..k_hi, plus ratio rows.
 
+    Every family's ``psi_column(theta, t, k_lo, k_hi)`` returns one for
+    1-d t and 1 <= k_lo <= k_hi; Clayton's and Gumbel's also take
+    ``ratios=True``.
+
     The ratio rows are taken with respect to f = psi^(k) as a function of
     (t, theta): ft = f_t/f, ftt = f_tt/f, fr = f_theta/f,
     frr = f_theta,theta/f and frt = f_theta,t/f.  Every field maps k to
@@ -218,7 +223,9 @@ class PsiColumn:
     frt: dict = field(default_factory=dict)
 
     def value(self, k: int) -> np.ndarray:
-        return self.sign[k] * np.exp(self.logmag[k])
+        out = np.exp(self.logmag[k])
+        out *= self.sign[k]
+        return out
 
 
 def _validate_theta(fam: "GeneratorFamily", theta: float) -> None:
@@ -265,7 +272,7 @@ class GeneratorFamily:
     domain: ThetaDomain = ThetaDomain(0.0, True)
     tilt: float = 0.0          # gamma in the a-function base gamma**theta + t
     tau_lo_attainable: bool = False   # is tau = 0 reached at the domain edge?
-    analytic: bool = False     # psi_column and the theta-derivative suite exist
+    analytic: bool = False     # the theta-derivative suite exists
 
     # -- generator values ------------------------------------------------
 
@@ -285,21 +292,14 @@ class GeneratorFamily:
     # -- higher derivatives ----------------------------------------------
 
     def psi_t_deriv(self, theta: float, t, k: int):
-        raise UnsupportedFamilyError(
-            f"{self.name}: analytic psi derivatives are not available"
-        )
-
-    def psi_column(self, theta: float, t, k_lo: int, k_hi: int,
-                   ratios: bool = False) -> PsiColumn:
-        """psi^(k)(t) on log scale for k = k_lo..k_hi over 1-d t."""
-        raise UnsupportedFamilyError(
-            f"{self.name}: analytic psi derivatives are not available"
-        )
-
-    def _psi_t_deriv_from_column(self, theta, t, k):
-        # one-k evaluation of psi_column, for any shape of t
+        """k-th t-derivative of psi: psi itself, or one k of psi_column."""
+        _validate_theta(self, theta)
+        _check_dim(k)
+        t = _as_nonneg(t)
+        if k == 0:
+            return self.psi(theta, t)
         col = self.psi_column(theta, np.atleast_1d(t).ravel(), k, k)
-        out = col.value(k).reshape(np.shape(t))
+        out = col.value(k).reshape(t.shape)
         return out if out.ndim else float(out)
 
     def phi_derivs(self, theta: float, u) -> PhiDerivs:
@@ -355,11 +355,6 @@ class Clayton(GeneratorFamily):
     def log_neg_phi_prime(self, theta, u):
         u = _as_unit(u)
         return math.log(theta) - (theta + 1.0) * np.log(u)
-
-    def psi_t_deriv(self, theta, t, k):
-        _validate_theta(self, theta)
-        _check_dim(k)
-        return self._psi_t_deriv_from_column(theta, _as_nonneg(t), k)
 
     def psi_column(self, theta, t, k_lo, k_hi, ratios=False):
         # psi^(k)(t) = (nu)_k (1 + t)^(nu - k) with nu = -1/theta
@@ -437,14 +432,9 @@ class Gumbel(GeneratorFamily):
         return math.log(theta) - np.log(u) + (theta - 1.0) * np.log(-np.log(u))
 
     def psi_t_deriv(self, theta, t, k):
-        _validate_theta(self, theta)
-        _check_dim(k)
-        t = np.asarray(t, dtype=float)
-        if np.any(t <= 0):
+        if np.any(np.asarray(t, dtype=float) <= 0):
             raise DomainError("t must be positive for Gumbel derivatives")
-        if k == 0:
-            return self.psi(theta, t)
-        return self._psi_t_deriv_from_column(theta, t, k)
+        return super().psi_t_deriv(theta, t, k)
 
     def psi_column(self, theta, t, k_lo, k_hi, ratios=False):
         # psi^(k)(t) = psi(t) sum_q (-1)^q s_kq(y) t^(q y - k) with y = 1/theta;
@@ -535,15 +525,7 @@ class Frank(GeneratorFamily):
 
     def psi(self, theta, t):
         _validate_theta(self, theta)
-        t = _as_nonneg(t)
-        # psi = -log(1 - w)/theta with w = (1-e^-theta) e^-t.  For w <= 1/2
-        # log1p keeps small psi accurate; above it, 1 - w is the sum of
-        # -expm1(-t) and exp(-t-theta), both positive, added on log scale
-        # so that neither term underflows as t -> 0 or theta grows
-        w = -math.expm1(-theta) * np.exp(-t)
-        with np.errstate(divide="ignore"):
-            near = np.logaddexp(np.log(-np.expm1(-t)), -t - theta)
-            out = -np.where(w <= 0.5, np.log1p(-w), near) / theta
+        out = -_frank_log1mw(theta, _as_nonneg(t)) / theta
         return out if out.ndim else float(out)
 
     def phi(self, theta, u):
@@ -561,15 +543,35 @@ class Frank(GeneratorFamily):
         out = theta * e / (e - 1.0)
         return out if out.ndim else float(out)
 
-    def psi_t_deriv(self, theta, t, k):
-        _validate_theta(self, theta)
-        _check_dim(k)
-        t = _as_nonneg(t)
-        if k == 0:
-            return self.psi(theta, t)
-        w = -math.expm1(-theta) * np.exp(-t)
-        out = ((-1.0) ** k / theta) * _polylog_neg(k - 1, w)
-        return out if out.ndim else float(out)
+    def psi_column(self, theta, t, k_lo, k_hi):
+        # (-1)^k psi^(k)(t) = w A_{k-1}(w) / (theta (1 - w)^k) with the
+        # Eulerian polynomial A_n: every term is positive.  log(1 - w) is
+        # needed to absolute accuracy only, so 1 - w is the sum of the
+        # positive -expm1(-t) and e^-t e^-theta, good to about an ulp, with
+        # psi's log-scale form only where that sum nears underflow
+        col = PsiColumn()
+        e = np.exp(-t)
+        w = -math.expm1(-theta) * e
+        one_m_w = e * math.exp(-theta)
+        one_m_w -= np.expm1(-t)
+        with np.errstate(divide="ignore"):
+            log1mw = np.log(one_m_w)
+        if one_m_w.min(initial=1.0) < 1e-290:
+            tiny = np.flatnonzero(one_m_w < 1e-290)
+            log1mw[tiny] = _frank_log1mw(theta, t[tiny])
+        base = math.log(-math.expm1(-theta) / theta) - t      # log(w/theta)
+        for k in range(k_lo, k_hi + 1):
+            col.logmag[k] = lm = base - k * log1mw
+            a = _eulerian_row(k - 1)
+            if len(a) > 1:
+                acc = w * a[-1]
+                for c in a[-2:0:-1]:
+                    acc += c
+                    acc *= w
+                acc += a[0]
+                lm += np.log(acc)
+            col.sign[k] = float((-1.0) ** k)
+        return col
 
     def tau(self, theta):
         _validate_theta(self, theta)
@@ -605,15 +607,31 @@ class Joe(GeneratorFamily):
         out = -theta * w / (1.0 - w * (1.0 - u))
         return out if out.ndim else float(out)
 
-    def psi_t_deriv(self, theta, t, k):
-        _validate_theta(self, theta)
-        _check_dim(k)
-        t = _as_nonneg(t)
-        if k == 0:
-            return self.psi(theta, t)
-        v = -np.expm1(-t)
-        out = -_joe_dk_v_alpha(1.0 / theta, v, k)
-        return out if out.ndim else float(out)
+    def psi_column(self, theta, t, k_lo, k_hi):
+        # (-1)^k psi^(k)(t) = alpha sum_j c_kj v^alpha y^j with alpha =
+        # 1/theta, v = 1 - e^-t, y = e^-t/v and the positive coefficients
+        # c_kj = S(k,j) (1-alpha)(2-alpha)...(j-1-alpha).  The polynomial in
+        # y is evaluated in y where y <= 1, and in 1/y after the per-row
+        # shift y^k elsewhere, so no power overflows.  log v is needed to
+        # absolute accuracy only, which log(-expm1(-t)) has for every t
+        col = PsiColumn()
+        alpha = 1.0 / theta
+        with np.errstate(divide="ignore"):
+            lv = np.log(-np.expm1(-t))
+        z = -t - lv                                # log y
+        up = z > 0.0
+        ys = np.exp(-np.abs(z))
+        base = math.log(alpha) + alpha * lv
+        ff = np.cumprod([1.0] + [i - alpha for i in range(1, k_hi)])
+        for k in range(k_lo, k_hi + 1):
+            c = [stirling_S(k, j) * ff[j - 1] for j in range(1, k + 1)]
+            acc = np.where(up, c[0], c[-1])
+            for i in range(1, k):
+                acc *= ys
+                acc += np.where(up, c[i], c[-1 - i])
+            col.logmag[k] = base + np.maximum(z, k * z) + np.log(acc)
+            col.sign[k] = float((-1.0) ** k)
+        return col
 
     def tau(self, theta):
         _validate_theta(self, theta)
@@ -628,11 +646,31 @@ class Joe(GeneratorFamily):
         return _tau_inv_bracketed(self, tau_val)
 
 
-# ---- Frank/Joe derivative helpers ------------------------------------
+# ---- Frank helpers ----------------------------------------------------
+
+def _frank_log1mw(theta: float, t: np.ndarray) -> np.ndarray:
+    """log(1 - w) with w = (1 - e^-theta) e^-t, which is -theta psi(t).
+
+    Where w <= 1/2, log1p keeps it accurate; elsewhere 1 - w is the sum of
+    -expm1(-t) and exp(-t - theta), both positive, added on log scale so
+    that neither underflows as t -> 0 or theta grows.  Each form runs on
+    its own elements only.
+    """
+    w = (-math.expm1(-theta) * np.exp(-t)).ravel()
+    out = np.empty_like(w)
+    lo = w <= 0.5
+    i = np.flatnonzero(lo)
+    out[i] = np.log1p(-w[i])
+    i = np.flatnonzero(~lo)
+    ti = t.ravel()[i]
+    with np.errstate(divide="ignore"):
+        out[i] = np.logaddexp(np.log(-np.expm1(-ti)), -ti - theta)
+    return out.reshape(t.shape)
+
 
 @lru_cache(maxsize=None)
-def _eulerian_row(n: int) -> tuple[int, ...]:
-    # Eulerian numbers A(n, 0..n-1)
+def _eulerian_row(n: int) -> tuple[float, ...]:
+    # Eulerian numbers A(n, 0..n-1), the coefficients of A_n; A_0 = 1
     row = [1]
     for m in range(2, n + 1):
         new = []
@@ -641,41 +679,7 @@ def _eulerian_row(n: int) -> tuple[int, ...]:
             right = row[i - 1] if i - 1 >= 0 else 0
             new.append((i + 1) * left + (m - i) * right)
         row = new
-    return tuple(row)
-
-
-def _polylog_neg(n: int, w: np.ndarray):
-    """Li_{-n}(w) for integer n >= 0 and w in (0, 1)."""
-    w = np.asarray(w, dtype=float)
-    if n == 0:
-        return w / (1.0 - w)
-    coeffs = _eulerian_row(n)
-    acc = np.zeros_like(w)
-    for i, a in enumerate(coeffs):
-        acc = acc + float(a) * w ** (n - i)
-    return acc / (1.0 - w) ** (n + 1)
-
-
-def _joe_dk_v_alpha(alpha: float, v: np.ndarray, k: int):
-    # d^k/dt^k v(t)**alpha with v = 1 - exp(-t): each t-derivative acts as
-    # (1-v) d/dv, mapping v**b to b v**(b-1) - b v**b, so the result stays a
-    # finite sum of powers v**(alpha + offset) whose coefficients we track
-
-    coeffs = {0: 1.0}
-    for _ in range(k):
-        new: dict[int, float] = {}
-        for off, c in coeffs.items():
-            b = alpha + off
-            if c == 0.0:
-                continue
-            new[off - 1] = new.get(off - 1, 0.0) + c * b
-            new[off] = new.get(off, 0.0) - c * b
-        coeffs = new
-    v = np.asarray(v, dtype=float)
-    acc = np.zeros_like(v)
-    for off, c in sorted(coeffs.items()):
-        acc = acc + c * v ** (alpha + off)
-    return acc
+    return tuple(float(a) for a in row)
 
 
 # ---- tau helpers ------------------------------------------------------
@@ -782,11 +786,7 @@ def phi_derivs(family, theta: float, u) -> PhiDerivs:
 
 
 def psi_t_deriv(family, theta: float, t, k: int):
-    """k-th derivative of psi in t.
-
-    Clayton and Gumbel use their closed forms; Frank and Joe use exact
-    polylogarithm/recurrence representations.
-    """
+    """k-th derivative of psi in t, one k of the family's psi_column."""
     return get_family(family).psi_t_deriv(theta, t, k)
 
 

@@ -358,24 +358,61 @@ def test_zero_rows_give_empty_outputs(fam):
 
 
 def test_numeric_error_names_the_global_row(monkeypatch):
-    # frank on two six-leaf nests at theta=(8, 30, 40) fails on some model
-    # draws; put one such row at index 69, in the second 64-row block
+    # give the root psi column the wrong sign on the one row whose t is
+    # large, put that row at index 69, in the second 64-row block, and the
+    # error must name it
     tree = HacTree([[1, 2, 3, 4, 5, 6], [7, 8, 9, 10, 11, 12]])
     spec = two_level_spec(tree, "frank", (8.0, 30.0, 40.0))
-    draws = clamp_unit(sample(tree, spec.theta, "frank", 300, seed=3).values)
-    good, bad = [], []
-    with np.errstate(all="ignore"):
-        for row in draws:
-            try:
-                log_density(spec, row)
-                good.append(row)
-            except NumericError:
-                bad.append(row)
-        assert bad and len(good) >= 100
-        u = np.vstack([good[:69], bad[:1], good[69:100]])
-        monkeypatch.setattr(density, "ROW_BLOCK", 64)
-        with pytest.raises(NumericError, match=r"rows \[69\]"):
-            log_density(spec, u)
+    u = np.random.default_rng(3).uniform(0.3, 0.95, (101, 12))
+    u[69] = 0.02                      # t = 11.3; below 0.2 on every other row
+    fam = spec.family
+    column = fam.psi_column
+
+    def wrong_sign(theta, t, k_lo, k_hi):
+        col = column(theta, t, k_lo, k_hi)
+        if (theta, k_lo) == (spec.theta[0], spec.K):
+            for k in col.sign:
+                col.sign[k] = np.where(t > 1.0, -col.sign[k], col.sign[k])
+        return col
+
+    assert np.all(np.isfinite(log_density(spec, u)))
+    monkeypatch.setattr(fam, "psi_column", wrong_sign)
+    monkeypatch.setattr(density, "ROW_BLOCK", 64)
+    with pytest.raises(NumericError, match=r"rows \[69\]"):
+        log_density(spec, u)
+
+
+# mpmath at 80 digits, sharing no code with haclrt: Taylor coefficients of
+# each phi_0(psi_s(.)) and of psi_0, from the closed-form generators,
+# composed into the mixed partial derivative of the copula
+JOE_SIX_NEST_ROWS = {
+    1806: -0.5979562869831129,
+    2734: 0.0260204615742987,
+    5543: -1.698277874767147,
+    8721: 2.9544708902047594,
+    8796: -2.1265863119606423,
+    12305: -1.876331511787934,
+}
+
+
+def test_frank_and_joe_rows_of_linear_scale_failures_evaluate():
+    # the former linear-scale psi derivatives raised NumericError on 17 of
+    # these 20 frank batches and on these six joe rows
+    tree = HacTree([[1, 2, 3, 4, 5, 6], [7, 8, 9, 10, 11, 12]])
+    spec = two_level_spec(tree, "frank", (8.0, 30.0, 40.0))
+    for seed in range(20):
+        with np.errstate(all="ignore"):
+            draws = sample(tree, spec.theta, "frank", 100, seed=seed).values
+        assert np.all(np.isfinite(log_density(spec, clamp_unit(draws))))
+    spec = two_level_spec(
+        SIX_NESTS, "joe", (1.3, 1.7, 2.1, 2.5, 2.9, 3.3, 3.7)
+    )
+    u = np.random.default_rng(20085).uniform(0.001, 0.999, (20001, 12))
+    rows = list(JOE_SIX_NEST_ROWS)
+    np.testing.assert_allclose(
+        log_density(spec, u[rows]), list(JOE_SIX_NEST_ROWS.values()),
+        rtol=0, atol=1e-12,
+    )
 
 
 def test_hessian_peak_memory_on_six_nests():
@@ -445,9 +482,12 @@ def test_density_caches_stay_bounded_over_fresh_theta():
     u = clamp_unit(np.random.default_rng(4).uniform(size=(8, 4)))
     sizes = []
     for i in range(100):
-        for fam, th0 in (("clayton", 0.9), ("gumbel", 1.3)):
+        for fam, th0 in (
+            ("clayton", 0.9), ("gumbel", 1.3), ("frank", 0.9), ("joe", 1.3)
+        ):
             theta = (th0 + 1e-3 * i, th0 + 0.5 + 2e-3 * i, th0 + 1.0 + 3e-3 * i)
-            log_density_and_derivs(two_level_spec(TREE4, fam, theta), u, order=2)
+            order = 2 if get_family(fam).analytic else 0
+            log_density_and_derivs(two_level_spec(TREE4, fam, theta), u, order)
         if i + 1 in (50, 100):
             sizes.append(_lru_entries())
     assert sizes[0] == sizes[1]

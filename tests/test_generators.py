@@ -229,7 +229,9 @@ def test_psi_t_deriv_alternates_in_sign(family):
 @pytest.mark.parametrize(
     "family,theta",
     [("clayton", th) for th in (0.2, 2.0, 8.0)]
-    + [("gumbel", th) for th in (1.05, 2.5, 8.0)],
+    + [("gumbel", th) for th in (1.05, 2.5, 8.0)]
+    + [("frank", th) for th in (0.5, 5.0, 30.0, 200.0)]
+    + [("joe", th) for th in (1.05, 2.5, 8.0)],
 )
 def test_psi_t_deriv_matches_mpmath(family, theta):
     # independent oracle: 50-digit numerical derivatives of the closed-form
@@ -240,9 +242,15 @@ def test_psi_t_deriv_matches_mpmath(family, theta):
         if family == "clayton":
             def f(s):
                 return (1 + s) ** (-1 / th)
-        else:
+        elif family == "gumbel":
             def f(s):
                 return mp.exp(-(s ** (1 / th)))
+        elif family == "frank":
+            def f(s):
+                return -mp.log(1 - (1 - mp.exp(-th)) * mp.exp(-s)) / th
+        else:
+            def f(s):
+                return 1 - (1 - mp.exp(-s)) ** (1 / th)
         for t in (1e-4, 0.3, 5.0, 200.0):
             ref = list(mp.diffs(f, mp.mpf(t), 8))
             for k in range(1, 9):
@@ -268,7 +276,9 @@ def test_frank_psi_matches_mpmath(theta):
 
 def test_psi_column_rows_match_one_k_calls():
     t = np.array([1e-3, 0.4, 3.0, 50.0])
-    for family, th in (("clayton", 1.7), ("gumbel", 2.2)):
+    for family, th in (
+        ("clayton", 1.7), ("gumbel", 2.2), ("frank", 6.0), ("joe", 2.4)
+    ):
         col = G.get_family(family).psi_column(th, t, 2, 6)
         for k in range(2, 7):
             np.testing.assert_array_equal(
