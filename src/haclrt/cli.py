@@ -144,9 +144,19 @@ def _build_argv(ctx: _Ctx, command: str, opts: dict) -> tuple[str, ...]:
     return tuple(argv)
 
 
-def _finish(ctx: _Ctx, command: str, opts: dict, payload, header=None,
-            rows=None):
-    """Emit the result and, when writing to a file, the manifest."""
+def _finish(ctx: _Ctx, payload, header=None, rows=None):
+    """Emit the result and, when writing to a file, the manifest.
+
+    The manifest records every option of the running command, keyed by
+    its ``--`` flag, in the order the command declares them.
+    """
+    click_ctx = click.get_current_context()
+    command = click_ctx.command.name
+    opts = {
+        next(o for o in param.opts if o.startswith("--")):
+            click_ctx.params[param.name]
+        for param in click_ctx.command.params
+    }
     cfg = RunConfig(
         command=command,
         argv=_build_argv(ctx, command, opts),
@@ -276,11 +286,9 @@ def cmd_sample(ctx, tree_text, family, theta_text, n):
     batch = sample(tree, theta, family, n, seed=ctx.seed)
     vals = batch.values
     header = [f"u{j}" for j in range(1, vals.shape[1] + 1)]
-    opts = {"--tree": tree_text, "--family": family,
-            "--theta": theta_text, "--n": n}
     payload = {"n": int(vals.shape[0]), "d": int(vals.shape[1]),
                "family": family, "values": vals.tolist()}
-    _finish(ctx, "sample", opts, payload, header=header, rows=vals)
+    _finish(ctx, payload, header=header, rows=vals)
 
 
 @main.command("fit")
@@ -303,10 +311,7 @@ def cmd_fit(ctx, data_path, tree_text, family, hyp_text, rank, starts):
     hyp = Hypothesis.parse(hyp_text) if hyp_text else None
     fit = mle(data, tree, family, hypothesis=hyp,
               config=_fit_config(ctx, starts))
-    opts = {"--data": data_path, "--tree": tree_text, "--family": family,
-            "--hypothesis": hyp_text, "--pseudo-obs": rank,
-            "--starts": starts}
-    _finish(ctx, "fit", opts, fit.to_dict())
+    _finish(ctx, fit.to_dict())
 
 
 @main.command("test")
@@ -346,12 +351,7 @@ def cmd_test(ctx, data_path, tree_text, family, hyp_text, method, alpha,
         sigma_at=sigma_at, n_sigma=n_sigma, m=m, seed=ctx.seed,
         config=_fit_config(ctx, starts), exact=exact, ridge=ridge,
     )
-    opts = {"--data": data_path, "--tree": tree_text, "--family": family,
-            "--hypothesis": hyp_text, "--method": method, "--alpha": alpha,
-            "--sigma-source": sigma_source, "--sigma-at": sigma_at,
-            "--m": m, "--n-sigma": n_sigma, "--exact": exact,
-            "--ridge": ridge, "--pseudo-obs": rank, "--starts": starts}
-    _finish(ctx, "test", opts, result.to_dict())
+    _finish(ctx, result.to_dict())
 
 
 @main.command("sigma")
@@ -393,11 +393,7 @@ def cmd_sigma(ctx, tree_text, family, theta_text, data_path, source, method,
         source=source, method=method, n_mc=n_mc, seed=ctx.seed,
         atoms=atoms, ridge=ridge, delta_tau=delta_tau,
     )
-    opts = {"--tree": tree_text, "--family": family, "--theta": theta_text,
-            "--data": data_path, "--source": source, "--method": method,
-            "--n-mc": n_mc, "--atoms": atoms_text, "--delta-tau": delta_tau,
-            "--ridge": ridge, "--pseudo-obs": rank}
-    _finish(ctx, "sigma", opts, est.to_dict())
+    _finish(ctx, est.to_dict())
 
 
 @main.command("power")
@@ -428,10 +424,7 @@ def cmd_power(ctx, family, tau, h_text, h_max, h_points, alpha, m, n_sigma,
     )
     header = ["family", "tau", "h_prime", "power", "atom_zero"]
     rows = [[r[k] for k in header] for r in curve.rows()]
-    opts = {"--family": family, "--tau": tau, "--h": h_text,
-            "--h-max": h_max, "--h-points": h_points, "--alpha": alpha,
-            "--m": m, "--n-sigma": n_sigma, "--delta-tau": delta_tau}
-    _finish(ctx, "power", opts, curve.to_dict(), header=header, rows=rows)
+    _finish(ctx, curve.to_dict(), header=header, rows=rows)
 
 
 @main.command("detscan")
@@ -461,10 +454,7 @@ def cmd_detscan(ctx, family, offsets_text, n_mc, tree_text, delta_tau):
         "all_positive": scan.all_positive,
         "rows": [list(r) for r in rows],
     }
-    opts = {"--family": family, "--offsets": offsets_text, "--n-mc": n_mc,
-            "--tree": tree_text, "--delta-tau": delta_tau}
-    _finish(ctx, "detscan", opts, payload,
-            header=["theta0", "theta1", "det"], rows=rows)
+    _finish(ctx, payload, header=["theta0", "theta1", "det"], rows=rows)
 
 
 @main.command("scenario")
@@ -527,12 +517,7 @@ def cmd_scenario(ctx, which, cases_text, df_text, mf_text, n_text, r, alpha,
                         "n_values": list(spec.n_values), "r": r,
                         "alpha": alpha},
                "table": table}
-    opts = {"--scenario": which, "--cases": cases_text,
-            "--data-families": df_text, "--model-families": mf_text,
-            "--n": n_text, "--r": r, "--alpha": alpha, "--m": m,
-            "--n-sigma": n_sigma, "--sigma-variants": variants_text,
-            "--long": long_form}
-    _finish(ctx, "scenario", opts, payload, header=header, rows=rows)
+    _finish(ctx, payload, header=header, rows=rows)
 
 
 def _wide_table(table, n_values):

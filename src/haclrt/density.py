@@ -11,39 +11,35 @@ where t_s sums phi_s over child s's coordinates, t(u) sums the
 child-to-root reparameterizations h_s(t_s) = phi_0(psi_s(t_s)) plus the
 root-leaf phi_0 terms, and k runs from the root's child count K to d.
 
-For Clayton and Gumbel, a_{s,q}(t) = s_{d_s,q}(x_s) (gamma^theta_s + t)^e
-with x_s = theta_0/theta_s and e = q x_s - d_s, which this module
-evaluates on log scale with one scale factor omega_s per child and one
-per-row shift for the psi_0^(k) column.  Every score and Hessian term is
-then a ratio of same-sign scaled sums, which stays finite and correct at
-exact parameter ties (x_s = 1, where a_{s,q} = 0 for q < d_s).
-
-Frank and Joe get density values through a generic nested-differentiation
-path (h_s derivatives by implicit recursion, a_{s,q} as partial Bell
-polynomials); their theta-derivatives are not provided, so "analytic"
-names the Clayton/Gumbel theta-suite only.  Both paths read the same
-log-scale psi_0^(k) column of the family and end in one psi sum,
-``_psi_sum``: per-row shift, compensated sum over k, and the sign check.
-
-This module holds the family-agnostic algebra only: the a-tables, the
-t-chain, the generic path, and B = prod_s a_s with its first and second
-theta-derivatives, built as one forward product of second-order jets
-(each child's a-table with its theta-derivatives, one product rule step
-per child).  Every generator formula it evaluates (the psi_0^(k) column
-with its derivative ratios, the s_nk polynomials, the theta-derivatives
-of phi) comes from the family object in ``generators``.
+One evaluation, ``_eval``, serves every family.  Per child it computes
+t_s and the B2 factors; a child hook, the only family-specific step,
+then returns h_s and the child's a-table.  For Clayton and Gumbel,
+``_child_table`` gives a_{s,q}(t) = s_{d_s,q}(x_s) (gamma^theta_s + t)^e
+with x_s = theta_0/theta_s and e = q x_s - d_s, and its theta-derivatives,
+on log scale with one scale factor omega_s per child.  Every score and
+Hessian term is then a ratio of same-sign scaled sums, which stays finite
+and correct at exact parameter ties (x_s = 1, where a_{s,q} = 0 for
+q < d_s).  Other families (Frank, Joe) use ``_bell_table``: h_s
+derivatives by implicit recursion and a_{s,q} as partial Bell
+polynomials, values only, so "analytic" names the Clayton/Gumbel
+theta-suite.  All children then enter B = prod_s a_s with its first and
+second theta-derivatives, one forward product of second-order jets
+(``_b_jet``); the root's log-scale psi_0^(k) column is read once, and
+``_psi_sum`` does the per-row shift, the compensated sum over k and the
+sign check.  Every generator formula comes from the family object in
+``generators``.
 
 Every per-row polynomial table (the a-tables and their jets, B and its
-derivatives, the generic path's Bell coefficients) is stored
-coefficient-major, as an (L, n) array with one contiguous row per
-coefficient, so each coefficient update is one contiguous pass.
-``log_density_and_derivs`` evaluates the rows in blocks of ``ROW_BLOCK``
-and concatenates the results, which keeps those tables cache-sized.  Two
-rules keep every row's numbers bit-identical to one pass over all rows:
-no block holds a single row (a trailing one joins the block before it),
-and every block starts at a multiple of ``ROW_BLOCK``.  Both exist for
-the matrix-vector products of Gumbel's psi column: BLAS takes another
-path for a single row, and its unrolled kernels group rows by offset.
+derivatives) is stored coefficient-major, as an (L, n) array with one
+contiguous row per coefficient, so each coefficient update is one
+contiguous pass.  ``log_density_and_derivs`` evaluates the rows in blocks
+of ``ROW_BLOCK`` and concatenates the results, which keeps those tables
+cache-sized.  Two rules keep every row's numbers bit-identical to one
+pass over all rows: no block holds a single row (a trailing one joins
+the block before it), and every block starts at a multiple of
+``ROW_BLOCK``.  Both exist for the matrix-vector products of Gumbel's psi
+column: BLAS takes another path for a single row, and its unrolled
+kernels group rows by offset.
 """
 
 from __future__ import annotations
@@ -182,23 +178,27 @@ def _polyunit(n: int) -> np.ndarray:
 
 
 # ====================================================================
-# per-child a-tables (Clayton/Gumbel analytic path)
+# per-child hooks: h_s and the a-table
 # ====================================================================
 
 @dataclass
 class _ChildJet:
-    """Second-order jet of child s's a-table, padded to exponents 0..d_s.
+    """Child s's term h_s of t and a-table jet, padded to exponents 0..d_s.
 
     Row q of ``a`` holds a_{s,q} (row 0 is zero); ``ar``/``ac`` are
     its derivatives in r = theta_0 and c = theta_s, and ``arr``, ``arc``,
     ``acc`` the second derivatives.  Derivatives in theta_s are total:
     t_s moves with theta_s.  Entries are the true quantities times
     exp(-omega) with the per-row scale omega fixed at the evaluation
-    point, so derivative rows share the value row's scaling.
+    point, so derivative rows share the value row's scaling.  The closed
+    form keeps lbeta = log(gamma^theta_s + t_s) and E = e^(x_s lbeta).
     """
 
-    omega: np.ndarray
+    h: np.ndarray
+    omega: np.ndarray | float
     a: np.ndarray
+    lbeta: np.ndarray | None = None
+    E: np.ndarray | None = None
     ar: np.ndarray | None = None
     ac: np.ndarray | None = None
     arr: np.ndarray | None = None
@@ -213,12 +213,16 @@ def _pad(cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def _child_table(th0, ths, ds, lbeta, tdot, tddot, order):
-    """Child s's jet up to ``order``.
+def _child_table(fam, th0, ths, ts, ds, tdot, tddot, order):
+    """Closed-form (Clayton/Gumbel) child jet up to ``order``.
 
-    tdot and tddot are the first two theta_s-derivatives of t_s.
+    h_s = (gamma^theta_s + t_s)^x - gamma^theta_0; tdot and tddot are the
+    first two theta_s-derivatives of t_s.
     """
     x = th0 / ths
+    lbeta = np.log1p(ts) if fam.tilt == 1.0 else np.log(ts)
+    E = np.exp(x * lbeta)                       # (gamma^th_s + t_s)^x
+    h = E - (1.0 if fam.tilt == 1.0 else 0.0)
     j = np.arange(1, ds + 1, dtype=float)
     e = j * x - ds                              # (ds,)
     elb = e[:, None] * lbeta[None, :]           # (ds, n)
@@ -226,7 +230,7 @@ def _child_table(th0, ths, ds, lbeta, tdot, tddot, order):
     xi = np.exp(elb - omega)
     sp0, sp1, sp2 = s_nk_table(x, ds)[:, 1:]    # s_{d_s,q}(x), q = 1..d_s
     v = xi * sp0[:, None]
-    jet = _ChildJet(omega, _pad(v))
+    jet = _ChildJet(h, omega, _pad(v), lbeta, E)
     if order == 0:
         return jet
     beta_inv = np.exp(-lbeta)
@@ -270,13 +274,65 @@ def _child_table(th0, ths, ds, lbeta, tdot, tddot, order):
     return jet
 
 
+class _BellMemo:
+    """Partial Bell polynomials B_{n,k}(x_1, ...) over a growing x-list.
+
+    B_{n,k} only reads x_1..x_{n-k+1}, so cached entries stay valid as
+    derivatives are appended during the implicit h-recursion.
+    """
+
+    def __init__(self, shape):
+        self.x: list[np.ndarray] = []
+        self._memo = {(0, 0): np.ones(shape)}
+        self._zero = np.zeros(shape)
+
+    def append(self, xi):
+        self.x.append(xi)
+
+    def __call__(self, n: int, k: int) -> np.ndarray:
+        if n == 0 or k == 0:
+            return self._memo.get((n, k), self._zero)
+        if k == 1:
+            return self.x[n - 1]
+        got = self._memo.get((n, k))
+        if got is None:
+            acc = np.zeros_like(self._zero)
+            for i in range(1, n - k + 2):
+                acc += math.comb(n - 1, i - 1) * self.x[i - 1] * self(n - i, k - 1)
+            self._memo[(n, k)] = got = acc
+        return got
+
+
+def _bell_table(fam, th0, ths, ts, ds):
+    """Value-only child jet for any family, with h_s = phi_0(psi_s(t_s)).
+
+    h_s's t-derivatives come from implicit differentiation of
+    psi_s = psi_0 . h_s, and a_{s,q} = B_{d_s,q}(h_s', h_s'', ...) is a
+    partial Bell polynomial; the table is unscaled (omega = 0).
+    """
+    n = ts.shape[0]
+    h = fam.phi(th0, fam.psi(ths, ts))
+    col_h = fam.psi_column(th0, h, 1, ds)
+    col_s = fam.psi_column(ths, ts, 1, ds)
+    psi0_at_h = {r: col_h.value(r) for r in range(1, ds + 1)}
+    bell = _BellMemo(n)
+    for i in range(1, ds + 1):
+        rhs = col_s.value(i)
+        for r in range(2, i + 1):
+            rhs = rhs - psi0_at_h[r] * bell(i, r)
+        bell.append(rhs / psi0_at_h[1])
+    a = np.zeros((ds + 1, n))
+    for q in range(1, ds + 1):
+        a[q] = bell(ds, q)
+    return _ChildJet(h, 0.0, a)
+
+
 # ====================================================================
-# t(u) chain: value and total theta-derivatives
+# t(u) chain: total theta-derivatives
 # ====================================================================
 
 @dataclass
 class _TChain:
-    t: np.ndarray
     T0: np.ndarray            # dt/d theta_0
     Ts: list                  # per child: dt/d theta_s (total)
     T00: np.ndarray
@@ -284,26 +340,20 @@ class _TChain:
     Tss: list
 
 
-def _t_chain(spec: TwoLevelSpec, rows, lbeta, tdot, tddot, want_derivs):
+def _t_chain(spec: TwoLevelSpec, rows, jets, tdot, tddot):
+    # differentiates the closed-form h_s = E_s - gamma^theta_0 of each jet
     fam = spec.family
     th0 = spec.theta[0]
     n = rows.shape[0]
-    gamma_pow = 1.0 if fam.tilt == 1.0 else 0.0  # gamma**theta_0
-
-    t = np.zeros(n)
-    T0 = np.zeros(n) if want_derivs else None
-    T00 = np.zeros(n) if want_derivs else None
+    T0 = np.zeros(n)
+    T00 = np.zeros(n)
     Ts, T0s, Tss = [], [], []
 
-    for s in range(spec.m):
+    for s, jet in enumerate(jets):
         ths = spec.theta[1 + s]
         x = th0 / ths
-        E = np.exp(x * lbeta[s])              # (gamma^th_s + t_s)^x
-        t += E - gamma_pow
-        if not want_derivs:
-            continue
-        beta_inv = np.exp(-lbeta[s])
-        lb = lbeta[s]
+        E, lb = jet.E, jet.lbeta
+        beta_inv = np.exp(-lb)
         T0 += E * lb / ths
         T00 += E * (lb / ths) ** 2
         F = beta_inv * tdot[s] - lb / ths
@@ -319,13 +369,10 @@ def _t_chain(spec: TwoLevelSpec, rows, lbeta, tdot, tddot, want_derivs):
         Tss.append(x * E * (-F / ths + x * F**2 + dF))
 
     if spec.leaf_cols:
-        ul = rows[:, list(spec.leaf_cols)]
-        t += fam.phi(th0, ul).sum(axis=1)
-        if want_derivs:
-            pd = fam.phi_derivs(th0, ul)
-            T0 += pd.dtheta.sum(axis=1)
-            T00 += pd.dtheta2.sum(axis=1)
-    return _TChain(t, T0, Ts, T00, T0s, Tss)
+        pd = fam.phi_derivs(th0, rows[:, list(spec.leaf_cols)])
+        T0 += pd.dtheta.sum(axis=1)
+        T00 += pd.dtheta2.sum(axis=1)
+    return _TChain(T0, Ts, T00, T0s, Tss)
 
 
 # ====================================================================
@@ -350,8 +397,7 @@ def log_density_and_derivs(spec: TwoLevelSpec, u, order: int = 0):
             "use finite differences on the log-density"
         )
     parts = [
-        _eval_analytic(spec, rows[lo:hi], order, lo) if fam.analytic
-        else (_log_density_generic(spec, rows[lo:hi], lo), None, None)
+        _eval(spec, rows[lo:hi], order, lo)
         for lo, hi in _row_blocks(rows.shape[0])
     ]
     out = tuple(
@@ -384,47 +430,45 @@ def hessian(spec: TwoLevelSpec, u):
     return log_density_and_derivs(spec, u, order=2)[2]
 
 
-def _eval_analytic(spec: TwoLevelSpec, rows, order: int, first: int = 0):
+def _eval(spec: TwoLevelSpec, rows, order: int, first: int = 0):
     fam = spec.family
     th0 = spec.theta[0]
     n, d = rows.shape
     m = spec.m
     want = order > 0
 
-    # per-child ingredients
-    lbeta = []
-    tdot, tddot = [None] * m, [None] * m
+    # per-child ingredients; the child hook adds h_s to t and builds the
+    # child's a-table
+    t = np.zeros(n)
     log_b2 = np.zeros(n)
+    tdot, tddot = [None] * m, [None] * m
     g_sums = [None] * (m + 1)
+    jets = []
     for s in range(m):
         ths = spec.theta[1 + s]
+        ds = spec.ds[s]
         us = rows[:, list(spec.child_cols[s])]
-        phis = fam.phi(ths, us)
-        ts = phis.sum(axis=1)
-        lbeta.append(np.log1p(ts) if fam.tilt == 1.0 else np.log(ts))
+        ts = fam.phi(ths, us).sum(axis=1)
         log_b2 += fam.log_neg_phi_prime(ths, us).sum(axis=1)
         if want:
             pd = fam.phi_derivs(ths, us)
             tdot[s] = pd.dtheta.sum(axis=1)
             tddot[s] = pd.dtheta2.sum(axis=1)
             g_sums[1 + s] = fam.dlog_neg_phi_prime_dtheta(ths, us).sum(axis=1)
+        if fam.analytic:
+            jet = _child_table(fam, th0, ths, ts, ds, tdot[s], tddot[s], order)
+        else:
+            jet = _bell_table(fam, th0, ths, ts, ds)
+        t += jet.h
+        jets.append(jet)
     if spec.leaf_cols:
         ul = rows[:, list(spec.leaf_cols)]
+        t += fam.phi(th0, ul).sum(axis=1)
         log_b2 += fam.log_neg_phi_prime(th0, ul).sum(axis=1)
         if want:
             g_sums[0] = fam.dlog_neg_phi_prime_dtheta(th0, ul).sum(axis=1)
     elif want:
         g_sums[0] = np.zeros(n)
-
-    chain = _t_chain(spec, rows, lbeta, tdot, tddot, want)
-
-    jets = [
-        _child_table(
-            th0, spec.theta[1 + s], spec.ds[s], lbeta[s], tdot[s], tddot[s],
-            order,
-        )
-        for s in range(m)
-    ]
     omega = np.sum([jet.omega for jet in jets], axis=0) if m else np.zeros(n)
 
     # B-polynomials: coefficient index = sum of q_s, valid range m..d-|L|
@@ -432,13 +476,17 @@ def _eval_analytic(spec: TwoLevelSpec, rows, order: int, first: int = 0):
     k_lo, k_hi = spec.K, d
     B, B_grads, B_hess = _b_jet(jets, n, order)
 
-    psi_col = fam.psi_column(th0, chain.t, k_lo, k_hi, ratios=want)
+    psi_col = (
+        fam.psi_column(th0, t, k_lo, k_hi, ratios=True) if want
+        else fam.psi_column(th0, t, k_lo, k_hi)
+    )
     psi_hat, D, log_sum = _psi_sum(spec, psi_col, B, omega, first)
     logc = log_sum + log_b2
     if order == 0:
         return logc, None, None
 
     # score: S_a = sum_k (B^a + B * R_a) psi_hat / D
+    chain = _t_chain(spec, rows, jets, tdot, tddot)
     p = spec.p
     R1 = _psi_ratios_first(psi_col, chain, k_lo, k_hi, p)
     S = np.zeros((n, p))
@@ -544,7 +592,7 @@ def _b_jet(jets, n, order):
             G = [_polymul(g, a) for g in G]
             G[0] += _polymul(V, jet.ar)
             G.append(_polymul(V, jet.ac))
-        V = _polymul(V, a)
+        V = _polymul(V, a) if s else a      # V is 1 before the first child
     return V, (G if order > 0 else None), (H if order > 1 else None)
 
 
@@ -583,75 +631,3 @@ def _psi_ratios_second(psi_col, chain, k_lo, k_hi, p):
             for r in range(s + 1, p - 1):
                 R[(1 + s, 1 + r)][k] = chain.Ts[s] * chain.Ts[r] * ftt
     return R
-
-
-# ====================================================================
-# generic value-only path (all families)
-# ====================================================================
-
-class _BellMemo:
-    """Partial Bell polynomials B_{n,k}(x_1, ...) over a growing x-list.
-
-    B_{n,k} only reads x_1..x_{n-k+1}, so cached entries stay valid as
-    derivatives are appended during the implicit h-recursion.
-    """
-
-    def __init__(self, shape):
-        self.x: list[np.ndarray] = []
-        self._memo = {(0, 0): np.ones(shape)}
-        self._zero = np.zeros(shape)
-
-    def append(self, xi):
-        self.x.append(xi)
-
-    def __call__(self, n: int, k: int) -> np.ndarray:
-        if n == 0 or k == 0:
-            return self._memo.get((n, k), self._zero)
-        if k == 1:
-            return self.x[n - 1]
-        got = self._memo.get((n, k))
-        if got is None:
-            acc = np.zeros_like(self._zero)
-            for i in range(1, n - k + 2):
-                acc += math.comb(n - 1, i - 1) * self.x[i - 1] * self(n - i, k - 1)
-            self._memo[(n, k)] = got = acc
-        return got
-
-
-def _log_density_generic(spec: TwoLevelSpec, rows, first: int = 0):
-    fam = spec.family
-    th0 = spec.theta[0]
-    n = rows.shape[0]
-
-    log_b2 = np.zeros(n)
-    t = np.zeros(n)
-    B = _polyunit(n)
-    for s in range(spec.m):
-        ths = spec.theta[1 + s]
-        ds = spec.ds[s]
-        us = rows[:, list(spec.child_cols[s])]
-        ts = fam.phi(ths, us).sum(axis=1)
-        log_b2 += fam.log_neg_phi_prime(ths, us).sum(axis=1)
-        h_val = fam.phi(th0, fam.psi(ths, ts))
-        t += h_val
-        # h-derivatives by implicit differentiation of psi_s = psi_0 . h
-        col_h = fam.psi_column(th0, h_val, 1, ds)
-        col_s = fam.psi_column(ths, ts, 1, ds)
-        psi0_at_h = {r: col_h.value(r) for r in range(1, ds + 1)}
-        bell = _BellMemo(n)
-        for i in range(1, ds + 1):
-            rhs = col_s.value(i)
-            for r in range(2, i + 1):
-                rhs = rhs - psi0_at_h[r] * bell(i, r)
-            bell.append(rhs / psi0_at_h[1])
-        coeffs = np.zeros((ds + 1, n))
-        for q in range(1, ds + 1):
-            coeffs[q] = bell(ds, q)
-        B = _polymul(B, coeffs) if s else coeffs
-    if spec.leaf_cols:
-        ul = rows[:, list(spec.leaf_cols)]
-        t += fam.phi(th0, ul).sum(axis=1)
-        log_b2 += fam.log_neg_phi_prime(th0, ul).sum(axis=1)
-
-    col = fam.psi_column(th0, t, spec.K, spec.d)
-    return _psi_sum(spec, col, B, 0.0, first)[2] + log_b2

@@ -298,33 +298,28 @@ def _sibling_swaps(tree: HacTree, atoms) -> list[tuple[int, ...]]:
     return swaps
 
 
-def _perm_closure(p: int, generators) -> list[tuple[int, ...]]:
-    group = {tuple(range(p))}
-    frontier = list(group)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in generators:
-                comp = tuple(g[s[i]] for i in range(p))
-                if comp not in group:
-                    group.add(comp)
-                    nxt.append(comp)
-        frontier = nxt
-        if len(group) > 720:
-            raise DomainError("symmetry group too large to enforce")
-    return sorted(group)
-
-
 def _enforce_equalities(info: np.ndarray, tree: HacTree, atoms) -> np.ndarray:
+    """Average info over the group the sibling swaps generate.
+
+    The group average of entry (i, j) is its mean over its orbit, the
+    pairs (g_i, g_j) the group maps it to.  Every swap is its own inverse,
+    so spreading the smallest flat index i*p + j along the swaps until
+    nothing changes labels the orbits without listing the group.
+    """
     swaps = _sibling_swaps(tree, atoms)
     if not swaps:
         return info
-    group = _perm_closure(tree.p, swaps)
-    out = np.zeros_like(info)
-    for perm in group:
-        idx = np.asarray(perm)
-        out += info[np.ix_(idx, idx)]
-    return out / len(group)
+    p = tree.p
+    g = np.asarray(swaps)
+    moves = (g[:, :, None] * p + g[:, None, :]).reshape(len(swaps), -1)
+    label, last = np.arange(p * p), None
+    while not np.array_equal(label, last):
+        last = label
+        for mv in moves:
+            label = np.minimum(label, label[mv])
+    orbit = np.unique(label, return_inverse=True)[1]
+    mean = np.bincount(orbit, weights=info.ravel()) / np.bincount(orbit)
+    return mean[orbit].reshape(info.shape)
 
 
 def sigma_hat(

@@ -257,12 +257,15 @@ _LN2 = math.log(2.0)
 def _log1mexp(x):
     """log(1 - exp(-x)) for x >= 0 without cancellation on either side."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    hi = x > _LN2
-    out[hi] = np.log1p(-np.exp(-x[hi]))
+    flat = x.ravel()
+    out = np.empty_like(flat)
+    hi = flat > _LN2
+    i = np.flatnonzero(hi)
+    out[i] = np.log1p(-np.exp(-flat[i]))
+    i = np.flatnonzero(~hi)
     with np.errstate(divide="ignore"):
-        out[~hi] = np.log(-np.expm1(-x[~hi]))
-    return out
+        out[i] = np.log(-np.expm1(-flat[i]))
+    return out.reshape(x.shape)
 
 
 class GeneratorFamily:

@@ -284,6 +284,56 @@ def test_rerun_json_payload_stable(runner, tmp_path):
     assert a == b
 
 
+# one cheap run of each command, with most of its options set away from
+# their defaults
+COMMAND_RUNS = {
+    "sample": ["--tree", TREE, "--family", "clayton", "--theta", "1.5,2.5",
+               "--n", "6"],
+    "fit": ["--data", "{data}", "--tree", TREE, "--family", "gumbel",
+            "--hypothesis", "(0,1)=(0)", "--pseudo-obs", "--starts", "2"],
+    "test": ["--data", "{data}", "--tree", TREE, "--family", "gumbel",
+             "--hypothesis", "(0,1)=(0)", "--method", "mc", "--alpha", "0.1",
+             "--sigma-source", "observed", "--sigma-at", "full",
+             "--m", "1000", "--exact", "--ridge", "--starts", "1"],
+    "sigma": ["--tree", TREE, "--family", "clayton", "--theta", "1.5,2.5",
+              "--data", "{data}", "--source", "observed", "--method", "fd",
+              "--atoms", "(0,1)=(0)", "--delta-tau", "0.02", "--ridge"],
+    "power": ["--family", "gumbel", "--tau", "0.5", "--h-max", "0.3",
+              "--h-points", "2", "--alpha", "0.1", "--m", "300",
+              "--n-sigma", "400"],
+    "detscan": ["--family", "clayton", "--offsets", "0.5,1.0",
+                "--n-mc", "300", "--tree", TREE, "--delta-tau", "0.02"],
+    "scenario": ["--scenario", "I", "--cases", "a",
+                 "--data-families", "gumbel", "--model-families", "gumbel",
+                 "--n", "32", "--r", "1", "--m", "200", "--n-sigma", "300",
+                 "--sigma-variants", "null:mc", "--long"],
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_RUNS)
+def test_manifest_covers_every_option_and_reruns(runner, tmp_path, command):
+    data = str(_sample_file(runner, tmp_path / "d.csv", n=120))
+    args = [a.format(data=data) for a in COMMAND_RUNS[command]]
+    out = tmp_path / "a.csv"
+    result = _invoke(runner, ["--seed", "5", "--out", str(out), command]
+                     + args)
+    assert result.exit_code == 0
+    manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
+    declared = [
+        next(o for o in p.opts if o.startswith("--"))
+        for p in main.commands[command].params
+    ]
+    assert list(manifest["options"]) == ["seed", "jobs", "format", "out"] + [
+        flag[2:].replace("-", "_") for flag in declared
+    ]
+    for flag in args:
+        if flag.startswith("-"):
+            assert flag in manifest["argv"]
+    code = rerun(tmp_path / "a.csv.manifest.json", out=str(tmp_path / "b.csv"))
+    assert code == 0
+    assert out.read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
 def test_manifest_requires_fields(tmp_path):
     bad = tmp_path / "m.json"
     bad.write_text(json.dumps({"command": "sample"}))

@@ -13,9 +13,10 @@ from haclrt.density import (
     log_density_and_derivs,
     score,
     two_level_spec,
+    TwoLevelSpec,
 )
 from haclrt import density, generators
-from haclrt.density import _as_rows, _log_density_generic
+from haclrt.density import _bell_table, _child_table
 from haclrt.errors import DomainError, NumericError
 from haclrt.generators import get_family
 from haclrt.sampler import sample
@@ -89,7 +90,7 @@ def _fd_hessian(spec, u, h=1e-4, f=log_density):
 def _log_density_past_ties(spec, u):
     # the analytic formula continues smoothly through theta_s = theta_0, so
     # central differences may straddle a tie that log_density would reject
-    return density._eval_analytic(spec, np.atleast_2d(u), 0)[0][0]
+    return density._eval(spec, np.atleast_2d(u), 0)[0][0]
 
 
 # high-precision reference values (50-digit arithmetic, mixed partial of
@@ -198,11 +199,47 @@ def test_score_and_hessian_on_six_nests(fam, root, half_tied):
 @pytest.mark.parametrize("fam", ["clayton", "gumbel"])
 @pytest.mark.parametrize("tree", [TREE3, TREE4], ids=["d3", "d4"])
 def test_generic_and_analytic_paths_agree(fam, tree):
+    # a Clayton/Gumbel instance without the theta-suite takes the Bell hook
     rng = np.random.default_rng(37)
     spec = _random_spec(rng, fam, tree)
+    bell_fam = type(spec.family)()
+    bell_fam.analytic = False
+    bell_spec = TwoLevelSpec(
+        bell_fam, spec.theta, spec.child_cols, spec.leaf_cols
+    )
     U = rng.uniform(0.05, 0.95, (20, tree.d))
-    rows, _ = _as_rows(spec, U)
-    assert np.max(np.abs(log_density(spec, U) - _log_density_generic(spec, rows))) < 1e-10
+    gap = np.abs(log_density(spec, U) - log_density(bell_spec, U))
+    assert np.max(gap) < 1e-10
+
+
+HOOK_TREES = {
+    "d3": TREE3,
+    "d4": TREE4,
+    "d6": HacTree([[1, 2, 3], 4, [5, 6]]),
+}
+
+
+@pytest.mark.parametrize("fam", ["clayton", "gumbel"])
+@pytest.mark.parametrize("tree", HOOK_TREES.values(), ids=HOOK_TREES.keys())
+@pytest.mark.parametrize("gap", [1.0, 1e-6], ids=["interior", "gap-1e-6"])
+def test_bell_and_closed_form_child_hooks_agree(fam, tree, gap):
+    # each child's h_s and a-table (the closed form's scaled a times
+    # e^omega); near a tie the low coefficients vanish like the gap, so the
+    # table is compared on the scale of each row's largest coefficient
+    f = get_family(fam)
+    th0 = THETA_LO[fam] + 0.7
+    theta = [th0] + [th0 + gap * (s + 1) for s in range(tree.p - 1)]
+    spec = two_level_spec(tree, fam, theta)
+    U = np.random.default_rng(43).uniform(0.05, 0.95, (20, tree.d))
+    for s, cols in enumerate(spec.child_cols):
+        ths, ds = spec.theta[1 + s], spec.ds[s]
+        ts = f.phi(ths, U[:, list(cols)]).sum(axis=1)
+        closed = _child_table(f, th0, ths, ts, ds, None, None, 0)
+        bell = _bell_table(f, th0, ths, ts, ds)
+        np.testing.assert_allclose(bell.h, closed.h, rtol=1e-12)
+        table = closed.a * np.exp(closed.omega)
+        scale = np.abs(table).max(axis=0)
+        assert np.max(np.abs(bell.a - table) / scale) < 1e-10
 
 
 @pytest.mark.parametrize(

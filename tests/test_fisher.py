@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from haclrt.fisher import (
     fd_scheme,
     kendall_step,
     sigma_hat,
+    _enforce_equalities,
 )
 from haclrt.generators import Gumbel, tau_inv
 from haclrt.sampler import sample
@@ -199,6 +202,49 @@ def test_sigma_null_enforcement_exact_equalities():
     # without atoms the raw estimate has no reason to tie exactly
     raw = sigma_hat(u, TREE4, "gumbel", th, at="bullet")
     assert raw.info[1, 1] != raw.info[2, 2]
+
+
+def _nests(k):
+    return HacTree([[2 * i + 1, 2 * i + 2] for i in range(k)])
+
+
+def _group_average(info, perms):
+    return sum(info[np.ix_(g, g)] for g in perms) / len(perms)
+
+
+def test_orbit_mean_is_the_group_average():
+    # all nests of six tied twin nests are interchangeable: 720 swaps of
+    # the parameters 1..6, listed here and averaged entry by entry
+    rng = np.random.default_rng(17)
+    tree = _nests(6)
+    atoms = tuple((k,) for k in range(1, 7))
+    a = rng.standard_normal((7, 7))
+    info = a @ a.T
+    perms = [(0, *g) for g in itertools.permutations(range(1, 7))]
+    np.testing.assert_allclose(
+        _enforce_equalities(info, tree, atoms), _group_average(info, perms),
+        rtol=1e-13, atol=0,
+    )
+    # a twin tree's group is one swap, and the two averages share every bit
+    info = info[:3, :3]
+    assert np.array_equal(
+        _enforce_equalities(info, TREE4, ((1,), (2,))),
+        _group_average(info, [(0, 1, 2), (0, 2, 1)]),
+    )
+
+
+def test_sigma_on_seven_tied_nests():
+    # a symmetry group of 7! = 5040 elements, never listed
+    tree = _nests(7)
+    th = (1.6,) * 8
+    u = sample(tree, th, "gumbel", 400, seed=3).values
+    est = sigma_hat(u, tree, "gumbel", th, at="circ",
+                    atoms=tuple((k,) for k in range(1, 8)))
+    info = est.info
+    for k in range(2, 8):
+        assert info[k, k] == info[1, 1] and info[0, k] == info[0, 1]
+        assert info[1, k] == info[1, 2] == info[k - 1, k]
+    assert np.all(np.isfinite(est.sigma))
 
 
 def test_sigma_mc_scale_with_n():

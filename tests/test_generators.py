@@ -274,6 +274,27 @@ def test_frank_psi_matches_mpmath(theta):
             assert G.psi("frank", theta, t) == val
 
 
+def test_log1mexp_matches_mpmath_on_arrays_and_scalars():
+    # both forms, at their ln 2 seam, at the t = 0 pole and deep in the
+    # tail (400 digits keep 1 - e^-700 apart from 1); scalars, flat and
+    # 2-d arrays give the same bits
+    mp = pytest.importorskip("mpmath")
+    ln2 = math.log(2.0)
+    xs = np.array([0.0, 1e-300, 1e-8, np.nextafter(ln2, 0.0), ln2,
+                   np.nextafter(ln2, 1.0), 1.0, 36.0, 700.0])
+    got = G._log1mexp(xs)
+    assert got[0] == -np.inf
+    with mp.workdps(400):
+        for x, val in zip(xs[1:], got[1:]):
+            ref = mp.log(-mp.expm1(-mp.mpf(float(x))))
+            assert abs(mp.mpf(val) / ref - 1) <= 4e-16, x
+    for x, val in zip(xs, got):
+        assert G._log1mexp(x) == val
+    np.testing.assert_array_equal(
+        G._log1mexp(xs.reshape(3, 3)), got.reshape(3, 3)
+    )
+
+
 def test_psi_column_rows_match_one_k_calls():
     t = np.array([1e-3, 0.4, 3.0, 50.0])
     for family, th in (
