@@ -11,29 +11,41 @@ where t_s sums phi_s over child s's coordinates, t(u) sums the
 child-to-root reparameterizations h_s(t_s) = phi_0(psi_s(t_s)) plus the
 root-leaf phi_0 terms, and k runs from the root's child count K to d.
 
-One evaluation, ``_eval``, serves every family.  Per child it computes
-t_s and the B2 factors; a child hook, the only family-specific step,
-then returns h_s and the child's a-table.  For Clayton and Gumbel,
-``_child_table`` gives a_{s,q}(t) = s_{d_s,q}(x_s) (gamma^theta_s + t)^e
-with x_s = theta_0/theta_s and e = q x_s - d_s, and its theta-derivatives,
-on log scale with one scale factor omega_s per child.  Every score and
-Hessian term is then a ratio of same-sign scaled sums, which stays finite
-and correct at exact parameter ties (x_s = 1, where a_{s,q} = 0 for
-q < d_s).  Other families (Frank, Joe) use ``_bell_table``: h_s
-derivatives by implicit recursion and a_{s,q} as partial Bell
-polynomials, values only, so "analytic" names the Clayton/Gumbel
-theta-suite.  All children then enter B = prod_s a_s with its first and
-second theta-derivatives, one forward product of second-order jets
-(``_b_jet``); the root's log-scale psi_0^(k) column is read once, and
-``_psi_sum`` does the per-row shift, the compensated sum over k and the
-sign check.  Every generator formula comes from the family object in
-``generators``.
+One evaluation, ``_eval``, serves every family.  It takes the children
+in size groups (``_size_groups``): the children of one size d_s, stacked
+along a leading group axis, so each generator call and each table below
+runs once per group, with one theta_s per child broadcast over the group
+axis; a lone child is a group of one.  Per group it computes t_s and the
+B2 factors; a child hook, the only family-specific step, then returns
+the group's h_s and a-tables.  For Clayton and Gumbel, ``_child_table``
+gives a_{s,q}(t) = s_{d_s,q}(x_s) (gamma^theta_s + t)^e with x_s =
+theta_0/theta_s and e = q x_s - d_s, and its theta-derivatives, on log
+scale with one scale factor omega_s per child; the s_{d_s,q}(x_s) of the
+whole group come from one table pass.  Every score and Hessian term is
+then a ratio of same-sign scaled sums, which stays finite and correct at
+exact parameter ties (x_s = 1, where a_{s,q} = 0 for q < d_s).  Other
+families (Frank, Joe) use ``_bell_table``: h_s derivatives by implicit
+recursion and a_{s,q} as partial Bell polynomials, values only, one child
+of the group at a time, so "analytic" names the Clayton/Gumbel
+theta-suite.  All children then enter B = prod_s a_s, in child order,
+with its first and second theta-derivatives, one forward product of
+second-order jets (``_b_jet``) whose derivative entries are stacked
+arrays.  The root's log-scale psi_0^(k) column is read once, its s_kq
+tables built in one pass over every k it needs, and ``_psi_sum`` does
+the per-row shift, the compensated sum over k and the sign check.  The
+score and Hessian then sum over k in k order, each step one product over
+all theta indices or pairs.  Every generator formula comes from the
+family object in ``generators``.
+
+Stacking changes no arithmetic: every elementwise expression, every
+per-child float constant and every sum order is that of a one-child
+evaluation, so each row's numbers do not depend on the grouping.
 
 Every per-row polynomial table (the a-tables and their jets, B and its
-derivatives) is stored coefficient-major, as an (L, n) array with one
-contiguous row per coefficient, so each coefficient update is one
-contiguous pass.  ``log_density_and_derivs`` evaluates the rows in blocks
-of ``ROW_BLOCK`` and concatenates the results, which keeps those tables
+derivatives) is stored coefficient-major, with one contiguous row of n
+values per coefficient, and holds only the band of exponents that can be
+nonzero.  ``log_density_and_derivs`` evaluates the rows in blocks of
+``ROW_BLOCK`` and concatenates the results, which keeps those tables
 cache-sized.  Two rules keep every row's numbers bit-identical to one
 pass over all rows: no block holds a single row (a trailing one joins
 the block before it), and every block starts at a multiple of
@@ -151,7 +163,8 @@ def _as_rows(spec: TwoLevelSpec, u) -> np.ndarray:
     rows = np.atleast_2d(u)
     if rows.shape[1] != spec.d:
         raise DomainError(f"expected {spec.d} columns, got {rows.shape[1]}")
-    if not np.all(np.isfinite(rows)) or np.any((rows <= 0) | (rows >= 1)):
+    # a NaN or an infinity fails both comparisons
+    if not np.all((rows > 0.0) & (rows < 1.0)):
         raise DomainError("u must lie strictly inside the unit cube")
     return (rows, squeeze)
 
@@ -160,16 +173,16 @@ def _as_rows(spec: TwoLevelSpec, u) -> np.ndarray:
 # compositions as polynomial convolutions
 # ====================================================================
 
-def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # per-column polynomial product; row index = exponent
-    la, n = a.shape
-    lb = b.shape[0]
-    out = np.zeros((la + lb - 1, n))
+def _polymul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    # per-column polynomial products along axis -2, leading axes broadcast;
+    # a and b hold bands of consecutive coefficient rows, and out (zero on
+    # entry) gets the band from the sum of their lowest exponents
+    la, lb = a.shape[-2], b.shape[-2]
+    if out is None:
+        lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        out = np.zeros(lead + (la + lb - 1, a.shape[-1]))
     for i in range(lb):
-        bi = b[i]
-        if not bi.any():
-            continue
-        out[i : i + la] += a * bi
+        out[..., i : i + la, :] += a * b[..., i : i + 1, :]
     return out
 
 
@@ -177,101 +190,156 @@ def _polyunit(n: int) -> np.ndarray:
     return np.ones((1, n))
 
 
+def _size_groups(ds) -> list[list[int]]:
+    # children of equal size, each list in child order; ``_eval`` stacks
+    # every group into one array
+    groups: dict[int, list[int]] = {}
+    for s, size in enumerate(ds):
+        groups.setdefault(size, []).append(s)
+    return list(groups.values())
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(p: int):
+    # the pairs a <= b of theta indices in column order (b, then a), the
+    # order in which ``_b_jet`` appends them
+    pairs = [(a, b) for b in range(p) for a in range(b + 1)]
+    ia, ib = (np.array(v) for v in zip(*pairs))
+    for v in (ia, ib):
+        v.flags.writeable = False
+    return ia, ib
+
+
 # ====================================================================
-# per-child hooks: h_s and the a-table
+# per-group hooks: h_s and the a-table jets
 # ====================================================================
 
 @dataclass
-class _ChildJet:
-    """Child s's term h_s of t and a-table jet, padded to exponents 0..d_s.
+class _GroupJet:
+    """A size group's terms h_s of t and a-table jets, one row per child.
 
-    Row q of ``a`` holds a_{s,q} (row 0 is zero); ``ar``/``ac`` are
-    its derivatives in r = theta_0 and c = theta_s, and ``arr``, ``arc``,
-    ``acc`` the second derivatives.  Derivatives in theta_s are total:
-    t_s moves with theta_s.  Entries are the true quantities times
-    exp(-omega) with the per-row scale omega fixed at the evaluation
-    point, so derivative rows share the value row's scaling.  The closed
-    form keeps lbeta = log(gamma^theta_s + t_s) and E = e^(x_s lbeta).
+    ``jet[i, f]`` is child i's table for field f of (a, ar, ac, arr, arc,
+    acc): row q - 1 holds a_{s,q}, q = 1..d_s (a_{s,0} = 0 is not stored),
+    or its derivatives in r = theta_0 and c = theta_s, first then second;
+    an evaluation of order 0, 1 or 2 builds the first 1, 3 or 6 fields.
+    Derivatives in theta_s are total: t_s moves with theta_s.  Entries
+    are the true quantities times exp(-omega) with the per-row scale
+    omega fixed at the evaluation point, so derivative rows share the
+    value row's scaling.  The closed form keeps lbeta = log(gamma^theta_s
+    + t_s), E = e^(x_s lbeta) and 1/(gamma^theta_s + t_s) for the t-chain.
     """
 
-    h: np.ndarray
-    omega: np.ndarray | float
-    a: np.ndarray
+    h: np.ndarray                   # (g, n)
+    omega: np.ndarray | float       # (g, n), or 0 for unscaled tables
+    jet: np.ndarray                 # (g, fields, d_s, n)
     lbeta: np.ndarray | None = None
     E: np.ndarray | None = None
-    ar: np.ndarray | None = None
-    ac: np.ndarray | None = None
-    arr: np.ndarray | None = None
-    arc: np.ndarray | None = None
-    acc: np.ndarray | None = None
+    beta_inv: np.ndarray | None = None
 
 
-def _pad(cols: np.ndarray) -> np.ndarray:
-    # child coefficient rows live at exponents 1..d_s
-    out = np.zeros((cols.shape[0] + 1, cols.shape[1]))
-    out[1:] = cols
-    return out
+def _consts(rows, ndim):
+    """Per-child float constants, one tuple of them per child.
+
+    A lone child keeps its floats, which broadcast like the arrays of a
+    one-child evaluation; a larger group gets one (g, 1, ..., 1) column
+    with ndim axes per constant.  Either way each child's arithmetic is
+    that of its own floats.
+    """
+    if len(rows) == 1:
+        return rows[0]
+    cols = np.array(rows).T
+    return cols.reshape(cols.shape + (1,) * (ndim - 1))
 
 
 def _child_table(fam, th0, ths, ts, ds, tdot, tddot, order):
-    """Closed-form (Clayton/Gumbel) child jet up to ``order``.
+    """Closed-form (Clayton/Gumbel) jets of one size group up to ``order``.
 
-    h_s = (gamma^theta_s + t_s)^x - gamma^theta_0; tdot and tddot are the
-    first two theta_s-derivatives of t_s.
+    ths lists the group's theta_s; ts, tdot and tddot are (g, n): t_s and
+    its first two theta_s-derivatives.  h_s = (gamma^theta_s + t_s)^x -
+    gamma^theta_0.  Each per-child constant is the float expression a
+    one-child evaluation uses: a float for a lone child, else a (g, 1, 1)
+    column.  Per-child rows are (g, 1, n), per-coefficient ones (g, d_s, n).
     """
-    x = th0 / ths
+    xs = [th0 / th for th in ths]
+    (x,) = _consts([(xv,) for xv in xs], 3)
+    ts = ts[:, None, :]
     lbeta = np.log1p(ts) if fam.tilt == 1.0 else np.log(ts)
     E = np.exp(x * lbeta)                       # (gamma^th_s + t_s)^x
     h = E - (1.0 if fam.tilt == 1.0 else 0.0)
-    j = np.arange(1, ds + 1, dtype=float)
-    e = j * x - ds                              # (ds,)
-    elb = e[:, None] * lbeta[None, :]           # (ds, n)
-    omega = elb.max(axis=0)
-    xi = np.exp(elb - omega)
-    sp0, sp1, sp2 = s_nk_table(x, ds)[:, 1:]    # s_{d_s,q}(x), q = 1..d_s
-    v = xi * sp0[:, None]
-    jet = _ChildJet(h, omega, _pad(v), lbeta, E)
+    j = np.arange(1, ds + 1, dtype=float)[:, None]
+    e = j * x - ds                              # q x_s - d_s
+    elb = e * lbeta
+    omega = elb.max(axis=1, keepdims=True)
+    xi = elb
+    xi -= omega
+    np.exp(xi, out=xi)
+    # s_{d_s,q}(x), q = 1..d_s, one table for the group: (g, ds, 1) each
+    sp0, sp1, sp2 = s_nk_table(np.array(xs), ds)[:, 1:].transpose(0, 2, 1)[
+        ..., None
+    ]
+    jet = np.empty((len(ths), (1, 3, 6)[order], ds, ts.shape[2]))
+    v = np.multiply(xi, sp0, out=jet[:, 0])
+    out = _GroupJet(h[:, 0], omega[:, 0], jet, lbeta[:, 0], E[:, 0])
     if order == 0:
-        return jet
+        return out
+    thc, ths2, c2, c3, c23, c3b, c24 = _consts(
+        [
+            (
+                th,
+                th**2,
+                2.0 * (th0 / th**2),
+                th0 / th**3,
+                th0**2 / th**3,
+                2.0 * (th0 / th**3),
+                th0**2 / th**4,
+            )
+            for th in ths
+        ],
+        3,
+    )
     beta_inv = np.exp(-lbeta)
-    e = e[:, None]
-    zeta = (j / ths)[:, None] * lbeta
-    xi_sp1 = xi * sp1[:, None]
+    out.beta_inv = beta_inv[:, 0]
+    j_ths = j / thc                             # j / theta_s
+    zeta = j_ths * lbeta
+    xi_sp1 = xi * sp1
+    tdot = tdot[:, None, :]
 
     # partials at fixed t (dt, dr, dc, ...), composed into total
     # theta_s-derivatives through tdot and tddot
     dt = e * beta_inv * v
-    dr = zeta * v + xi_sp1 / ths
-    dc = -x * zeta * v - xi_sp1 * th0 / ths**2
-    jet.ar = _pad(dr)
-    jet.ac = _pad(dc + dt * tdot)
+    dr = zeta * v + xi_sp1 / thc
+    dc = -x * zeta * v - xi_sp1 * th0 / ths2
+    jet[:, 1] = dr
+    np.add(dc, dt * tdot, out=jet[:, 2])
     if order == 1:
-        return jet
-    xi_sp2 = xi * sp2[:, None]
+        return out
+    xi_sp2 = xi * sp2
     dtt = (e - 1.0) * beta_inv * dt
-    drt = beta_inv * ((j / ths)[:, None] * v + e * dr)
-    dct = beta_inv * ((-j * th0 / ths**2)[:, None] * v + e * dc)
-    drr = zeta * (dr + xi_sp1 / ths) + xi_sp2 / ths**2
+    drt = beta_inv * (j_ths * v + e * dr)
+    dct = beta_inv * ((-j * th0 / ths2) * v + e * dc)
+    drr = zeta * (dr + xi_sp1 / thc) + xi_sp2 / ths2
     drc = (
-        -(zeta / ths) * v
+        -(zeta / thc) * v
         - x * zeta**2 * v
-        - 2.0 * (th0 / ths**2) * zeta * xi_sp1
-        - (th0 / ths**3) * xi_sp2
-        - xi_sp1 / ths**2
+        - c2 * zeta * xi_sp1
+        - c3 * xi_sp2
+        - xi_sp1 / ths2
     )
     dcc = (
-        2.0 * (th0 / ths**2) * zeta * v
+        c2 * zeta * v
         - x * zeta * dc
-        + (th0**2 / ths**3) * zeta * xi_sp1
-        + 2.0 * (th0 / ths**3) * xi_sp1
-        + (th0**2 / ths**4) * xi_sp2
+        + c23 * zeta * xi_sp1
+        + c3b * xi_sp1
+        + c24 * xi_sp2
     )
-    jet.arr = _pad(drr)
-    jet.arc = _pad(drc + drt * tdot)
-    jet.acc = _pad(
-        dcc + 2.0 * dct * tdot + dtt * tdot**2 + dt * tddot
+    jet[:, 3] = drr
+    np.add(drc, drt * tdot, out=jet[:, 4])
+    np.add(
+        dcc + 2.0 * dct * tdot + dtt * tdot**2,
+        dt * tddot[:, None, :],
+        out=jet[:, 5],
     )
-    return jet
+    return out
 
 
 class _BellMemo:
@@ -304,27 +372,43 @@ class _BellMemo:
 
 
 def _bell_table(fam, th0, ths, ts, ds):
-    """Value-only child jet for any family, with h_s = phi_0(psi_s(t_s)).
+    """Value-only jets for any family, with h_s = phi_0(psi_s(t_s)).
 
     h_s's t-derivatives come from implicit differentiation of
     psi_s = psi_0 . h_s, and a_{s,q} = B_{d_s,q}(h_s', h_s'', ...) is a
-    partial Bell polynomial; the table is unscaled (omega = 0).
+    partial Bell polynomial; the tables are unscaled (omega = 0).  The
+    children of the group are taken one at a time.
     """
-    n = ts.shape[0]
-    h = fam.phi(th0, fam.psi(ths, ts))
-    col_h = fam.psi_column(th0, h, 1, ds)
-    col_s = fam.psi_column(ths, ts, 1, ds)
-    psi0_at_h = {r: col_h.value(r) for r in range(1, ds + 1)}
-    bell = _BellMemo(n)
-    for i in range(1, ds + 1):
-        rhs = col_s.value(i)
-        for r in range(2, i + 1):
-            rhs = rhs - psi0_at_h[r] * bell(i, r)
-        bell.append(rhs / psi0_at_h[1])
-    a = np.zeros((ds + 1, n))
-    for q in range(1, ds + 1):
-        a[q] = bell(ds, q)
-    return _ChildJet(h, 0.0, a)
+    g, n = ts.shape
+    h = np.empty((g, n))
+    jet = np.empty((g, 1, ds, n))
+    for i, th in enumerate(ths):
+        h[i] = hi = fam.phi(th0, fam.psi(th, ts[i]))
+        col_h = fam.psi_column(th0, hi, 1, ds)
+        col_s = fam.psi_column(th, ts[i], 1, ds)
+        psi0_at_h = {r: col_h.value(r) for r in range(1, ds + 1)}
+        bell = _BellMemo(n)
+        for k in range(1, ds + 1):
+            rhs = col_s.value(k)
+            for r in range(2, k + 1):
+                rhs = rhs - psi0_at_h[r] * bell(k, r)
+            bell.append(rhs / psi0_at_h[1])
+        for q in range(1, ds + 1):
+            jet[i, 0, q - 1] = bell(ds, q)
+    return _GroupJet(h, 0.0, jet)
+
+
+@dataclass
+class _Group:
+    """One size group of an evaluation: its children, jets and sums."""
+
+    idx: np.ndarray                # child indices s, in child order
+    ths: list[float]
+    jet: _GroupJet
+    log_b2: np.ndarray             # (g, n): sum_j log(-phi_s'(u_sj))
+    tdot: np.ndarray | None        # (g, n) theta_s-derivatives of t_s
+    tddot: np.ndarray | None
+    g_sums: np.ndarray | None      # (g, n): sum_j dlog(-phi_s')/dtheta_s
 
 
 # ====================================================================
@@ -334,45 +418,51 @@ def _bell_table(fam, th0, ths, ts, ds):
 @dataclass
 class _TChain:
     T0: np.ndarray            # dt/d theta_0
-    Ts: list                  # per child: dt/d theta_s (total)
     T00: np.ndarray
-    T0s: list
-    Tss: list
+    Ts: np.ndarray            # (m, n): dt/d theta_s (total), child order
+    T0s: np.ndarray
+    Tss: np.ndarray
 
 
-def _t_chain(spec: TwoLevelSpec, rows, jets, tdot, tddot):
-    # differentiates the closed-form h_s = E_s - gamma^theta_0 of each jet
+def _t_chain(spec: TwoLevelSpec, rows, groups, m):
+    # differentiates the closed-form h_s = E_s - gamma^theta_0 of each group
     fam = spec.family
     th0 = spec.theta[0]
     n = rows.shape[0]
+    Ts, T0s, Tss = (np.empty((m, n)) for _ in range(3))
+    T0_terms, T00_terms = [None] * m, [None] * m
+    for grp in groups:
+        x, thc, ths2 = _consts([(th0 / th, th, th**2) for th in grp.ths], 2)
+        E, lb, beta_inv = grp.jet.E, grp.jet.lbeta, grp.jet.beta_inv
+        tdot, tddot = grp.tdot, grp.tddot
+        T0t = E * lb / thc
+        T00t = E * (lb / thc) ** 2
+        F = beta_inv * tdot - lb / thc
+        Edot = E * x * F                      # total d E/d theta_s
+        Ts[grp.idx] = x * E * F
+        T0s[grp.idx] = (
+            Edot * lb / thc + E * beta_inv * tdot / thc - E * lb / ths2
+        )
+        dF = (
+            -(beta_inv**2) * tdot**2
+            + beta_inv * tddot
+            - beta_inv * tdot / thc
+            + lb / ths2
+        )
+        Tss[grp.idx] = x * E * (-F / thc + x * F**2 + dF)
+        for i, s in enumerate(grp.idx):
+            T0_terms[s], T00_terms[s] = T0t[i], T00t[i]
+
     T0 = np.zeros(n)
     T00 = np.zeros(n)
-    Ts, T0s, Tss = [], [], []
-
-    for s, jet in enumerate(jets):
-        ths = spec.theta[1 + s]
-        x = th0 / ths
-        E, lb = jet.E, jet.lbeta
-        beta_inv = np.exp(-lb)
-        T0 += E * lb / ths
-        T00 += E * (lb / ths) ** 2
-        F = beta_inv * tdot[s] - lb / ths
-        Edot = E * x * F                      # total d E/d theta_s
-        Ts.append(x * E * F)
-        T0s.append(Edot * lb / ths + E * beta_inv * tdot[s] / ths - E * lb / ths**2)
-        dF = (
-            -(beta_inv**2) * tdot[s] ** 2
-            + beta_inv * tddot[s]
-            - beta_inv * tdot[s] / ths
-            + lb / ths**2
-        )
-        Tss.append(x * E * (-F / ths + x * F**2 + dF))
-
+    for s in range(m):
+        T0 += T0_terms[s]
+        T00 += T00_terms[s]
     if spec.leaf_cols:
         pd = fam.phi_derivs(th0, rows[:, list(spec.leaf_cols)])
         T0 += pd.dtheta.sum(axis=1)
         T00 += pd.dtheta2.sum(axis=1)
-    return _TChain(T0, Ts, T00, T0s, Tss)
+    return _TChain(T0, T00, Ts, T0s, Tss)
 
 
 # ====================================================================
@@ -437,41 +527,55 @@ def _eval(spec: TwoLevelSpec, rows, order: int, first: int = 0):
     m = spec.m
     want = order > 0
 
-    # per-child ingredients; the child hook adds h_s to t and builds the
-    # child's a-table
-    t = np.zeros(n)
-    log_b2 = np.zeros(n)
-    tdot, tddot = [None] * m, [None] * m
-    g_sums = [None] * (m + 1)
-    jets = []
-    for s in range(m):
-        ths = spec.theta[1 + s]
-        ds = spec.ds[s]
-        us = rows[:, list(spec.child_cols[s])]
-        ts = fam.phi(ths, us).sum(axis=1)
-        log_b2 += fam.log_neg_phi_prime(ths, us).sum(axis=1)
+    # per size group: t_s and the B2 factors of its children as (g, n)
+    # rows, then the child hook, which gives h_s and the a-table jets.
+    # Each sum over a child's coordinates runs over the outer axis of a
+    # (g, d_s, n) array, so it adds them in coordinate order
+    groups, at = [], [None] * m
+    sizes = spec.ds
+    for idx in _size_groups(sizes):
+        ds = sizes[idx[0]]
+        ths = [spec.theta[1 + s] for s in idx]
+        # the generators take a float, or a column over the group axis
+        (thc,) = _consts([(th,) for th in ths], 3)
+        us = rows.T[[spec.child_cols[s] for s in idx]]   # (g, ds, n)
+        ts = fam.phi(thc, us).sum(axis=1)
+        tdot = tddot = gs = None
         if want:
-            pd = fam.phi_derivs(ths, us)
-            tdot[s] = pd.dtheta.sum(axis=1)
-            tddot[s] = pd.dtheta2.sum(axis=1)
-            g_sums[1 + s] = fam.dlog_neg_phi_prime_dtheta(ths, us).sum(axis=1)
+            pd = fam.phi_derivs(thc, us)
+            tdot, tddot = pd.dtheta.sum(axis=1), pd.dtheta2.sum(axis=1)
+            gs = fam.dlog_neg_phi_prime_dtheta(thc, us).sum(axis=1)
         if fam.analytic:
-            jet = _child_table(fam, th0, ths, ts, ds, tdot[s], tddot[s], order)
+            jet = _child_table(fam, th0, ths, ts, ds, tdot, tddot, order)
         else:
             jet = _bell_table(fam, th0, ths, ts, ds)
-        t += jet.h
-        jets.append(jet)
+        b2 = fam.log_neg_phi_prime(thc, us).sum(axis=1)
+        grp = _Group(np.array(idx), ths, jet, b2, tdot, tddot, gs)
+        groups.append(grp)
+        for i, s in enumerate(idx):
+            at[s] = (grp, i)
+
+    # children enter t, B2, omega and B in child order
+    t = np.zeros(n)
+    log_b2 = np.zeros(n)
+    omegas, jets = [], []
+    for grp, i in at:
+        t += grp.jet.h[i]
+        log_b2 += grp.log_b2[i]
+        omega = grp.jet.omega
+        omegas.append(omega if isinstance(omega, float) else omega[i])
+        jets.append(grp.jet.jet[i])
+    g_sums = np.zeros((1 + m, n)) if want else None
     if spec.leaf_cols:
         ul = rows[:, list(spec.leaf_cols)]
         t += fam.phi(th0, ul).sum(axis=1)
         log_b2 += fam.log_neg_phi_prime(th0, ul).sum(axis=1)
         if want:
             g_sums[0] = fam.dlog_neg_phi_prime_dtheta(th0, ul).sum(axis=1)
-    elif want:
-        g_sums[0] = np.zeros(n)
-    omega = np.sum([jet.omega for jet in jets], axis=0) if m else np.zeros(n)
+    omega = np.sum(omegas, axis=0) if m else np.zeros(n)
 
-    # B-polynomials: coefficient index = sum of q_s, valid range m..d-|L|
+    # B-polynomials: coefficient index = sum of q_s, whose band m..d-|L|
+    # holds the coefficients of k = K..d
     n_leaf = len(spec.leaf_cols)
     k_lo, k_hi = spec.K, d
     B, B_grads, B_hess = _b_jet(jets, n, order)
@@ -485,66 +589,61 @@ def _eval(spec: TwoLevelSpec, rows, order: int, first: int = 0):
     if order == 0:
         return logc, None, None
 
-    # score: S_a = sum_k (B^a + B * R_a) psi_hat / D
-    chain = _t_chain(spec, rows, jets, tdot, tddot)
+    # score: S_a = sum_k (B^a + B * R_a) psi_hat / D over (theta, k, row)
+    # arrays, summed in k order; each step is one product over all theta
+    chain = _t_chain(spec, rows, groups, m)
+    for grp in groups:
+        g_sums[1 + grp.idx] = grp.g_sums
     p = spec.p
-    R1 = _psi_ratios_first(psi_col, chain, k_lo, k_hi, p)
-    S = np.zeros((n, p))
-    for a in range(p):
-        acc = np.zeros(n)
-        for k in range(k_lo, k_hi + 1):
-            j = k - n_leaf
-            acc += (B_grads[a][j] + B[j] * R1[a][k]) * psi_hat[k]
-        S[:, a] = acc / D
-    grad = S.copy()
-    grad[:, 0] += g_sums[0]
-    for s in range(m):
-        grad[:, 1 + s] += g_sums[1 + s]
+    R1 = np.empty((p,) + psi_col.ft.shape)
+    R1[0] = psi_col.fr + chain.T0 * psi_col.ft
+    R1[1:] = chain.Ts[:, None, :] * psi_col.ft
+    acc = np.zeros((p, n))
+    for i, ph in enumerate(psi_hat):
+        acc += (B_grads[:, i] + B[i] * R1[:, i]) * ph
+    S = acc / D
+    # C order, as callers' reductions over rows depend on the layout
+    grad = (S + g_sums).T.copy()
     if order == 1:
         return logc, grad, None
 
-    R2 = _psi_ratios_second(psi_col, chain, k_lo, k_hi, p)
-    hess = np.zeros((n, p, p))
-    for a in range(p):
-        for b in range(a, p):
-            acc = np.zeros(n)
-            for k in range(k_lo, k_hi + 1):
-                j = k - n_leaf
-                acc += (
-                    B_hess[(a, b)][j]
-                    + B_grads[a][j] * R1[b][k]
-                    + B_grads[b][j] * R1[a][k]
-                    + B[j] * R2[(a, b)][k]
-                ) * psi_hat[k]
-            hess[:, a, b] = acc / D - S[:, a] * S[:, b]
-            hess[:, b, a] = hess[:, a, b]
+    ia, ib = _pairs(p)
+    R2 = _psi_ratios_second(psi_col, chain, ia, ib)
+    acc = np.zeros((len(ia), n))
+    for i, ph in enumerate(psi_hat):
+        G, R = B_grads[:, i], R1[:, i]
+        acc += (
+            B_hess[:, i] + G[ia] * R[ib] + G[ib] * R[ia] + B[i] * R2[:, i]
+        ) * ph
+    hv = acc / D - S[ia] * S[ib]
+    hess = np.empty((n, p, p))
+    hess[:, ia, ib] = hv.T
+    hess[:, ib, ia] = hv.T
     hess[:, 0, 0] -= (n_leaf / th0**2) if n_leaf else 0.0
     for s in range(m):
-        hess[:, 1 + s, 1 + s] -= spec.ds[s] / spec.theta[1 + s] ** 2
+        hess[:, 1 + s, 1 + s] -= sizes[s] / spec.theta[1 + s] ** 2
     return logc, grad, hess
 
 
-def _psi_sum(spec, psi_col, B, omega, first):
+def _psi_sum(spec, psi_col, Bk, omega, first):
     """D = sum_{k=K..d} B_{k-|L|} psi_hat[k], psi_hat = psi_0^(k)(t)/e^shift.
 
-    shift is each row's largest log|psi_0^(k)|; B may carry a per-row
-    scale e^-omega.  Returns psi_hat, D and shift + omega + log((-1)^d D),
-    or fails the block naming the global rows where (-1)^d D is not
-    finite and positive.
+    Bk holds the B rows of k = K..d.  shift is each row's largest
+    log|psi_0^(k)|; B may carry a per-row scale e^-omega.  Returns
+    psi_hat as a (k, n) array, D and shift + omega + log((-1)^d D), or
+    fails the block naming the global rows where (-1)^d D is not finite
+    and positive.
     """
-    k_lo, k_hi = spec.K, spec.d
-    n_leaf = len(spec.leaf_cols)
-    shift = functools.reduce(
-        np.maximum, [psi_col.logmag[k] for k in range(k_lo, k_hi + 1)]
-    )
-    # compensated sum over k, in place; comp carries the lost low bits
-    D, tnew, comp, y = (np.zeros(shift.shape) for _ in range(4))
-    psi_hat = {}
-    for k in range(k_lo, k_hi + 1):
-        psi_hat[k] = ph = psi_col.logmag[k] - shift
+    ks = range(spec.K, spec.d + 1)
+    shift = functools.reduce(np.maximum, [psi_col.logmag[k] for k in ks])
+    psi_hat = np.empty((len(ks),) + shift.shape)
+    for ph, k in zip(psi_hat, ks):
+        np.subtract(psi_col.logmag[k], shift, out=ph)
         np.exp(ph, out=ph)
         ph *= psi_col.sign[k]
-        np.multiply(B[k - n_leaf], ph, out=y)
+    # compensated sum over k, in place; comp carries the lost low bits
+    D, tnew, comp = (np.zeros(shift.shape) for _ in range(3))
+    for y in Bk * psi_hat:
         y -= comp
         np.add(D, y, out=tnew)
         np.subtract(tnew, D, out=comp)
@@ -566,68 +665,62 @@ def _b_jet(jets, n, order):
     B is the product of the children's a-tables.  Multiplying the running
     jet (V, G, H) by child c = 1+s's jet applies the product rule once:
     every entry is multiplied by a, and the terms that differentiate the
-    new factor are added from the old V and G.  Index j of each
-    coefficient array corresponds to k = j + #root-leaves.
+    new factor are added from the old V and G.  G stacks dB/dtheta_a for
+    a = 0..c, and H stacks the pairs a <= b in column order (``_pairs``),
+    so each child appends its own column of pairs; each product is one
+    ``_polymul`` over a stack.  Every entry holds the band of exponents
+    c..(d_1 + ... + d_c), below which all coefficients are zero, so the
+    final band holds the coefficients of k = K..d.
     """
     V = _polyunit(n)
-    G = [np.zeros((1, n))]
-    H = {(0, 0): np.zeros((1, n))}
+    G = np.zeros((1, 1, n))
+    H = np.zeros((1, 1, n))
     for s, jet in enumerate(jets):
         c = 1 + s
-        a = jet.a
-        if order > 1:
-            H = {key: _polymul(h, a) for key, h in H.items()}
-            # (X + 2Y) + Z, not X += 2Y + Z: the order fixes the last bits
-            H[(0, 0)] = (
-                H[(0, 0)]
-                + 2.0 * _polymul(G[0], jet.ar)
-                + _polymul(V, jet.arr)
-            )
-            for t in range(1, c):
-                H[(0, t)] += _polymul(G[t], jet.ar)
-                H[(t, c)] = _polymul(G[t], jet.ac)
-            H[(0, c)] = _polymul(G[0], jet.ac) + _polymul(V, jet.arc)
-            H[(c, c)] = _polymul(V, jet.acc)
+        a = jet[0]
+        band = (V.shape[0] + a.shape[0] - 1, n)
         if order > 0:
-            G = [_polymul(g, a) for g in G]
-            G[0] += _polymul(V, jet.ar)
-            G.append(_polymul(V, jet.ac))
-        V = _polymul(V, a) if s else a      # V is 1 before the first child
+            # V times every field; V is 1 before the first child
+            VJ = _polymul(V, jet) if s else jet + 0.0
+        if order > 1:
+            Gr = _polymul(G, jet[1])
+            Hn = np.zeros((len(H) + c + 1,) + band)
+            _polymul(H, a, out=Hn[: len(H)])
+            # (X + 2Y) + Z, not X += 2Y + Z: the order fixes the last bits
+            Hn[0] = Hn[0] + 2.0 * Gr[0] + VJ[3]
+            Hn[[t * (t + 1) // 2 for t in range(1, c)]] += Gr[1:]
+            new = Hn[len(H) : -1]                 # pairs (t, c), t < c
+            _polymul(G, jet[2], out=new)
+            new[0] += VJ[4]
+            Hn[-1] = VJ[5]
+            H = Hn
+        if order > 0:
+            Gn = np.zeros((c + 1,) + band)
+            _polymul(G, a, out=Gn[:c])
+            Gn[0] += VJ[1]
+            Gn[c] = VJ[2]
+            G = Gn
+        if s == 0:
+            V = a
+        else:
+            V = VJ[0] if order > 0 else _polymul(V, a)
     return V, (G if order > 0 else None), (H if order > 1 else None)
 
 
-def _psi_ratios_first(psi_col, chain, k_lo, k_hi, p):
-    R = [dict() for _ in range(p)]
-    for k in range(k_lo, k_hi + 1):
-        R[0][k] = psi_col.fr[k] + chain.T0 * psi_col.ft[k]
-        for s in range(p - 1):
-            R[1 + s][k] = chain.Ts[s] * psi_col.ft[k]
-    return R
-
-
-def _psi_ratios_second(psi_col, chain, k_lo, k_hi, p):
-    R = {}
-    for a in range(p):
-        for b in range(a, p):
-            R[(a, b)] = {}
-    for k in range(k_lo, k_hi + 1):
-        ft, ftt = psi_col.ft[k], psi_col.ftt[k]
-        frt, frr = psi_col.frt[k], psi_col.frr[k]
-        R[(0, 0)][k] = (
-            frr
-            + 2.0 * chain.T0 * frt
-            + chain.T0**2 * ftt
-            + chain.T00 * ft
-        )
-        for s in range(p - 1):
-            R[(0, 1 + s)][k] = (
-                chain.Ts[s] * frt
-                + chain.T0 * chain.Ts[s] * ftt
-                + chain.T0s[s] * ft
-            )
-            R[(1 + s, 1 + s)][k] = (
-                chain.Ts[s] ** 2 * ftt + chain.Tss[s] * ft
-            )
-            for r in range(s + 1, p - 1):
-                R[(1 + s, 1 + r)][k] = chain.Ts[s] * chain.Ts[r] * ftt
+def _psi_ratios_second(psi_col, chain, ia, ib):
+    # R2 for every pair (ia, ib), a (pairs, k, n) array
+    ft, ftt = psi_col.ft, psi_col.ftt
+    frt, frr = psi_col.frt, psi_col.frr
+    T0, Ts = chain.T0, chain.Ts
+    R = np.empty((len(ia),) + ft.shape)
+    R[0] = frr + 2.0 * T0 * frt + T0**2 * ftt + chain.T00 * ft
+    top = (ia == 0) & (ib > 0)
+    R[top] = (
+        Ts[:, None] * frt
+        + (T0 * Ts)[:, None] * ftt
+        + chain.T0s[:, None] * ft
+    )
+    kids = ia > 0
+    R[kids] = (Ts[ia[kids] - 1] * Ts[ib[kids] - 1])[:, None] * ftt
+    R[kids & (ia == ib)] += chain.Tss[:, None] * ft
     return R

@@ -173,13 +173,25 @@ def _box_lo(fam) -> float:
     return fam.domain.lo if not fam.domain.lo_open else 1e-4
 
 
+# (shape and bytes of the last dataset, its read-only tau matrix): the
+# full, null and union-branch fits of one fit_pair share one matrix
+_last_taus: tuple | None = None
+
+
 def _tau_matrix(data) -> np.ndarray:
-    d = data.shape[1]
-    taus = np.zeros((d, d))
-    for i in range(d):
-        for j in range(i + 1, d):
-            taus[i, j] = taus[j, i] = kendalltau(data[:, i], data[:, j]).statistic
-    return taus
+    global _last_taus
+    key = (data.shape, data.tobytes())
+    if _last_taus is None or _last_taus[0] != key:
+        d = data.shape[1]
+        taus = np.zeros((d, d))
+        for i in range(d):
+            for j in range(i + 1, d):
+                taus[i, j] = taus[j, i] = kendalltau(
+                    data[:, i], data[:, j]
+                ).statistic
+        taus.flags.writeable = False
+        _last_taus = (key, taus)
+    return _last_taus[1]
 
 
 def _group_taus(data, tree: HacTree, pg: ParamGroups) -> np.ndarray:
@@ -232,13 +244,21 @@ def _starts(data, tree, fam, pg, lo, hi, cfg: FitConfig) -> list[np.ndarray]:
 
 
 def _objective(data, tree, family, pg, analytic):
+    spec = None
+
     def fun(x):
+        nonlocal spec
         theta = pg.expand(pg.from_x(x))
         # extreme probes overflow to non-finite logliks; the penalty
         # branch absorbs them, so mute the float warnings here
         try:
             with np.errstate(all="ignore"):
-                spec = two_level_spec(tree, family, theta)
+                # the tree is walked once per fit; later evaluations swap
+                # in theta, and the density checks it on every call
+                spec = (
+                    two_level_spec(tree, family, theta) if spec is None
+                    else spec.with_theta(theta)
+                )
                 if analytic:
                     ld, sc, _ = log_density_and_derivs(spec, data, order=1)
                     val = -float(np.mean(ld))

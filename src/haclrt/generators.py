@@ -14,7 +14,14 @@ each of its formulas lives here once:
 - ``log_neg_phi_prime`` and ``dlog_neg_phi_prime_dtheta``: log(-phi') and
   its theta-derivative;
 - ``s_nk_table``: the polynomials s_nk(x) with their first two
-  x-derivatives, used by the Gumbel column and by the density's a-tables.
+  x-derivatives, used by the density's a-tables; ``s_nk_tables`` builds
+  them for several n in one pass, for the Gumbel column.
+
+The per-u methods that the density calls (``phi``, ``phi_prime``,
+``log_neg_phi_prime``, ``phi_derivs`` and ``dlog_neg_phi_prime_dtheta``)
+take theta as a float, or as an array of one theta per entry of u's
+leading axis, shaped to broadcast over u (such as (g, 1, 1)).  Each
+entry then gets the bits of a call with that float.
 
 Frank and Joe have no theta-derivatives, so their fits and information
 estimates use finite differences.
@@ -56,6 +63,7 @@ __all__ = [
     "stirling_S",
     "s_nk",
     "s_nk_table",
+    "s_nk_tables",
 ]
 
 
@@ -141,26 +149,53 @@ def _s_nk_coeffs(n: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _s_nk_coeff_stack(ns: tuple[int, ...]) -> np.ndarray:
+    # [top - j, i, order, k]: _s_nk_coeffs(ns[i])[order, k, j], zero-padded
+    # to the largest n, with the powers j from the top down
+    top = max(ns)
+    out = np.zeros((len(ns), 3, top + 1, top + 1))
+    for i, n in enumerate(ns):
+        out[i, :, : n + 1, : n + 1] = _s_nk_coeffs(n)
+    out = np.ascontiguousarray(out[..., ::-1].transpose(3, 0, 1, 2))
+    out.flags.writeable = False
+    return out
+
+
+def s_nk_tables(x, ns) -> np.ndarray:
+    """``s_nk_table(x, n)`` for every n in ns, in one pass over x's powers.
+
+    Entry i of the (len(ns), 3, N + 1, *x.shape) result, N = max(ns), is
+    the table of n = ns[i], zero-padded in k up to N.  Every sum starts at
+    zero and adds its terms from the highest power down; a padded or
+    missing term adds +0, so each entry keeps the bits of its own one-n
+    table.  Not cached: a table costs O(N^2) flops, and its argument x is
+    a float that rarely repeats.
+    """
+    ns = tuple(int(n) for n in ns)
+    for n in ns:
+        _check_dim(n)
+    x = np.asarray(x, dtype=float)
+    top = max(ns)
+    powers = [x**j for j in range(top + 1)]
+    # pw[top - j, order] = x^(j - order), zero for j < order
+    pw = np.zeros((top + 1, 3) + x.shape)
+    for order in range(min(top, 2) + 1):
+        pw[: top + 1 - order, order] = powers[top - order :: -1]
+    terms = _s_nk_coeff_stack(ns).reshape(
+        (top + 1, len(ns), 3, top + 1) + (1,) * x.ndim
+    ) * pw[:, None, :, None]
+    return np.add.reduce(terms, axis=0, initial=0.0)
+
+
 def s_nk_table(x, n: int) -> np.ndarray:
     """s_nk(x) for k = 0..n with its first two x-derivatives.
 
     Entry [order, k] of the (3, n + 1, *x.shape) result is the order-th
     x-derivative of sum_{j=k}^n x^j s(n,j) S(j,k), summed from the highest
-    power down.  Not cached: a table costs O(n^2) flops, and its argument
-    x is a float that rarely repeats.
+    power down.  An array x gives one table per entry.
     """
-    _check_dim(n)
-    x = np.asarray(x, dtype=float)
-    coeffs = _s_nk_coeffs(n).reshape((3, n + 1, n + 1) + (1,) * x.ndim)
-    powers = [x**j for j in range(n + 1)]
-    out = np.zeros((3, n + 1) + x.shape)
-    for j in range(n, -1, -1):
-        out[0] += coeffs[0, :, j] * powers[j]
-        if j >= 1:
-            out[1] += coeffs[1, :, j] * powers[j - 1]
-        if j >= 2:
-            out[2] += coeffs[2, :, j] * powers[j - 2]
-    return out
+    return s_nk_tables(x, (n,))[0]
 
 
 def s_nk(x, n: int, k: int, order: int = 0):
@@ -210,17 +245,19 @@ class PsiColumn:
 
     The ratio rows are taken with respect to f = psi^(k) as a function of
     (t, theta): ft = f_t/f, ftt = f_tt/f, fr = f_theta/f,
-    frr = f_theta,theta/f and frt = f_theta,t/f.  Every field maps k to
-    an (n,) row; the ratio fields stay empty unless requested.
+    frr = f_theta,theta/f and frt = f_theta,t/f.  ``logmag`` and ``sign``
+    map k to an (n,) row (a sign may be a float); each ratio field is one
+    (k_hi - k_lo + 1, n) array whose row i belongs to k = k_lo + i, and
+    stays None unless requested.
     """
 
     logmag: dict = field(default_factory=dict)
     sign: dict = field(default_factory=dict)
-    ft: dict = field(default_factory=dict)
-    ftt: dict = field(default_factory=dict)
-    fr: dict = field(default_factory=dict)
-    frr: dict = field(default_factory=dict)
-    frt: dict = field(default_factory=dict)
+    ft: np.ndarray | None = None
+    ftt: np.ndarray | None = None
+    fr: np.ndarray | None = None
+    frr: np.ndarray | None = None
+    frt: np.ndarray | None = None
 
     def value(self, k: int) -> np.ndarray:
         out = np.exp(self.logmag[k])
@@ -228,13 +265,38 @@ class PsiColumn:
         return out
 
 
-def _validate_theta(fam: "GeneratorFamily", theta: float) -> None:
-    if not fam.domain.contains(theta):
-        lo = fam.domain.lo
-        op = "(" if fam.domain.lo_open else "["
-        raise DomainError(
-            f"{fam.name}: theta={theta} outside domain {op}{lo}, inf)"
-        )
+def _validate_theta(fam: "GeneratorFamily", theta) -> None:
+    # a float, or every entry of a theta column
+    for th in theta.ravel() if isinstance(theta, np.ndarray) else (theta,):
+        if not fam.domain.contains(th):
+            lo = fam.domain.lo
+            op = "(" if fam.domain.lo_open else "["
+            raise DomainError(
+                f"{fam.name}: theta={th} outside domain {op}{lo}, inf)"
+            )
+
+
+def _per_theta(f, theta):
+    """The scalar function f at a float theta, or at each entry of a column.
+
+    A per-child constant such as log(theta) keeps the bits of its scalar
+    evaluation (``math.log`` may round differently from ``np.log``).
+    """
+    if not isinstance(theta, np.ndarray) or theta.ndim == 0:
+        return f(theta)
+    return np.array([f(float(t)) for t in theta.ravel()]).reshape(theta.shape)
+
+
+def _pow_theta(base, expo):
+    """base ** expo, with expo a float or one exponent per leading entry.
+
+    numpy's ``**`` rounds a scalar exponent of 2, 0.5 or -1 as square,
+    sqrt or reciprocal, which ``np.power`` with an array exponent does
+    not, so each entry of a column takes the scalar operator.
+    """
+    if not isinstance(expo, np.ndarray) or expo.ndim == 0:
+        return base ** expo
+    return np.stack([b ** float(e) for b, e in zip(base, expo.ravel())])
 
 
 def _as_nonneg(t) -> np.ndarray:
@@ -352,39 +414,48 @@ class Clayton(GeneratorFamily):
 
     def phi_prime(self, theta, u):
         u = _as_unit(u)
-        out = -theta * u ** (-theta - 1.0)
+        out = -theta * _pow_theta(u, -theta - 1.0)
         return out if out.ndim else float(out)
 
     def log_neg_phi_prime(self, theta, u):
         u = _as_unit(u)
-        return math.log(theta) - (theta + 1.0) * np.log(u)
+        return _per_theta(math.log, theta) - (theta + 1.0) * np.log(u)
 
     def psi_column(self, theta, t, k_lo, k_hi, ratios=False):
         # psi^(k)(t) = (nu)_k (1 + t)^(nu - k) with nu = -1/theta
+        # the ratio rows of every k at once, from per-k constants held as
+        # (K, 1) columns
         col = PsiColumn()
         nu = -1.0 / theta
         L = np.log1p(t)
-        einv = np.exp(-L)
-        for k in range(k_lo, k_hi + 1):
-            logff, s1, s2 = _falling_log_sums(nu, k)
+        ks = range(k_lo, k_hi + 1)
+        sums = [
+            _falling_log_sums(nu, k, ratios)
+            for k in range(k_lo, k_hi + (2 if ratios else 1))
+        ]
+        for k, (logff, _, _) in zip(ks, sums):
             col.logmag[k] = logff + (nu - k) * L
             col.sign[k] = float((-1.0) ** k)
-            if not ratios:
-                continue
-            col.ft[k] = (nu - k) * einv
-            col.ftt[k] = (nu - k) * (nu - k - 1.0) * einv**2
-            fr = (s1 + L) / theta**2
-            col.fr[k] = fr
-            col.frr[k] = fr**2 - s2 / theta**4 - 2.0 * (s1 + L) / theta**3
-            _, s1n, _ = _falling_log_sums(nu, k + 1)
-            col.frt[k] = col.ft[k] * (s1n + L) / theta**2
+        if not ratios:
+            return col
+        nu_k, s1, ftt_k, s2_k = np.array([
+            (nu - k, s1, (nu - k) * (nu - k - 1.0), s2 / theta**4)
+            for k, (_, s1, s2) in zip(ks, sums)
+        ]).T[:, :, None]
+        einv = np.exp(-L)
+        col.ft = nu_k * einv
+        col.ftt = ftt_k * einv**2
+        col.fr = fr = (s1 + L) / theta**2
+        col.frr = fr**2 - s2_k - 2.0 * (s1 + L) / theta**3
+        s1n = np.array([sums[i + 1][1] for i in range(len(ks))])[:, None]
+        col.frt = col.ft * (s1n + L) / theta**2
         return col
 
     def phi_derivs(self, theta, u):
         _validate_theta(self, theta)
         u = _as_unit(u)
         lu = np.log(u)
-        dtheta = u ** (-theta) * (-lu)
+        dtheta = _pow_theta(u, -theta) * (-lu)
         dtheta2 = dtheta * (-lu)
         return PhiDerivs(dtheta, dtheta2)
 
@@ -427,12 +498,16 @@ class Gumbel(GeneratorFamily):
     def phi_prime(self, theta, u):
         u = _as_unit(u)
         ml = -np.log(u)
-        out = -theta / u * ml ** (theta - 1.0)
+        out = -theta / u * _pow_theta(ml, theta - 1.0)
         return out if out.ndim else float(out)
 
     def log_neg_phi_prime(self, theta, u):
         u = _as_unit(u)
-        return math.log(theta) - np.log(u) + (theta - 1.0) * np.log(-np.log(u))
+        return (
+            _per_theta(math.log, theta)
+            - np.log(u)
+            + (theta - 1.0) * np.log(-np.log(u))
+        )
 
     def psi_t_deriv(self, theta, t, k):
         if np.any(np.asarray(t, dtype=float) <= 0):
@@ -442,52 +517,72 @@ class Gumbel(GeneratorFamily):
     def psi_column(self, theta, t, k_lo, k_hi, ratios=False):
         # psi^(k)(t) = psi(t) sum_q (-1)^q s_kq(y) t^(q y - k) with y = 1/theta;
         # for theta >= 1 every summand shares the sign (-1)^k, so each sum
-        # is taken after a per-row shift m_k without cancellation (k >= 1)
+        # is taken after a per-row shift m_k without cancellation (k >= 1).
+        # The q-terms of every k sit side by side in one (n, sum of k)
+        # array, and each k's sums are matrix-vector products on its own
+        # columns, with the s_kq read from one table pass
         col = PsiColumn()
         y = 1.0 / theta
         L = np.log(t)
         r = np.exp(y * L)                     # t**(1/theta)
-        if ratios:
-            psir_r = r * L / theta**2         # psi_dot/psi
-            psirr_r = psir_r * ((r - 1.0) * L / theta**2 - 2.0 / theta)
-        S0, S1, m = {}, {}, {}
-        for k in range(k_lo, k_hi + (3 if ratios else 1)):
-            j = np.arange(1, k + 1, dtype=float)
-            expo = (j * y - k)[None, :] * L[:, None]
-            mk = expo.max(axis=1)
-            base = np.exp(expo - mk[:, None])
-            sk = s_nk_table(y, k)[:, 1:]
-            sgn = np.array([(-1.0) ** q for q in range(1, k + 1)])
-            S0[k] = base @ (sgn * sk[0])
-            m[k] = mk
-            if ratios:
-                jL = j[None, :] * L[:, None]
-                if k <= k_hi + 1:
-                    S1[k] = (base * (-jL / theta**2)) @ (sgn * sk[0]) + base @ (
-                        sgn * (-sk[1] / theta**2)
-                    )
-            if k > k_hi:
-                continue
-            col.logmag[k] = -r + mk + np.log(np.abs(S0[k]))
-            col.sign[k] = np.sign(S0[k])
-            if ratios:
-                S2 = (
-                    (base * ((jL / theta**2) ** 2 + 2.0 * jL / theta**3))
-                    @ (sgn * sk[0])
-                    + (base * (2.0 * jL / theta**4)) @ (sgn * sk[1])
-                    + base @ (sgn * (sk[2] / theta**4 + 2.0 * sk[1] / theta**3))
-                )
-                col.fr[k] = psir_r + S1[k] / S0[k]
-                col.frr[k] = (
-                    psirr_r
-                    + 2.0 * psir_r * (S1[k] / S0[k])
-                    + S2 / S0[k]
-                )
-        if ratios:
-            for k in range(k_lo, k_hi + 1):
-                col.ft[k] = np.exp(m[k + 1] - m[k]) * S0[k + 1] / S0[k]
-                col.ftt[k] = np.exp(m[k + 2] - m[k]) * S0[k + 2] / S0[k]
-                col.frt[k] = col.ft[k] * (psir_r + S1[k + 1] / S0[k + 1])
+        ks = list(range(k_lo, k_hi + (3 if ratios else 1)))
+        lo = np.cumsum([0] + ks)              # k's columns are lo[i]:lo[i + 1]
+        q = np.concatenate([np.arange(k) for k in ks])        # q - 1
+        c = (q + 1.0) * y - np.repeat(np.array(ks, dtype=float), ks)
+        base = c * L[:, None]                 # (q y - k) log t
+        # m_k, the largest of k's exponents: q = k where log t > 0, else 1
+        m = np.where(L > 0.0, c[lo[1:] - 1, None] * L, c[lo[:-1], None] * L)
+        base -= np.repeat(m.T, ks, axis=1)
+        np.exp(base, out=base)
+        sk = s_nk_tables(y, ks)[:, :, 1:]     # s_kq(y) and its y-derivatives
+        sgn = np.array([(-1.0) ** q for q in range(1, ks[-1] + 1)])
+        w0 = sgn * sk[:, 0]
+
+        def sums(terms, vec, count):
+            out = np.empty((count, len(t)))
+            for i in range(count):
+                cols = slice(lo[i], lo[i + 1])
+                np.matmul(terms[:, cols], vec[i, : ks[i]], out=out[i])
+            return out
+
+        def times_base(f, width):
+            # base times f(q, row) on the columns of k < k_lo + width
+            out = np.take(f, q[: lo[width]], axis=1)
+            out *= base[:, : lo[width]]
+            return out
+
+        S0 = sums(base, w0, len(ks))
+        n_k = k_hi - k_lo + 1
+        col.logmag = dict(zip(ks, -r + m[:n_k] + np.log(np.abs(S0[:n_k]))))
+        col.sign = dict(zip(ks, np.sign(S0[:n_k])))
+        if not ratios:
+            return col
+        psir_r = r * L / theta**2             # psi_dot/psi
+        psirr_r = psir_r * ((r - 1.0) * L / theta**2 - 2.0 / theta)
+        jL = np.arange(1.0, k_hi + 2.0) * L[:, None]         # q log t
+        S1 = sums(times_base(-jL / theta**2, n_k + 1), w0, n_k + 1) + sums(
+            base, sgn * (-sk[:, 1] / theta**2), n_k + 1
+        )
+        jL = jL[:, :k_hi]
+        S2 = (
+            sums(
+                times_base((jL / theta**2) ** 2 + 2.0 * jL / theta**3, n_k),
+                w0,
+                n_k,
+            )
+            + sums(times_base(2.0 * jL / theta**4, n_k), sgn * sk[:, 1], n_k)
+            + sums(
+                base,
+                sgn * (sk[:, 2] / theta**4 + 2.0 * sk[:, 1] / theta**3),
+                n_k,
+            )
+        )
+        q1 = S1 / S0[: n_k + 1]
+        col.fr = psir_r + q1[:n_k]
+        col.frr = psirr_r + 2.0 * psir_r * q1[:n_k] + S2 / S0[:n_k]
+        col.ft = np.exp(m[1 : n_k + 1] - m[:n_k]) * S0[1 : n_k + 1] / S0[:n_k]
+        col.ftt = np.exp(m[2:] - m[:n_k]) * S0[2:] / S0[:n_k]
+        col.frt = col.ft * (psir_r + q1[1:])
         return col
 
     def phi_derivs(self, theta, u):
@@ -495,7 +590,7 @@ class Gumbel(GeneratorFamily):
         u = _as_unit(u)
         ml = -np.log(u)
         lml = np.log(ml)
-        ph = ml**theta
+        ph = _pow_theta(ml, theta)
         dtheta = ph * lml
         dtheta2 = dtheta * lml
         return PhiDerivs(dtheta, dtheta2)
@@ -513,11 +608,14 @@ class Gumbel(GeneratorFamily):
         return 1.0 / (1.0 - tau_val)
 
 
-def _falling_log_sums(nu: float, k: int) -> tuple[float, float, float]:
-    # log|(nu)_k| and the first two log-derivative sums in nu
+def _falling_log_sums(nu: float, k: int, ratios: bool):
+    # log|(nu)_k| and, for the ratio rows, the first two log-derivative
+    # sums in nu
     idx = np.arange(k, dtype=float)
-    r = 1.0 / (nu - idx)
     logmag = float(np.sum(np.log(np.abs(nu - idx)))) if k else 0.0
+    if not ratios:
+        return logmag, None, None
+    r = 1.0 / (nu - idx)
     return logmag, float(r.sum()), float((r * r).sum())
 
 
@@ -536,7 +634,7 @@ class Frank(GeneratorFamily):
         u = _as_unit(u)
         # log(c0/cu) with cu-c0 = exp(-theta u) expm1(-theta(1-u)); this
         # difference form stays accurate as u -> 1 where cu -> c0
-        c0 = -math.expm1(-theta)
+        c0 = -_per_theta(math.expm1, -theta)
         out = -np.log1p(np.exp(-theta * u) * np.expm1(-theta * (1.0 - u)) / c0)
         return out if out.ndim else float(out)
 
@@ -606,7 +704,7 @@ class Joe(GeneratorFamily):
 
     def phi_prime(self, theta, u):
         u = _as_unit(u)
-        w = (1.0 - u) ** (theta - 1.0)
+        w = _pow_theta(1.0 - u, theta - 1.0)
         out = -theta * w / (1.0 - w * (1.0 - u))
         return out if out.ndim else float(out)
 

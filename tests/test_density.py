@@ -234,12 +234,13 @@ def test_bell_and_closed_form_child_hooks_agree(fam, tree, gap):
     for s, cols in enumerate(spec.child_cols):
         ths, ds = spec.theta[1 + s], spec.ds[s]
         ts = f.phi(ths, U[:, list(cols)]).sum(axis=1)
-        closed = _child_table(f, th0, ths, ts, ds, None, None, 0)
-        bell = _bell_table(f, th0, ths, ts, ds)
-        np.testing.assert_allclose(bell.h, closed.h, rtol=1e-12)
-        table = closed.a * np.exp(closed.omega)
+        # each hook takes a size group; this one holds the single child s
+        closed = _child_table(f, th0, [ths], ts[None], ds, None, None, 0)
+        bell = _bell_table(f, th0, [ths], ts[None], ds)
+        np.testing.assert_allclose(bell.h[0], closed.h[0], rtol=1e-12)
+        table = closed.jet[0, 0] * np.exp(closed.omega[0])
         scale = np.abs(table).max(axis=0)
-        assert np.max(np.abs(bell.a - table) / scale) < 1e-10
+        assert np.max(np.abs(bell.jet[0, 0] - table) / scale) < 1e-10
 
 
 @pytest.mark.parametrize(
@@ -382,6 +383,127 @@ def test_row_blocks_start_on_multiples_and_absorb_a_single_row(monkeypatch):
     assert list(density._row_blocks(1)) == [(0, 1)]
     assert list(density._row_blocks(129)) == [(0, 64), (64, 129)]
     assert list(density._row_blocks(130)) == [(0, 64), (64, 128), (128, 130)]
+
+
+# --- size groups -----------------------------------------------------------
+
+GROUP_TREES = {
+    "d3": TREE3,
+    "d4": TREE4,
+    "d6": HacTree([[1, 2, 3], 4, [5, 6]]),
+    "d7": HacTree([[1, 2], [3, 4, 5], [6, 7]]),
+    "six-nests": SIX_NESTS,
+}
+
+
+def _group_thetas(fam, tree, kind):
+    th0 = THETA_LO[fam] + 0.6
+    gaps = 0.3 * np.arange(1, tree.p)
+    if kind == "tied":
+        gaps[:] = 0.0
+    elif kind == "half-tied":
+        gaps[::2] = 0.0
+    return [th0, *(th0 + gaps)]
+
+
+@pytest.mark.parametrize("kind", ["interior", "tied", "half-tied"])
+@pytest.mark.parametrize("tree", GROUP_TREES.values(), ids=GROUP_TREES.keys())
+@pytest.mark.parametrize("fam", ["clayton", "gumbel", "frank", "joe"])
+def test_stacked_groups_match_one_child_at_a_time(
+    monkeypatch, fam, tree, kind
+):
+    # children of equal size are evaluated as one stacked group; taking
+    # them one at a time must give the same bits
+    spec = two_level_spec(tree, fam, _group_thetas(fam, tree, kind))
+    u = np.random.default_rng(89).uniform(0.02, 0.98, (37, tree.d))
+    orders = (0, 1, 2) if get_family(fam).analytic else (0,)
+    stacked = [log_density_and_derivs(spec, u, order) for order in orders]
+    monkeypatch.setattr(
+        density, "_size_groups", lambda ds: [[s] for s in range(len(ds))]
+    )
+    for order, many in zip(orders, stacked):
+        for one, got in zip(log_density_and_derivs(spec, u, order), many):
+            assert (one is None) == (got is None)
+            assert one is None or np.array_equal(one, got)
+
+
+def test_outputs_are_row_major(monkeypatch):
+    # callers average scores over rows, and numpy sums a row-major and a
+    # column-major array in different orders
+    theta = _group_thetas("gumbel", SIX_NESTS, "interior")
+    spec = two_level_spec(SIX_NESTS, "gumbel", theta)
+    monkeypatch.setattr(density, "ROW_BLOCK", 64)
+    for n in (2, 5, 130):
+        u = np.random.default_rng(n).uniform(0.05, 0.95, (n, 12))
+        for out in log_density_and_derivs(spec, u, 2):
+            assert out.flags.c_contiguous
+
+
+def test_size_groups_keep_child_order():
+    assert density._size_groups((2, 3, 2, 2, 3)) == [[0, 2, 3], [1, 4]]
+    assert density._size_groups(()) == []
+
+
+@pytest.mark.parametrize(
+    "tree,n_groups",
+    [(TREE3, 1), (SIX_NESTS, 1), (HacTree([[1, 2], [3, 4, 5], [6, 7]]), 2)],
+    ids=["d3", "six-nests", "d7"],
+)
+def test_eval_builds_one_root_column_and_one_table_per_size_group(
+    monkeypatch, tree, n_groups
+):
+    # the theta-only constants are built once per evaluation: one root
+    # psi column, one s_kq table pass for it and one s_{d_s,q} table per
+    # size group
+    theta = _group_thetas("gumbel", tree, "interior")
+    spec = two_level_spec(tree, "gumbel", theta)
+    fam = spec.family
+    u = np.random.default_rng(97).uniform(0.05, 0.95, (20, tree.d))
+    calls = {"column": 0, "tables": 0}
+    column, tables = fam.psi_column, generators.s_nk_tables
+
+    def counted_column(theta, t, k_lo, k_hi, **kw):
+        calls["column"] += 1
+        return column(theta, t, k_lo, k_hi, **kw)
+
+    def counted_tables(x, ns):
+        calls["tables"] += 1
+        return tables(x, ns)
+
+    monkeypatch.setattr(fam, "psi_column", counted_column)
+    monkeypatch.setattr(generators, "s_nk_tables", counted_tables)
+    for order in (0, 1, 2):
+        calls.update(column=0, tables=0)
+        density._eval(spec, u, order)
+        assert calls == {"column": 1, "tables": 1 + n_groups}
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8193])
+def test_clayton_and_gumbel_theta_columns_match_scalar_calls(n):
+    # the generator calls of a size group take one theta per child, and
+    # each child's rows keep the bits of a one-theta call, including at
+    # theta values whose powers numpy rounds by shortcut (0.5, 1, 2)
+    u = np.random.default_rng(101).uniform(1e-4, 1 - 1e-4, (3, 2, n))
+    for fam, thetas in (
+        ("clayton", (1.0, 2.0, 0.7)),
+        ("gumbel", (1.0, 2.0, 3.1)),
+        ("frank", (0.5, 2.0, 7.0)),
+        ("joe", (1.5, 2.0, 3.0)),
+    ):
+        f = get_family(fam)
+        column = np.array(thetas)[:, None, None]
+        names = ["phi", "phi_prime", "log_neg_phi_prime"]
+        if f.analytic:
+            names += ["phi_derivs", "dlog_neg_phi_prime_dtheta"]
+        for name in names:
+            stacked = getattr(f, name)(column, u)
+            for i, th in enumerate(thetas):
+                one = getattr(f, name)(th, u[i])
+                if name == "phi_derivs":
+                    assert np.array_equal(stacked.dtheta[i], one.dtheta)
+                    assert np.array_equal(stacked.dtheta2[i], one.dtheta2)
+                else:
+                    assert np.array_equal(stacked[i], one), (fam, name, th)
 
 
 @pytest.mark.parametrize("fam", ["clayton", "gumbel", "frank", "joe"])

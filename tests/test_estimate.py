@@ -5,9 +5,16 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from haclrt.density import hessian, log_density, two_level_spec
+from haclrt import estimate
+from haclrt.density import (
+    hessian,
+    log_density,
+    log_density_and_derivs,
+    two_level_spec,
+)
 from haclrt.errors import DomainError
 from haclrt.estimate import FitConfig, loglik, merge_groups, mle
+from haclrt.lrt import fit_pair
 from haclrt.generators import Clayton, Gumbel, get_family, tau_inv
 from haclrt.sampler import sample
 from haclrt.tree import HacTree, Hypothesis, validate_params
@@ -241,3 +248,76 @@ def test_start_runs_one_descent_from_it():
     assert fit.loglik >= loglik(u, TREE3, "clayton", start)
     with pytest.raises(DomainError):
         mle(u, TREE3, "clayton", start=[2.0, 1.0])
+
+
+# --- once-per-dataset and once-per-fit work --------------------------------
+
+
+def _fit_arrays(pair):
+    return [
+        np.array([f.loglik, *f.theta, *f.start_logliks])
+        for f in (pair.fit_full, pair.fit_null)
+    ]
+
+
+def test_tau_matrix_computed_once_per_dataset(monkeypatch):
+    # the full, null and union-branch fits of a fit_pair share one tau
+    # matrix: 6 pairs at d=4, and a new dataset recomputes it
+    hyp = Hypothesis.parse("(0,1)=(0) | (0,2)=(0)")
+    data = [
+        sample(TREE4, (1.2, 1.6, 2.0), "gumbel", 120, seed=s).values
+        for s in (43, 47)
+    ]
+    calls = []
+    real = estimate.kendalltau
+
+    def counted(x, y):
+        calls.append(1)
+        return real(x, y)
+
+    monkeypatch.setattr(estimate, "_last_taus", None)
+    monkeypatch.setattr(estimate, "kendalltau", counted)
+    memo = [fit_pair(u, TREE4, "gumbel", hyp) for u in data]
+    assert len(calls) == 12
+    taus = estimate._tau_matrix(data[1])
+    assert len(calls) == 12 and not taus.flags.writeable
+
+    # the same fits with a fresh matrix for every fit
+    tau_matrix = estimate._tau_matrix
+
+    def fresh(u):
+        estimate._last_taus = None
+        return tau_matrix(u)
+
+    monkeypatch.setattr(estimate, "_tau_matrix", fresh)
+    for u, pair in zip(data, memo):
+        again = fit_pair(u, TREE4, "gumbel", hyp)
+        for a, b in zip(_fit_arrays(pair), _fit_arrays(again)):
+            assert np.array_equal(a, b)
+    assert len(calls) > 24
+
+
+def test_objective_builds_the_spec_once_per_fit(monkeypatch):
+    # every evaluation after the first swaps theta into the same spec; an
+    # out-of-domain probe still gets the penalty
+    u = sample(TREE4, (1.2, 1.6, 2.0), "gumbel", 80, seed=53).values
+    pg = merge_groups(TREE4)
+    built = []
+    real = estimate.two_level_spec
+
+    def counted(*args):
+        built.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(estimate, "two_level_spec", counted)
+    fun = estimate._objective(u, TREE4, "gumbel", pg, True)
+    val, grad = fun(np.array([1.2, 0.4, 0.8]))
+    assert np.isfinite(val) and np.all(np.isfinite(grad))
+    assert fun(np.array([0.5, 0.4, 0.8]))[0] == estimate._PENALTY
+    assert fun(np.array([1.2, 0.4, 0.8]))[0] == val
+    assert len(built) == 1
+    spec = real(TREE4, "gumbel", pg.expand(pg.from_x([1.3, 0.2, 0.5])))
+    ld, sc, _ = log_density_and_derivs(spec, u, order=1)
+    val, grad = fun(np.array([1.3, 0.2, 0.5]))
+    assert val == -float(np.mean(ld))
+    assert np.array_equal(grad, pg.grad_to_x(pg.reduce_grad(-sc.mean(axis=0))))

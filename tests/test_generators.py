@@ -114,6 +114,26 @@ def test_s_nk_table_equals_term_by_term_sums():
                     assert table[order, k] == ref, (n, x, order, k)
 
 
+def test_s_nk_tables_match_one_n_tables():
+    # one pass over the powers for many n keeps each table's bits; the
+    # padding beyond k = n is zero
+    ns = tuple(range(1, 21))
+    for x in (1.0, 0.5, 1e-3):
+        tables = G.s_nk_tables(x, ns)
+        assert tables.shape == (len(ns), 3, 21)
+        for i, n in enumerate(ns):
+            np.testing.assert_array_equal(
+                tables[i, :, : n + 1], G.s_nk_table(x, n)
+            )
+            assert not tables[i, :, n + 1 :].any()
+    xs = np.array([1.0, 0.5, 1e-3])
+    for n in (2, 7, 20):
+        stacked = G.s_nk_table(xs, n)
+        for i, x in enumerate(xs):
+            np.testing.assert_array_equal(stacked[..., i], G.s_nk_table(x, n))
+    assert G.s_nk_tables(0.5, (3, 1))[1, 0, 1] == 0.5
+
+
 def test_s_nk_reduces_to_kronecker_at_one():
     # s_nk(1) = sum_j s(n,j) S(j,k) = delta_{nk}
     for n in range(1, 8):
