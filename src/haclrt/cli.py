@@ -242,6 +242,10 @@ def _read_data(path: str, rank: bool) -> np.ndarray:
     return pseudo_obs(data) if rank else data
 
 
+_STARTS_HELP = ("At most N: the Kendall-tau start, then up to N-1 perturbed "
+                "starts if it fails (default: N = 5).")
+
+
 def _fit_config(ctx: _Ctx, starts: int | None) -> FitConfig:
     if starts is None:
         return FitConfig(seed=ctx.seed)
@@ -300,8 +304,7 @@ def cmd_sample(ctx, tree_text, family, theta_text, n):
               help='Constrain the fit, e.g. "(0,1)=(0)".')
 @click.option("--pseudo-obs", "rank", is_flag=True,
               help="Rank-transform the input columns first.")
-@click.option("--starts", type=int, default=None,
-              help="Total optimizer starts (default: library choice).")
+@click.option("--starts", type=int, default=None, help=_STARTS_HELP)
 @click.pass_obj
 @_guard
 def cmd_fit(ctx, data_path, tree_text, family, hyp_text, rank, starts):
@@ -337,7 +340,7 @@ def cmd_fit(ctx, data_path, tree_text, family, hyp_text, rank, starts):
 @click.option("--ridge", is_flag=True,
               help="Regularize a near-singular covariance.")
 @click.option("--pseudo-obs", "rank", is_flag=True)
-@click.option("--starts", type=int, default=None)
+@click.option("--starts", type=int, default=None, help=_STARTS_HELP)
 @click.pass_obj
 @_guard
 def cmd_test(ctx, data_path, tree_text, family, hyp_text, method, alpha,

@@ -5,6 +5,11 @@ nonnegative gap per remaining group), which turns the nesting cone
 theta_parent <= theta_child into a box for L-BFGS-B.  Equality
 hypotheses merge nodes into groups before fitting; union hypotheses fit
 each branch separately and keep the best one.
+
+A fit descends first from the Kendall-tau start.  When that descent
+converges to a gradient larger than its rounding error could hide, it
+is the fit; otherwise the perturbed starts run, and the best of every
+start that finished wins.
 """
 
 from __future__ import annotations
@@ -46,10 +51,14 @@ JITTER = 0.08       # tau-scale sd of the perturbed starts
 THETA_HI = 1e4
 TAU_HI = 0.999
 ACTIVE_TOL = 1e-8
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class FitConfig:
+    """n_perturbed counts the fallback starts, run in order only when the
+    Kendall-tau start does not converge; seed fixes their draws."""
+
     n_perturbed: int = 4
     seed: int = 1777            # internal; refits are bit-reproducible
 
@@ -64,6 +73,7 @@ class FitResult:
     grad_norm: float
     start_logliks: tuple[float, ...] = ()
     branch: tuple[Path, ...] | None = None
+    warm: bool = False          # ran from a caller-given start
 
     def to_dict(self) -> dict:
         return {
@@ -74,6 +84,7 @@ class FitResult:
             "active": list(self.active),
             "grad_norm": self.grad_norm,
             "start_logliks": list(self.start_logliks),
+            "warm": self.warm,
             "branch": None
             if self.branch is None
             else [node_name(a) for a in self.branch],
@@ -229,15 +240,15 @@ def _project_cone(pg: ParamGroups, group_theta, lo, hi) -> np.ndarray:
     return th
 
 
-def _starts(data, tree, fam, pg, lo, hi, cfg: FitConfig) -> list[np.ndarray]:
+def _starts(data, tree, fam, pg, lo, hi, cfg: FitConfig):
+    """The Kendall-tau start, then the perturbed ones, each made on demand:
+    a fit whose first start converges inverts tau once per group."""
     base = _group_taus(data, tree, pg)
     rng = np.random.default_rng(cfg.seed)
-    xs = []
     for r in range(1 + cfg.n_perturbed):
         taus_g = base if r == 0 else base + rng.normal(0.0, JITTER, pg.g)
         th = _theta_from_taus(fam, taus_g, lo, hi, TAU_HI)
-        xs.append(pg.to_x(_project_cone(pg, th, lo, hi)))
-    return xs
+        yield pg.to_x(_project_cone(pg, th, lo, hi))
 
 
 # --- optimizer ------------------------------------------------------------
@@ -245,9 +256,10 @@ def _starts(data, tree, fam, pg, lo, hi, cfg: FitConfig) -> list[np.ndarray]:
 
 def _objective(data, tree, family, pg, analytic):
     spec = None
+    last = (None, np.inf)       # last analytic gradient's point and noise
 
     def fun(x):
-        nonlocal spec
+        nonlocal spec, last
         theta = pg.expand(pg.from_x(x))
         # extreme probes overflow to non-finite logliks; the penalty
         # branch absorbs them, so mute the float warnings here
@@ -267,12 +279,24 @@ def _objective(data, tree, family, pg, analytic):
                     g = pg.reduce_grad(-sc.mean(axis=0))
                     if not np.all(np.isfinite(g)):
                         return _PENALTY, np.zeros_like(x)
+                    scale = pg.reduce_grad(np.abs(sc).mean(axis=0))
+                    last = (x.copy(), _EPS * float(pg.grad_to_x(scale).max()))
                     return val, pg.grad_to_x(g)
                 val = -float(np.mean(log_density(spec, data)))
                 return val if np.isfinite(val) else _PENALTY
         except (DomainError, NumericError):
             return (_PENALTY, np.zeros_like(x)) if analytic else _PENALTY
 
+    def grad_noise(x) -> float:
+        """Rounding bound on the gradient's sup norm at x: the scores
+        summed into it, times the unit roundoff.  Known only where the
+        last analytic gradient was taken (inf elsewhere); numeric
+        gradients count as exact."""
+        if not analytic:
+            return 0.0
+        return last[1] if np.array_equal(last[0], x) else np.inf
+
+    fun.grad_noise = grad_noise
     return fun
 
 
@@ -303,7 +327,7 @@ def _fit_branch(data, tree, family, atoms, cfg: FitConfig, start):
     else:
         x0s = [pg.to_x([start[tree.param_pos[m[0]]] for m in pg.groups])]
     fits, fails = [], []
-    for x0 in x0s:
+    for r, x0 in enumerate(x0s):
         try:
             res = minimize(
                 fun,
@@ -320,8 +344,14 @@ def _fit_branch(data, tree, family, atoms, cfg: FitConfig, start):
             fails.append(str(res.message))
             continue
         fits.append(res)
+        # the Kendall-tau start is the fit once it converges to a gradient
+        # that rounding cannot hide: at a tie, huge per-node scores can
+        # cancel to a zero gradient far from the optimum
+        if r == 0 and res.success and fun.grad_noise(res.x) <= GTOL:
+            break
+    n_starts = len(fits) + len(fails)
     if not fits:
-        raise ConvergenceError(f"all {len(x0s)} starts failed: {fails}")
+        raise ConvergenceError(f"all {n_starts} starts failed: {fails}")
 
     best = min(fits, key=lambda r: r.fun)
     grad = np.atleast_1d(np.asarray(best.jac, dtype=float))
@@ -343,11 +373,12 @@ def _fit_branch(data, tree, family, atoms, cfg: FitConfig, start):
         theta=theta,
         loglik=ll,
         converged=bool(best.success),
-        n_starts=len(x0s),
+        n_starts=n_starts,
         active=tuple(active),
         grad_norm=gnorm,
         start_logliks=start_lls,
         branch=tuple(atoms) if atoms else None,
+        warm=start is not None,
     )
 
 
@@ -363,10 +394,13 @@ def mle(
 
     With a hypothesis, equality atoms are substituted by parameter
     merging; union branches are solved independently and the best
-    branch wins, ties broken toward fewer merges.  start, a parameter
-    vector in the cone, replaces the Kendall-tau starts with one
-    L-BFGS-B start there; each group starts at the value of its top
-    node.
+    branch wins, ties broken toward fewer merges.  Each fit runs
+    L-BFGS-B from the Kendall-tau start and stops there when it
+    converges (to a gradient its rounding error cannot hide); otherwise
+    the config's perturbed starts run in turn and the best start that
+    finished wins.  start, a parameter vector in
+    the cone, replaces all of them with one start there (the result is
+    marked warm); each group starts at the value of its top node.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[1] != tree.d:

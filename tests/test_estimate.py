@@ -118,9 +118,11 @@ def test_mle_feasible_and_dominates_starts():
     u = sample(TREE3, (1.4, 2.1), "gumbel", 300, seed=11).values
     fit = mle(u, TREE3, "gumbel")
     assert fit.theta[1] >= fit.theta[0] - 1e-10
-    assert fit.n_starts == 5
+    # the Kendall-tau start converges, so no perturbed start runs
+    assert fit.n_starts == 1
     assert fit.loglik >= max(fit.start_logliks) - 1e-6
     assert fit.grad_norm <= 1e-4
+    assert fit.loglik >= mle(u, TREE3, "gumbel", start=(1.4, 2.1)).loglik - 1e-6
 
 
 def test_constrained_fit_never_beats_full():
@@ -245,9 +247,114 @@ def test_start_runs_one_descent_from_it():
     fit = mle(u, TREE3, "clayton", start=start)
     assert fit.n_starts == 1
     assert len(fit.start_logliks) == 1
+    assert fit.warm and fit.to_dict()["warm"] is True
+    assert not mle(u, TREE3, "clayton").warm
     assert fit.loglik >= loglik(u, TREE3, "clayton", start)
     with pytest.raises(DomainError):
         mle(u, TREE3, "clayton", start=[2.0, 1.0])
+
+
+# --- start policy -----------------------------------------------------------
+
+
+def _eager_starts(data, tree, family, cfg):
+    # every start made up front, as the Kendall-tau start and its
+    # perturbations were before the fallback became lazy
+    fam = get_family(family)
+    lo = estimate._box_lo(fam)
+    hi = min(fam.tau_inv(estimate.TAU_HI), estimate.THETA_HI)
+    pg = merge_groups(tree)
+    base = estimate._group_taus(data, tree, pg)
+    rng = np.random.default_rng(cfg.seed)
+    xs = []
+    for r in range(1 + cfg.n_perturbed):
+        taus_g = base if r == 0 else base + rng.normal(0.0, estimate.JITTER, pg.g)
+        th = estimate._theta_from_taus(fam, taus_g, lo, hi, estimate.TAU_HI)
+        xs.append(pg.to_x(estimate._project_cone(pg, th, lo, hi)))
+    return xs
+
+
+@pytest.mark.parametrize("fam", ["clayton", "gumbel", "frank"])
+def test_converged_tau_start_is_the_fit(monkeypatch, fam):
+    theta = (tau_inv(fam, 0.3), tau_inv(fam, 0.5), tau_inv(fam, 0.6))
+    u = sample(TREE4, theta, fam, 256, seed=53).values
+    calls = []
+    real = estimate._theta_from_taus
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(estimate, "_theta_from_taus", counted)
+    for hyp in (None, Hypothesis.parse("(0,1)=(0)")):
+        calls.clear()
+        fit = mle(u, TREE4, fam, hypothesis=hyp)
+        assert fit.converged
+        assert fit.n_starts == len(fit.start_logliks) == 1
+        assert len(calls) == 1
+        assert not fit.warm
+
+
+@pytest.mark.parametrize("how", ["unconverged", "raise"])
+def test_failed_tau_start_falls_back_to_todays_starts(monkeypatch, how):
+    theta = (tau_inv("gumbel", 0.3), tau_inv("gumbel", 0.5), tau_inv("gumbel", 0.6))
+    u = sample(TREE4, theta, "gumbel", 200, seed=59).values
+    cfg = FitConfig(n_perturbed=4, seed=77)
+    want = _eager_starts(u, TREE4, "gumbel", cfg)
+    real = estimate.minimize
+    x0s = []
+
+    def fail_first(fun, x0, **kw):
+        x0s.append(np.array(x0))
+        if len(x0s) == 1 and how == "raise":
+            raise estimate.NumericError("forced")
+        res = real(fun, x0, **kw)
+        if len(x0s) == 1:
+            res.success = False
+        return res
+
+    monkeypatch.setattr(estimate, "minimize", fail_first)
+    fit = mle(u, TREE4, "gumbel", config=cfg)
+    assert len(x0s) == fit.n_starts == 5
+    for got, ref in zip(x0s, want):
+        np.testing.assert_array_equal(got, ref)
+    assert len(fit.start_logliks) == (5 if how == "unconverged" else 4)
+    # the best finished start wins
+    assert max(fit.start_logliks) == pytest.approx(fit.loglik, rel=1e-12)
+
+
+def test_tau_start_on_a_gradient_lost_to_rounding_falls_back(monkeypatch):
+    # at the tie of a one-group null fit, one row with u2 = 1.7e-5 gives
+    # per-node scores near 1e15 that cancel to a zero gradient, so
+    # L-BFGS-B reports convergence where it started
+    u = sample(TREE4, (6.0, 6.0, 6.0), "clayton", 100, seed=1).values
+    u = np.vstack([u, [[0.0229, 1.68e-5, 0.124, 0.030]]])
+    hyp = Hypothesis.parse("(0,1)=(0) & (0,2)=(0)")
+    real = estimate.minimize
+    results = []
+
+    def spy(*args, **kw):
+        results.append(real(*args, **kw))
+        return results[-1]
+
+    monkeypatch.setattr(estimate, "minimize", spy)
+    fit = mle(u, TREE4, "clayton", hypothesis=hyp)
+    assert results[0].success and results[0].nit == 0
+    assert fit.n_starts == 5
+    assert fit.loglik > -results[0].fun * len(u) + 1.0
+
+
+def test_every_start_failing_names_how_many_ran(monkeypatch):
+    u = sample(TREE3, (1.4, 2.1), "gumbel", 100, seed=61).values
+
+    def fail(*args, **kw):
+        raise estimate.NumericError("forced")
+
+    monkeypatch.setattr(estimate, "minimize", fail)
+    with pytest.raises(estimate.ConvergenceError, match="all 3 starts failed"):
+        mle(u, TREE3, "gumbel", config=FitConfig(n_perturbed=2))
+    with pytest.raises(estimate.ConvergenceError, match="all 1 starts failed"):
+        mle(u, TREE3, "gumbel", start=(1.4, 2.1))
 
 
 # --- once-per-dataset and once-per-fit work --------------------------------
@@ -321,3 +428,6 @@ def test_objective_builds_the_spec_once_per_fit(monkeypatch):
     val, grad = fun(np.array([1.3, 0.2, 0.5]))
     assert val == -float(np.mean(ld))
     assert np.array_equal(grad, pg.grad_to_x(pg.reduce_grad(-sc.mean(axis=0))))
+    # the gradient's rounding bound is known where it was last taken
+    assert 0.0 < fun.grad_noise(np.array([1.3, 0.2, 0.5])) < 1e-12
+    assert fun.grad_noise(np.array([1.2, 0.4, 0.8])) == np.inf

@@ -266,6 +266,7 @@ def test_full_fit_refit_from_null_optimum(monkeypatch):
     recs = run_replicate(spec, "c", "gumbel", "clayton", 512, 461)
     (pair,) = pairs
     assert pair.fit_full.loglik >= pair.fit_null.loglik
+    assert pair.fit_full.warm and not pair.fit_null.warm
     assert pair.fit_full.n_starts == len(pair.fit_full.start_logliks) == 1
     assert [r["method"] for r in recs] == ["mixture", "conditional"]
     for rec in recs:
