@@ -243,7 +243,8 @@ def _read_data(path: str, rank: bool) -> np.ndarray:
 
 
 _STARTS_HELP = ("At most N: the Kendall-tau start, then up to N-1 perturbed "
-                "starts if it fails (default: N = 5).")
+                "starts if it fails "
+                f"(default: N = {FitConfig().n_perturbed + 1}).")
 
 
 def _fit_config(ctx: _Ctx, starts: int | None) -> FitConfig:

@@ -14,6 +14,7 @@ start that finished wins.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,30 +185,26 @@ def _box_lo(fam) -> float:
     return fam.domain.lo if not fam.domain.lo_open else 1e-4
 
 
-# (shape and bytes of the last dataset, its read-only tau matrix): the
-# full, null and union-branch fits of one fit_pair share one matrix
-_last_taus: tuple | None = None
-
-
 def _tau_matrix(data) -> np.ndarray:
-    global _last_taus
-    key = (data.shape, data.tobytes())
-    if _last_taus is None or _last_taus[0] != key:
-        d = data.shape[1]
-        taus = np.zeros((d, d))
-        for i in range(d):
-            for j in range(i + 1, d):
-                taus[i, j] = taus[j, i] = kendalltau(
-                    data[:, i], data[:, j]
-                ).statistic
-        taus.flags.writeable = False
-        _last_taus = (key, taus)
-    return _last_taus[1]
+    """Kendall's tau of every pair of columns of data."""
+    d = data.shape[1]
+    taus = np.zeros((d, d))
+    for i in range(d):
+        for j in range(i + 1, d):
+            taus[i, j] = taus[j, i] = kendalltau(
+                data[:, i], data[:, j]
+            ).statistic
+    taus.flags.writeable = False        # shared by the fits of one dataset
+    return taus
 
 
-def _group_taus(data, tree: HacTree, pg: ParamGroups) -> np.ndarray:
+def _lazy_taus(data):
+    """A function giving data's tau matrix, computed on its first call."""
+    return functools.cache(functools.partial(_tau_matrix, data))
+
+
+def _group_taus(taus, tree: HacTree, pg: ParamGroups) -> np.ndarray:
     """Mean pairwise tau per group, pooling pairs with their LCA inside."""
-    taus = _tau_matrix(data)
     which = {p: gi for gi, members in enumerate(pg.groups) for p in members}
     sums = np.zeros(pg.g)
     cnts = np.zeros(pg.g)
@@ -240,10 +237,11 @@ def _project_cone(pg: ParamGroups, group_theta, lo, hi) -> np.ndarray:
     return th
 
 
-def _starts(data, tree, fam, pg, lo, hi, cfg: FitConfig):
+def _starts(taus, tree, fam, pg, lo, hi, cfg: FitConfig):
     """The Kendall-tau start, then the perturbed ones, each made on demand:
-    a fit whose first start converges inverts tau once per group."""
-    base = _group_taus(data, tree, pg)
+    a fit whose first start converges inverts tau once per group.  taus()
+    gives the data's tau matrix."""
+    base = _group_taus(taus(), tree, pg)
     rng = np.random.default_rng(cfg.seed)
     for r in range(1 + cfg.n_perturbed):
         taus_g = base if r == 0 else base + rng.normal(0.0, JITTER, pg.g)
@@ -313,7 +311,7 @@ def _projected_sup_norm(grad, x, bounds, tol=1e-10) -> float:
     return float(out)
 
 
-def _fit_branch(data, tree, family, atoms, cfg: FitConfig, start):
+def _fit_branch(data, tree, family, atoms, cfg: FitConfig, start, taus):
     pg = merge_groups(tree, atoms)
     fam = get_family(family)
     lo = _box_lo(fam)
@@ -323,7 +321,7 @@ def _fit_branch(data, tree, family, atoms, cfg: FitConfig, start):
     bounds = [(lo, hi)] + [(0.0, hi - lo)] * (pg.g - 1)
 
     if start is None:
-        x0s = _starts(data, tree, fam, pg, lo, hi, cfg)
+        x0s = _starts(taus, tree, fam, pg, lo, hi, cfg)
     else:
         x0s = [pg.to_x([start[tree.param_pos[m[0]]] for m in pg.groups])]
     fits, fails = [], []
@@ -389,6 +387,8 @@ def mle(
     hypothesis: Hypothesis | None = None,
     config: FitConfig = FitConfig(),
     start=None,
+    *,
+    _taus=None,
 ) -> FitResult:
     """Best local maximum of the likelihood over Theta (or its subset).
 
@@ -401,6 +401,9 @@ def mle(
     finished wins.  start, a parameter vector in
     the cone, replaces all of them with one start there (the result is
     marked warm); each group starts at the value of its top node.
+
+    The Kendall-tau matrix is computed at most once per call; fit_pair
+    hands its fits one function, _taus, that computes it once for all.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[1] != tree.d:
@@ -417,12 +420,13 @@ def mle(
         start = tree.theta_vector(start)
         if not validate_params(tree, family, start).valid:
             raise DomainError("start lies outside the parameter space")
+    taus = _taus or _lazy_taus(data)
     if hypothesis is None:
-        return _fit_branch(data, tree, family, (), config, start)
+        return _fit_branch(data, tree, family, (), config, start, taus)
 
     hypothesis.check_against(tree)
     results = [
-        _fit_branch(data, tree, family, branch, config, start)
+        _fit_branch(data, tree, family, branch, config, start, taus)
         for branch in hypothesis.branches
     ]
     best_ll = max(r.loglik for r in results)

@@ -11,8 +11,8 @@ multipliers >= 0, inactive slacks <= 0) holds, tested for all faces
 at once, and the equality-constrained solution on that face.  A Cone's
 rows are linearly independent, so some face is certified for every
 draw; the certificate is the projection's only rule.  It
-simulates the limit law, and provides the known chi-bar-squared
-mixtures for the small structures where the weights have closed forms.
+simulates the limit law, and reads the chi-bar-squared mixture law off
+the local cones where its weights have closed forms.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import (
     NumericError,
     SingularSigmaError,
 )
-from .estimate import FitConfig, FitResult, mle
+from .estimate import FitConfig, FitResult, _lazy_taus, mle
 from .fisher import DELTA_TAU, SIGMA_DRAWS, FisherEstimate, sigma_hat
 from .generators import get_family, tau_inv
 from .tree import TIGHT_TOL, Cone, HacTree, Hypothesis, local_cones, node_name
@@ -39,7 +39,6 @@ __all__ = [
     "ATOM_TOL",
     "NULL_DRAWS",
     "POWER_DRAWS",
-    "MIXTURE_SETTINGS",
     "Projection",
     "MixtureLaw",
     "ConditionalResult",
@@ -55,7 +54,6 @@ __all__ = [
     "conditional_test",
     "hybrid_pvalue",
     "power_curve",
-    "detect_setting",
     "fit_pair",
     "run_fitted",
     "run_test",
@@ -66,14 +64,6 @@ ATOM_TOL = 1e-8
 
 NULL_DRAWS = 5000       # draws of the simulated limit law per p-value
 POWER_DRAWS = 10_000    # Gaussian draws behind a power curve
-
-MIXTURE_SETTINGS = (
-    "single-tie",      # p=2, one nest tied to the root
-    "twin-pair",       # p=3 twin nests, both tied (intersection)
-    "twin-union",      # p=3 twin nests, either tied (union)
-    "free-nuisance",   # p=3, one tie plus a strictly separated nuisance
-    "tied-nuisance",   # p=3, one tie, nuisance itself at equality
-)
 
 
 # ====================================================================
@@ -352,8 +342,6 @@ class MixtureLaw:
     """
 
     components: tuple[tuple[float, int], ...]
-    beta: float | None = None
-    setting: str = ""
     note: str = ""
 
     def __post_init__(self):
@@ -377,74 +365,111 @@ class MixtureLaw:
         return {
             "weights": list(self.weights),
             "dfs": list(self.dfs),
-            "beta": self.beta,
-            "setting": self.setting,
             "note": self.note,
         }
 
 
-def _beta_from_sigma(sigma) -> float:
-    # beta in terms of the components of Z itself; the differenced
-    # coordinates appearing in the geometric derivation are internal
-    # to the projection, not to this formula.
-    s = np.asarray(sigma, dtype=float)
-    var_diff = s[0, 0] - 2.0 * s[0, 1] + s[1, 1]
-    if var_diff <= 0.0:
-        raise DomainError("sigma implies Var(Z0 - Z1) <= 0")
-    beta = (s[0, 0] - 2.0 * s[0, 1] + s[1, 2]) / var_diff
-    if abs(beta) > 1.0 + 1e-6:
-        raise DomainError(
-            f"beta = {beta:.6g} outside [-1, 1]; sigma lacks the "
-            "exchangeable-pair structure this law assumes"
-        )
-    return float(np.clip(beta, -1.0, 1.0))
+def _orthant(cov) -> float:
+    """P(N(0, cov) <= 0), in closed form up to three dimensions."""
+    k = cov.shape[0]
+    if k <= 1:
+        return 0.5**k
+    d = np.diag(cov)
+    r = np.clip(cov / np.sqrt(np.outer(d, d)), -1.0, 1.0)
+    asin = np.arcsin(r[np.triu_indices(k, 1)])
+    if k == 2:
+        return 0.25 + float(asin[0]) / (2.0 * math.pi)
+    return 0.125 + float(asin.sum()) / (4.0 * math.pi)
 
 
-def mixture_law(setting: str, sigma=None) -> MixtureLaw:
-    """Closed-form limit law for the recognized small structures.
+def _same_rows(cone: Cone, null: Cone) -> bool:
+    """Whether null is cone with some of its rows turned into equalities."""
+    rows = np.vstack([null.eq, null.ineq])
+    return (
+        cone.eq.shape[0] == 0
+        and rows.shape == cone.ineq.shape
+        and np.array_equal(np.unique(rows, axis=0),
+                           np.unique(cone.ineq, axis=0))
+    )
 
-    single-tie and free-nuisance give the half/half mixture of a point
-    mass and chi-squared(1) regardless of sigma.  twin-pair mixes in a
-    chi-squared(2) with weight depending on beta computed from sigma.
-    twin-union returns the half/half law as a conservative reference.
-    tied-nuisance requires beta >= 0; below that the geometry has no
-    closed form here, use mc_null_pvalue.
+
+def _subspace_components(v) -> tuple[tuple[float, int], ...]:
+    """Chi-bar-squared law of the orthant {w <= 0} against w = 0, for
+    W ~ N(0, v) (Kudo 1963).
+
+    The projection of W lands on the face where the rows T are tight and
+    the rows O slack exactly when the multipliers inv(v_TT) W_T are >= 0
+    and the slacks (covariance v_OO.T, the Schur complement) are <= 0.
+    The two are independent, and L is then chi-squared(|O|).  These are
+    the orthants of _face_ops's certificates, read off v: the product
+    cert sigma cert' loses digits as v nears singular (8e-7 in the
+    weights at correlation 1 - 1e-9).
     """
-    s = setting.lower().strip()
-    if s not in MIXTURE_SETTINGS:
-        raise DomainError(
-            f"unknown setting {setting!r}; one of {MIXTURE_SETTINGS}"
-        )
-    dim = 2 if s == "single-tie" else 3
-    if sigma is not None:
+    k = v.shape[0]
+    w = [0.0] * (k + 1)
+    for mask in range(2**k):
+        on = np.array([mask >> i & 1 for i in range(k)], dtype=bool)
+        inv_on = np.linalg.inv(v[np.ix_(on, on)])
+        slack = v[np.ix_(~on, ~on)] - v[np.ix_(~on, on)] @ inv_on @ v[
+            np.ix_(on, ~on)
+        ]
+        w[int(np.count_nonzero(~on))] += _orthant(inv_on) * _orthant(slack)
+    return tuple((wj, j) for j, wj in enumerate(w))
+
+
+def mixture_law(cone: Cone, null_cones, sigma=None) -> MixtureLaw | None:
+    """Chi-bar-squared limit law of L read off the local cones, or None.
+
+    The law depends on the data only through sigma and the cones.  R
+    holds the k tight rows of the full cone, and each null cone must
+    hold the same rows with some of them as equalities (the shape
+    local_cones gives); V = R sigma R'.  The rules:
+
+    - Subspace null: one null cone with every row an equality, k <= 3.
+      The weight of chi-squared(j) sums the orthant probabilities of the
+      faces of the full cone with j slack rows (Kudo 1963; Silvapulle &
+      Sen 2005, ch. 3).  For k <= 1 every such orthant has at most one
+      dimension, and sigma is not read.
+    - Tied nuisance: one null cone, k = 2, one equality.  With rho the
+      correlation in V, the weights are (1/4 + acos(rho)/2pi, 1/2,
+      1/4 - acos(rho)/2pi), for rho >= 0 only.
+    - Union bound: two or more null cones, k = 2, one equality in each.
+      The half/half law bounds the union's survival from above.
+
+    Any other geometry returns None; use mc_null_pvalue.
+    """
+    cones = _as_cones(null_cones)
+    k = cone.n_ineq
+    if not all(_same_rows(cone, c) for c in cones):
+        return None
+    n_eq = {c.eq.shape[0] for c in cones}
+    if len(cones) > 1:
+        if k == 2 and n_eq == {1}:
+            return MixtureLaw(
+                ((0.5, 0), (0.5, 1)),
+                note="stochastic upper bound on the union's limit law",
+            )
+        return None
+    subspace = n_eq == {k} and k <= 3       # orthants in closed form
+    if not subspace and not (k == 2 and n_eq == {1}):
+        return None
+    if k <= 1:
+        v = np.eye(k)
+    elif sigma is None:
+        raise DomainError(f"the law of {k} tight rows reads sigma")
+    else:
         sigma = np.asarray(sigma, dtype=float)
-        if sigma.shape != (dim, dim):
-            raise DomainError(
-                f"setting {s!r} expects a {dim}x{dim} sigma"
-            )
-    if s in ("single-tie", "free-nuisance"):
-        return MixtureLaw(((0.5, 0), (0.5, 1)), setting=s)
-    if s == "twin-union":
-        return MixtureLaw(
-            ((0.5, 0), (0.5, 1)),
-            setting=s,
-            note="stochastic upper bound when the twin parameters "
-            "are equal; exact otherwise",
-        )
-    if sigma is None:
-        raise DomainError(f"setting {s!r} needs sigma to compute beta")
-    beta = _beta_from_sigma(sigma)
-    if s == "twin-pair":
-        gamma0 = math.acos(beta) / (2.0 * math.pi)
-    else:  # tied-nuisance
-        if beta < 0.0:
-            raise DomainError(
-                f"tied-nuisance law requires beta >= 0, got {beta:.6g}; "
-                "use mc_null_pvalue instead"
-            )
-        gamma0 = 0.25 + math.acos(beta) / (2.0 * math.pi)
-    components = ((gamma0, 0), (0.5, 1), (0.5 - gamma0, 2))
-    return MixtureLaw(components, beta=beta, setting=s)
+        if sigma.shape != (cone.p, cone.p):
+            raise DomainError(f"sigma must be {cone.p}x{cone.p}")
+        _chol_pd(sigma)
+        v = cone.ineq @ sigma @ cone.ineq.T
+    if subspace:
+        return MixtureLaw(_subspace_components(v))
+    rho = v[0, 1] / math.sqrt(v[0, 0] * v[1, 1])
+    if rho < 0.0:
+        return None
+    gamma0 = 0.25 + math.acos(min(rho, 1.0)) / (2.0 * math.pi)
+    return MixtureLaw(((gamma0, 0), (0.5, 1), (0.5 - gamma0, 2)))
 
 
 def mixture_pvalue(law: MixtureLaw, statistic: float) -> float:
@@ -753,58 +778,8 @@ def power_curve(
 
 
 # ====================================================================
-# structural detection and the orchestrated test
+# the orchestrated test
 # ====================================================================
-
-def detect_setting(
-    tree: HacTree,
-    hypothesis: Hypothesis,
-    theta_null=None,
-) -> str | None:
-    """Match the tree and hypothesis to a known mixture setting.
-
-    Detection is structural: a two-level tree, the count and shapes of
-    the root's nests, and which ties the hypothesis demands.  The
-    nuisance settings additionally need the fitted null to decide
-    whether the free nest sits strictly above the root parameter;
-    without theta_null they are not recognized.  Returns None when no
-    closed-form law applies.
-    """
-    hypothesis.check_against(tree)
-    if not tree.is_two_level():
-        return None
-    nests = tuple(
-        c for c in tree.children(()) if not isinstance(c, int)
-    )
-    branches = hypothesis.branches
-    if tree.p == 2 and len(nests) == 1:
-        if len(branches) == 1 and tuple(branches[0]) == (nests[0],):
-            return "single-tie"
-        return None
-    if tree.p != 3 or len(nests) != 2:
-        return None
-    first, second = nests
-    twins = tree.n_leaves(first) == tree.n_leaves(second)
-    both = tuple(sorted(nests))
-    if len(branches) == 2 and twins:
-        atom_sets = {tuple(b) for b in branches}
-        if atom_sets == {(first,), (second,)}:
-            return "twin-union"
-        return None
-    if len(branches) != 1:
-        return None
-    atoms = tuple(sorted(branches[0]))
-    if atoms == both and twins:
-        return "twin-pair"
-    if len(atoms) == 1 and atoms[0] in nests:
-        if theta_null is None:
-            return None
-        vec = np.asarray(theta_null, dtype=float)
-        other = second if atoms[0] == first else first
-        gap = vec[tree.param_pos[other]] - vec[tree.param_pos[()]]
-        return "tied-nuisance" if gap <= TIGHT_TOL else "free-nuisance"
-    return None
-
 
 def _cone_dict(cone: Cone) -> dict:
     return {"ineq": cone.ineq.tolist(), "eq": cone.eq.tolist()}
@@ -821,7 +796,6 @@ class LrtResult:
     fit_full: FitResult
     law: MixtureLaw | None = None
     sigma: FisherEstimate | None = None
-    setting: str | None = None
     conditional: ConditionalResult | None = None
     cones: tuple[Cone, tuple[Cone, ...]] | None = None
     m: int | None = None
@@ -837,7 +811,6 @@ class LrtResult:
             "law": None if self.law is None else self.law.to_dict(),
             "seeds": dict(self.seeds),
             "m": self.m,
-            "setting": self.setting,
             "conservative": self.conservative,
             "warning": self.warning,
             "fits": {
@@ -894,8 +867,12 @@ def fit_pair(
     optimum: that point is feasible for the full model, and descent
     from it cannot end below it.
     """
-    fit_full = mle(rows, tree, family, config=config)
-    fit_null = mle(rows, tree, family, hypothesis=hypothesis, config=config)
+    rows = np.asarray(rows, dtype=float)
+    # the fits share one Kendall-tau matrix, computed on first use
+    taus = _lazy_taus(rows)
+    fit_full = mle(rows, tree, family, config=config, _taus=taus)
+    fit_null = mle(rows, tree, family, hypothesis=hypothesis, config=config,
+                   _taus=taus)
     if 2.0 * (fit_full.loglik - fit_null.loglik) < -ATOM_TOL:
         fit_full = mle(rows, tree, family, config=config,
                        start=fit_null.theta)
@@ -925,13 +902,14 @@ def run_fitted(
 ) -> LrtResult:
     """Pick the reference law for a fitted pair and report the test.
 
-    method "mixture" uses the closed-form law when the structure is
-    recognized and otherwise falls back to the Monte Carlo null with a
-    warning.  "mc" always simulates the limit law at the fitted null.
-    "conditional" compares against chi-squared(nu) given where the
-    full MLE landed, and "hybrid" folds fitted nuisance gaps into the
-    mean of the simulated limit.  sigma_seed feeds the covariance
-    draws and mc_seed the simulated null.
+    method "mixture" reads the closed-form law off the local cones at
+    the fitted null (mixture_law) and falls back to the Monte Carlo
+    null with a warning where there is none.  "mc" always simulates the
+    limit law there.  "conditional" compares against chi-squared(nu)
+    given where the full MLE landed, and "hybrid" folds fitted nuisance
+    gaps into the mean of the simulated limit.  Sigma is drawn only
+    when the chosen law or simulation reads it.  sigma_seed feeds the
+    covariance draws and mc_seed the simulated null.
     """
     _check_choices(method, sigma_at)
     hac, hyp = pair.tree, pair.hypothesis
@@ -959,7 +937,6 @@ def run_fitted(
             )
         return sigma_est
 
-    setting = detect_setting(hac, hyp, fit_null.theta)
     law = None
     cones = None
     conditional = None
@@ -968,40 +945,38 @@ def run_fitted(
     used = method
     m_used = None
 
-    if method == "mixture" and setting is None:
-        warning = (
-            "structure not recognized for a closed-form law; "
-            "falling back to the Monte Carlo null"
-        )
-        warnings.warn(warning)
-        used = "mc"
-
-    if used == "mixture":
-        needs_sigma = setting in ("twin-pair", "tied-nuisance")
-        law = mixture_law(setting, get_sigma().sigma if needs_sigma else None)
-        p_value = mixture_pvalue(law, statistic)
-        conservative = setting == "twin-union"
-    elif used == "mc":
+    if method != "hybrid":
         cone, null_cones = local_cones(hac, hyp, fit_null.theta)
         cones = (cone, null_cones)
+        # only a single null cone's law of two or more rows reads sigma
+        reads_sigma = len(null_cones) == 1 and cone.n_ineq >= 2
+        if method == "mixture" or (
+            method == "conditional" and (exact or not reads_sigma)
+        ):
+            law = mixture_law(
+                cone, null_cones, get_sigma().sigma if reads_sigma else None
+            )
+        if method == "mixture" and law is None:
+            warning = (
+                "no closed-form law for these local cones; "
+                "falling back to the Monte Carlo null"
+            )
+            warnings.warn(warning)
+            used = "mc"
+
+    if used == "mixture":
+        p_value = mixture_pvalue(law, statistic)
+        conservative = len(null_cones) > 1
+    elif used == "mc":
         p_value = mc_null_pvalue(
             statistic, get_sigma().sigma, cone, null_cones,
             m=m, seed=mc_seed,
         )
         m_used = m
     elif used == "conditional":
-        gamma0 = None
-        if setting is not None and (exact or setting in
-                                    ("single-tie", "free-nuisance",
-                                     "twin-union")):
-            needs_sigma = setting in ("twin-pair", "tied-nuisance")
-            law = mixture_law(
-                setting, get_sigma().sigma if needs_sigma else None
-            )
-            gamma0 = law.components[0][0]
         conditional = conditional_test(
-            fit_full, fit_null, hac,
-            alpha=alpha, gamma0=gamma0, exact=exact,
+            fit_full, fit_null, hac, alpha=alpha,
+            gamma0=None if law is None else law.weights[0], exact=exact,
         )
         p_value = conditional.p_value
     else:  # hybrid
@@ -1021,7 +996,6 @@ def run_fitted(
         fit_full=fit_full,
         law=law,
         sigma=sigma_est,
-        setting=setting,
         conditional=conditional,
         cones=cones,
         m=m_used,

@@ -10,7 +10,8 @@ Settings:
   I    [[1,2],3], tie the single nest; mixture and conditional tests.
   II   [[1,2],[3,4]], tie both nests; twin-pair mixture with a choice
        of covariance estimator.
-  III  same data, either-nest union; conservative half/half mixture.
+  III  same data, either-nest union; half/half mixture, a conservative
+       bound where both branches hold at the fitted null.
   IV   same data, tie the first nest only; hybrid Monte Carlo null
        plus the simplified variant that assumes the nuisance nest
        collapses into the root.

@@ -20,6 +20,8 @@ from haclrt.lrt import mixture_law, null_statistics, power_curve
 from haclrt.scenarios import ScenarioSpec, rejection_table, run_scenario
 from haclrt.tree import Cone, HacTree
 
+pytestmark = pytest.mark.slow
+
 TREE3 = HacTree([[1, 2], 3])
 CFG = FitConfig(n_perturbed=2)
 
@@ -111,7 +113,7 @@ def test_projection_region_frequencies_match_weights(beta):
                               ineq=np.array([[1.0, 0.0, -1.0]])),
     }
     for setting, null_cone in nulls.items():
-        law = mixture_law(setting, sigma)
+        law = mixture_law(cone, null_cone, sigma)
         _, det = null_statistics(sigma, cone, (null_cone,), m=100_000,
                                  seed=int(beta * 40) + 7, details=True)
         for k, weight in zip((0, 1, 2), law.weights):

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 import haclrt.cli as cli
 from haclrt.cli import RunConfig, main, rerun
 from haclrt.errors import SingularSigmaError
+from haclrt.estimate import FitConfig
 
 TREE = "[[1,2],3]"
 
@@ -140,8 +141,17 @@ def test_test_command_mixture_defaults(runner, tmp_path):
         "--format", "json", "test", "--data", str(data), "--tree", TREE,
         "--family", "gumbel", "--hypothesis", "(0,1)=(0)",
     ]).output)
-    assert doc["setting"] == "single-tie"
+    assert doc["law"]["dfs"] == [0, 1]
     assert doc["law"]["weights"] == [0.5, 0.5]
+    assert doc["sigma_meta"] is None and not doc["conservative"]
+
+
+def test_starts_help_names_the_default(runner):
+    # the help text is built from FitConfig, so the two cannot drift apart
+    n = FitConfig().n_perturbed + 1
+    for command in ("fit", "test"):
+        out = _invoke(runner, [command, "--help"]).output
+        assert f"(default: N = {n})" in " ".join(out.split())
 
 
 # --- sigma / detscan / power -----------------------------------------------

@@ -264,7 +264,7 @@ def _eager_starts(data, tree, family, cfg):
     lo = estimate._box_lo(fam)
     hi = min(fam.tau_inv(estimate.TAU_HI), estimate.THETA_HI)
     pg = merge_groups(tree)
-    base = estimate._group_taus(data, tree, pg)
+    base = estimate._group_taus(estimate._tau_matrix(data), tree, pg)
     rng = np.random.default_rng(cfg.seed)
     xs = []
     for r in range(1 + cfg.n_perturbed):
@@ -360,16 +360,10 @@ def test_every_start_failing_names_how_many_ran(monkeypatch):
 # --- once-per-dataset and once-per-fit work --------------------------------
 
 
-def _fit_arrays(pair):
-    return [
-        np.array([f.loglik, *f.theta, *f.start_logliks])
-        for f in (pair.fit_full, pair.fit_null)
-    ]
-
-
 def test_tau_matrix_computed_once_per_dataset(monkeypatch):
     # the full, null and union-branch fits of a fit_pair share one tau
-    # matrix: 6 pairs at d=4, and a new dataset recomputes it
+    # matrix (6 pairs at d=4); a lone mle computes its own, once, and a
+    # fit from a given start needs none
     hyp = Hypothesis.parse("(0,1)=(0) | (0,2)=(0)")
     data = [
         sample(TREE4, (1.2, 1.6, 2.0), "gumbel", 120, seed=s).values
@@ -382,26 +376,17 @@ def test_tau_matrix_computed_once_per_dataset(monkeypatch):
         calls.append(1)
         return real(x, y)
 
-    monkeypatch.setattr(estimate, "_last_taus", None)
     monkeypatch.setattr(estimate, "kendalltau", counted)
-    memo = [fit_pair(u, TREE4, "gumbel", hyp) for u in data]
+    pairs = [fit_pair(u, TREE4, "gumbel", hyp) for u in data]
     assert len(calls) == 12
-    taus = estimate._tau_matrix(data[1])
-    assert len(calls) == 12 and not taus.flags.writeable
-
-    # the same fits with a fresh matrix for every fit
-    tau_matrix = estimate._tau_matrix
-
-    def fresh(u):
-        estimate._last_taus = None
-        return tau_matrix(u)
-
-    monkeypatch.setattr(estimate, "_tau_matrix", fresh)
-    for u, pair in zip(data, memo):
-        again = fit_pair(u, TREE4, "gumbel", hyp)
-        for a, b in zip(_fit_arrays(pair), _fit_arrays(again)):
-            assert np.array_equal(a, b)
-    assert len(calls) > 24
+    alone = mle(data[1], TREE4, "gumbel", hypothesis=hyp)
+    assert len(calls) == 18
+    mle(data[1], TREE4, "gumbel", start=alone.theta)
+    assert len(calls) == 18
+    # the shared matrix gives the fit that a matrix of its own gives
+    assert np.array_equal(alone.theta, pairs[1].fit_null.theta)
+    assert alone.start_logliks == pairs[1].fit_null.start_logliks
+    assert not estimate._tau_matrix(data[1]).flags.writeable
 
 
 def test_objective_builds_the_spec_once_per_fit(monkeypatch):

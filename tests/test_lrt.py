@@ -14,7 +14,6 @@ from haclrt.lrt import (
     LrtResult,
     MixtureLaw,
     conditional_test,
-    detect_setting,
     hybrid_pvalue,
     lrt_statistic,
     mc_null_pvalue,
@@ -37,12 +36,37 @@ LINE2 = Cone(2, eq=np.array([[1.0, -1.0]]))
 # twin geometry: z0 <= z1 and z0 <= z2
 CONE3 = Cone(3, ineq=np.array([[1.0, -1.0, 0.0], [1.0, 0.0, -1.0]]))
 BOTH3 = Cone(3, eq=np.array([[1.0, -1.0, 0.0], [1.0, 0.0, -1.0]]))
-# one tie as equality, the other still a half-space
+# one tie as equality, the other still a half-space, and its mirror
 TIED3 = Cone(
     3,
     ineq=np.array([[1.0, 0.0, -1.0]]),
     eq=np.array([[1.0, -1.0, 0.0]]),
 )
+TIED3B = Cone(
+    3,
+    ineq=np.array([[1.0, -1.0, 0.0]]),
+    eq=np.array([[1.0, 0.0, -1.0]]),
+)
+
+
+def _twin_sigma(v):
+    """Sigma on TREE4's parameters whose tight rows have covariance v, with
+    the root uncorrelated with them."""
+    t_inv = np.linalg.inv(np.vstack([[1.0, 0.0, 0.0], CONE3.ineq]))
+    return t_inv @ np.block([[np.eye(1), np.zeros((1, 2))],
+                             [np.zeros((2, 1)), v]]) @ t_inv.T
+
+
+def _orthant(cov):
+    # P(N(0, cov) <= 0) by the arcsine formulas, for the oracles below
+    k = cov.shape[0]
+    if k <= 1:
+        return 0.5**k
+    r = cov / np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
+    a = [math.asin(r[i, j]) for i in range(k) for j in range(i + 1, k)]
+    if k == 2:
+        return 0.25 + a[0] / (2.0 * math.pi)
+    return 0.125 + sum(a) / (4.0 * math.pi)
 
 
 def _fit(theta, loglik, branch=None):
@@ -495,12 +519,17 @@ def test_twin_pair_identity_covariance_weights():
 
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
 def test_region_frequencies_match_closed_form(beta):
-    # covariance engineered so the weight formula gives this beta
+    # exchangeable covariance whose tight rows have correlation beta; the
+    # laws equal the closed forms of the twin-pair and tied-nuisance nests
     s12 = 3.0 * min(beta, 1.0 - 1e-6) - 1.0
     sigma = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, s12], [0.0, s12, 2.0]])
-    law_pair = mixture_law("twin-pair", sigma)
-    law_tied = mixture_law("tied-nuisance", sigma)
-    assert law_pair.beta == pytest.approx(min(beta, 1.0 - 1e-6), abs=1e-12)
+    law_pair = mixture_law(CONE3, BOTH3, sigma)
+    law_tied = mixture_law(CONE3, TIED3, sigma)
+    g0 = math.acos(min(beta, 1.0 - 1e-6)) / (2.0 * math.pi)
+    assert law_pair.weights == pytest.approx((g0, 0.5, 0.5 - g0), abs=1e-12)
+    assert law_tied.weights == pytest.approx(
+        (0.25 + g0, 0.5, 0.25 - g0), abs=1e-12
+    )
     for cone0, law in ((BOTH3, law_pair), (TIED3, law_tied)):
         _, info = null_statistics(
             sigma, CONE3, cone0, m=100_000, seed=7, details=True
@@ -534,11 +563,14 @@ def test_union_null_takes_best_branch():
 
 
 def test_half_half_laws():
-    for setting in ("single-tie", "free-nuisance"):
-        law = mixture_law(setting)
+    # one tight row: the single tie, and a tie beside a free nuisance nest
+    single = local_cones(TREE3, Hypothesis.parse("(0,1)=(0)"), [1.5, 1.5])
+    free = local_cones(TREE4, Hypothesis.parse("(0,1)=(0)"), [1.8, 1.8, 2.6])
+    for cone, nulls in (single, free):
+        law = mixture_law(cone, nulls)        # needs no sigma
         assert law.components == ((0.5, 0), (0.5, 1))
-        assert law.beta is None
-    law = mixture_law("twin-union")
+        assert law.note == ""
+    law = mixture_law(CONE3, (TIED3, TIED3B))
     assert law.components == ((0.5, 0), (0.5, 1))
     assert "upper bound" in law.note
 
@@ -546,7 +578,7 @@ def test_half_half_laws():
 def test_twin_pair_weights_at_beta_one():
     sigma = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0 - 1e-9],
                       [0.0, 1.0 - 1e-9, 1.0]])
-    law = mixture_law("twin-pair", sigma)
+    law = mixture_law(CONE3, BOTH3, sigma)
     assert law.weights[0] == pytest.approx(0.0, abs=1e-4)
     assert law.weights[1] == 0.5
     assert law.weights[2] == pytest.approx(0.5, abs=1e-4)
@@ -556,8 +588,7 @@ def test_twin_pair_weights_at_beta_zero():
     # acos(0)/(2 pi) = 1/4; confirmed against the projection simulation
     # in test_region_frequencies_match_closed_form
     sigma = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
-    law = mixture_law("twin-pair", sigma)
-    assert law.beta == pytest.approx(0.0, abs=1e-12)
+    law = mixture_law(CONE3, BOTH3, sigma)
     assert law.weights == pytest.approx((0.25, 0.5, 0.25))
 
 
@@ -565,37 +596,95 @@ def test_tied_nuisance_beta_zero_collapses_to_half_half():
     # at beta = 0 the tied law loses its chi2(2) part entirely and the
     # nuisance costs nothing; the projection simulation confirms
     sigma = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
-    law = mixture_law("tied-nuisance", sigma)
+    law = mixture_law(CONE3, TIED3, sigma)
     assert law.weights == pytest.approx((0.5, 0.5, 0.0))
 
 
 def test_tied_nuisance_formula():
     sigma = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.5], [0.0, 0.5, 2.0]])
     beta = (1.0 + 0.5) / 3.0
-    law = mixture_law("tied-nuisance", sigma)
+    law = mixture_law(CONE3, TIED3, sigma)
     g0 = 0.25 + math.acos(beta) / (2.0 * math.pi)
     assert law.weights == pytest.approx((g0, 0.5, 0.5 - g0))
 
 
 def test_tied_nuisance_rejects_negative_beta():
+    # rho < 0 has no closed form here: no law, so callers simulate; the
+    # subspace law of the same rows has one
     sigma = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, -1.6], [0.0, -1.6, 2.0]])
-    with pytest.raises(DomainError, match="mc_null_pvalue"):
-        mixture_law("tied-nuisance", sigma)
+    assert mixture_law(CONE3, TIED3, sigma) is None
+    assert mixture_law(CONE3, BOTH3, sigma) is not None
 
 
 def test_mixture_law_validates_inputs():
     with pytest.raises(DomainError):
-        mixture_law("nonsense")
+        mixture_law(CONE3, "nonsense")            # not cones
     with pytest.raises(DomainError):
-        mixture_law("single-tie", np.eye(3))      # wants 2x2
+        mixture_law(CONE3, BOTH3, np.eye(2))      # wants 3x3
     with pytest.raises(DomainError):
-        mixture_law("twin-pair", np.eye(2))       # wants 3x3
-    with pytest.raises(DomainError):
-        mixture_law("twin-pair")                  # needs sigma for beta
-    # covariance without the exchangeable-pair structure: beta blows up
-    bad = np.array([[1.0, 0.0, 0.0], [0.0, 0.1, 3.0], [0.0, 3.0, 100.0]])
-    with pytest.raises(DomainError):
-        mixture_law("twin-pair", bad)
+        mixture_law(CONE3, BOTH3)                 # two rows read sigma
+    with pytest.raises(SingularSigmaError):
+        mixture_law(CONE3, TIED3, np.diag([1.0, 1.0, -1.0]))
+    # nulls that are not the full cone's rows turned into equalities
+    other = Cone(3, eq=np.array([[0.0, 1.0, -1.0]]))
+    assert mixture_law(CONE3, other, np.eye(3)) is None
+    assert mixture_law(CONE3, (BOTH3, TIED3), np.eye(3)) is None
+
+
+def test_tied_nuisance_law_reads_rho_not_beta():
+    # tight rows with variances 1:3 and correlation 1/2: the law reads
+    # rho; the former beta = V12/V11 law misses the simulated regions
+    c = math.sqrt(3.0) * 0.5
+    sigma = _twin_sigma(np.array([[1.0, c], [c, 3.0]]))
+    g0 = 0.25 + math.acos(0.5) / (2.0 * math.pi)
+    g0_beta = 0.25 + math.acos(c) / (2.0 * math.pi)
+    for null in (TIED3, TIED3B):
+        law = mixture_law(CONE3, null, sigma)
+        assert law.weights == pytest.approx((g0, 0.5, 0.5 - g0), abs=1e-12)
+        _, info = null_statistics(
+            sigma, CONE3, null, m=100_000, seed=9, details=True
+        )
+        freq = [np.mean(info["nu"] == j) for j in range(3)]
+        assert freq == pytest.approx(law.weights, abs=0.01)
+        assert abs(freq[0] - g0_beta) > 0.05
+
+
+@pytest.mark.parametrize("rho", [-0.9, -0.5, 0.0, 0.5, 0.9])
+def test_union_half_half_bounds_simulated_survival(rho):
+    law = mixture_law(CONE3, (TIED3, TIED3B))
+    for ratio in (1.0, 3.0):
+        c = math.sqrt(ratio) * rho
+        sigma = _twin_sigma(np.array([[1.0, c], [c, ratio]]))
+        draws = null_statistics(
+            sigma, CONE3, (TIED3, TIED3B), m=50_000, seed=13
+        )
+        for stat in (0.5, 2.0, 5.0):
+            assert np.mean(draws >= stat) <= mixture_pvalue(law, stat)
+
+
+def test_subspace_law_of_three_ties_matches_regions():
+    # three tied nests: the weights equal the orthant sums over the face
+    # certificates of the projection, and the simulated rank jumps
+    tree = HacTree([[1, 2], [3, 4], [5, 6]])
+    hyp = Hypothesis.parse("(0,1)=(0) & (0,2)=(0) & (0,3)=(0)")
+    cone, nulls = local_cones(tree, hyp, [1.5] * 4)
+    rng = np.random.default_rng(0)
+    for t in range(3):
+        w = rng.standard_normal((4, 4))
+        sigma = w @ w.T + 0.3 * np.eye(4)
+        law = mixture_law(cone, nulls, sigma)
+        assert law.dfs == (0, 1, 2, 3)
+        ops = lrt._face_ops(cone, sigma)
+        oracle = np.zeros(4)
+        for f, face in enumerate(ops.faces):
+            cert = ops.cert[:, f]
+            oracle[3 - len(face)] += _orthant(cert @ sigma @ cert.T)
+        assert law.weights == pytest.approx(oracle, abs=1e-12)
+        _, info = null_statistics(
+            sigma, cone, nulls, m=100_000, seed=t, details=True
+        )
+        freq = [np.mean(info["nu"] == j) for j in range(4)]
+        assert freq == pytest.approx(law.weights, abs=0.01)
 
 
 def test_mixture_component_validation():
@@ -609,14 +698,14 @@ def test_mixture_component_validation():
 
 
 def test_mixture_pvalue_half_half_anchor():
-    law = mixture_law("single-tie")
+    law = mixture_law(CONE2, LINE2)
     assert mixture_pvalue(law, 2.705543) == pytest.approx(0.05, abs=1e-6)
 
 
 def test_mixture_pvalue_twin_pair_anchor():
     sigma = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0 - 1e-9],
                       [0.0, 1.0 - 1e-9, 1.0]])
-    law = mixture_law("twin-pair", sigma)
+    law = mixture_law(CONE3, BOTH3, sigma)
     p = mixture_pvalue(law, 5.991465)
     expect = 0.5 * stats.chi2.sf(5.991465, 1) + 0.5 * 0.05
     assert p == pytest.approx(expect, abs=1e-4)
@@ -624,15 +713,15 @@ def test_mixture_pvalue_twin_pair_anchor():
 
 
 def test_mixture_pvalue_zero_is_one():
-    for setting in ("single-tie", "twin-union"):
-        law = mixture_law(setting)
+    for law in (mixture_law(CONE2, LINE2),
+                mixture_law(CONE3, (TIED3, TIED3B))):
         assert mixture_pvalue(law, 0.0) == 1.0
         assert mixture_pvalue(law, ATOM_TOL / 2) == 1.0
 
 
 def test_mixture_pvalue_strictly_decreasing():
     sigma = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.5], [0.0, 0.5, 2.0]])
-    law = mixture_law("twin-pair", sigma)
+    law = mixture_law(CONE3, BOTH3, sigma)
     grid = np.linspace(1e-6, 12.0, 200)
     vals = [mixture_pvalue(law, x) for x in grid]
     assert all(a > b for a, b in zip(vals, vals[1:]))
@@ -642,7 +731,7 @@ def test_mixture_pvalue_strictly_decreasing():
 
 
 def test_mixture_pvalue_rejects_nan_statistic():
-    law = mixture_law("single-tie")
+    law = mixture_law(CONE2, LINE2)
     with pytest.raises(DomainError, match="nan"):
         mixture_pvalue(law, float("nan"))
     assert mixture_pvalue(law, math.inf) == 0.0
@@ -650,7 +739,7 @@ def test_mixture_pvalue_rejects_nan_statistic():
 
 def test_mixture_pvalue_rejects_negative():
     with pytest.raises(DomainError):
-        mixture_pvalue(mixture_law("single-tie"), -0.1)
+        mixture_pvalue(mixture_law(CONE2, LINE2), -0.1)
 
 
 # --- conditional test ------------------------------------------------------
@@ -739,7 +828,9 @@ def test_hybrid_large_gap_matches_free_nuisance_mixture():
     null = _fit([2.0, 2.0, 3.0], -100.0 - stat / 2, branch=((1,),))
     p = hybrid_pvalue(full, null, TREE4, HYP41, SIG3, n=2500,
                       m=100_000, seed=31)
-    expect = mixture_pvalue(mixture_law("free-nuisance"), stat)
+    expect = mixture_pvalue(
+        mixture_law(*local_cones(TREE4, HYP41, null.theta)), stat
+    )
     assert p == pytest.approx(expect, abs=0.01)
 
 
@@ -849,33 +940,64 @@ def test_power_validates_inputs():
         power_curve("gumbel", 0.4, [0.1], sigma=np.eye(2), alpha=0.6)
 
 
-# --- structural detection --------------------------------------------------
+# --- laws read off the local cones ----------------------------------------
 
 
 def test_detect_one_tie_structure():
-    assert detect_setting(TREE3, Hypothesis.parse("(0,1)=(0)")) == "single-tie"
+    cone, nulls = local_cones(TREE3, Hypothesis.parse("(0,1)=(0)"), [1.5, 1.5])
+    assert mixture_law(cone, nulls).components == ((0.5, 0), (0.5, 1))
 
 
 def test_detect_twin_structures():
     both = Hypothesis.parse("(0,1)=(0) & (0,2)=(0)")
     either = Hypothesis.parse("(0,1)=(0) | (0,2)=(0)")
-    assert detect_setting(TREE4, both) == "twin-pair"
-    assert detect_setting(TREE4, either) == "twin-union"
+    cone, nulls = local_cones(TREE4, both, [1.8, 1.8, 1.8])
+    with pytest.raises(DomainError):
+        mixture_law(cone, nulls)              # two tight rows read sigma
+    assert mixture_law(cone, nulls, SIG3).dfs == (0, 1, 2)
+    # both branches hold: the conservative union bound
+    cone, nulls = local_cones(TREE4, either, [1.8, 1.8, 1.8])
+    assert len(nulls) == 2
+    assert "upper bound" in mixture_law(cone, nulls).note
+    # one branch holds: a single cone, with its exact law
+    cone, nulls = local_cones(TREE4, either, [1.8, 1.8, 2.6])
+    law = mixture_law(cone, nulls)
+    assert law.components == ((0.5, 0), (0.5, 1)) and law.note == ""
 
 
 def test_detect_nuisance_needs_theta():
     hyp = Hypothesis.parse("(0,1)=(0)")
-    assert detect_setting(TREE4, hyp) is None
-    assert detect_setting(TREE4, hyp, [1.8, 1.8, 2.6]) == "free-nuisance"
-    assert detect_setting(TREE4, hyp, [1.8, 1.8, 1.8]) == "tied-nuisance"
+    free = mixture_law(*local_cones(TREE4, hyp, [1.8, 1.8, 2.6]))
+    assert free.components == ((0.5, 0), (0.5, 1))
+    cone, nulls = local_cones(TREE4, hyp, [1.8, 1.8, 1.8])
+    with pytest.raises(DomainError):
+        mixture_law(cone, nulls)
+    rho = (1.0 + 0.5) / 3.0               # SIG3 is exchangeable
+    g0 = 0.25 + math.acos(rho) / (2.0 * math.pi)
+    assert mixture_law(cone, nulls, SIG3).weights == pytest.approx(
+        (g0, 0.5, 0.5 - g0), abs=1e-12
+    )
 
 
 def test_detect_rejects_unrecognized_shapes():
-    uneven = HacTree([[1, 2], [3, 4, 5]])
     both = Hypothesis.parse("(0,1)=(0) & (0,2)=(0)")
-    assert detect_setting(uneven, both) is None      # not twins
+    # nests of unequal size share the twin geometry, so they get its law
+    uneven = HacTree([[1, 2], [3, 4, 5]])
+    assert mixture_law(*local_cones(uneven, both, [1.5] * 3), SIG3)
+    # one tie among three tight rows, and four tied nests: no closed form
     wide = HacTree([[1, 2], [3, 4], [5, 6]])
-    assert detect_setting(wide, Hypothesis.parse("(0,1)=(0)")) is None
+    one = local_cones(wide, Hypothesis.parse("(0,1)=(0)"), [1.5] * 4)
+    assert mixture_law(*one, np.eye(4)) is None
+    four = HacTree([[1, 2], [3, 4], [5, 6], [7, 8]])
+    all_four = Hypothesis.parse(
+        "(0,1)=(0) & (0,2)=(0) & (0,3)=(0) & (0,4)=(0)"
+    )
+    assert mixture_law(*local_cones(four, all_four, [1.5] * 5),
+                       np.eye(5)) is None
+    # a union of two-tie branches
+    pairs = Hypothesis.parse("(0,1)=(0) & (0,2)=(0) | (0,2)=(0) & (0,3)=(0)")
+    assert mixture_law(*local_cones(wide, pairs, [1.5] * 4),
+                       np.eye(4)) is None
 
 
 # --- end-to-end ------------------------------------------------------------
@@ -890,7 +1012,6 @@ def _data3(n=400, theta=(1.4, 2.2), seed=60):
 def test_run_test_mixture_one_tie():
     res = run_test(_data3(), TREE3, "gumbel", "(0,1)=(0)",
                    method="mixture", n_sigma=20_000, seed=2, config=CFG)
-    assert res.setting == "single-tie"
     assert res.method == "mixture"
     assert res.law.components == ((0.5, 0), (0.5, 1))
     assert 0.0 <= res.p_value <= 1.0
@@ -915,27 +1036,57 @@ def test_run_test_mc_matches_geometry():
     assert 0.0 <= res.p_value <= 1.0
 
 
-def test_run_test_mixture_falls_back_with_warning():
+def test_run_test_mixture_reads_any_tree():
+    # one nest tied beside two free ones: one tight row, the half/half law
     tree = HacTree([[1, 2], [3, 4], [5, 6]])
     theta = np.array([1.3, 2.0, 2.2, 2.4])
     data = sample(tree, theta, "gumbel", 300, seed=62).values
+    res = run_test(data, tree, "gumbel", "(0,1)=(0)", method="mixture",
+                   seed=6, config=CFG)
+    assert res.method == "mixture"
+    assert res.law.components == ((0.5, 0), (0.5, 1))
+    assert res.sigma is None
+    assert res.cones[0].n_ineq == 1
+
+
+def test_run_test_mixture_falls_back_with_warning():
+    # four tied nests: no closed form past three tight rows
+    tree = HacTree([[1, 2], [3, 4], [5, 6], [7, 8]])
+    theta = np.array([1.3, 2.0, 2.2, 2.4, 2.6])
+    data = sample(tree, theta, "gumbel", 300, seed=62).values
     with pytest.warns(UserWarning, match="falling back"):
-        res = run_test(data, tree, "gumbel", "(0,1)=(0)",
+        res = run_test(data, tree, "gumbel",
+                       "(0,1)=(0) & (0,2)=(0) & (0,3)=(0) & (0,4)=(0)",
                        method="mixture", m=1500, n_sigma=20_000,
                        seed=6, config=CFG)
     assert res.method == "mc"
-    assert res.setting is None
+    assert res.law is None
+    assert res.sigma is not None
     assert res.warning is not None
 
 
 def test_run_test_union_flagged_conservative():
+    # both branches hold at the fitted null: the half/half bound
+    theta = np.array([1.3, 1.3, 1.3])
+    data = sample(TREE4, theta, "gumbel", 350, seed=63).values
+    res = run_test(data, TREE4, "gumbel", "(0,1)=(0) | (0,2)=(0)",
+                   method="mixture", seed=8, config=CFG)
+    assert len(res.cones[1]) == 2
+    assert res.conservative
+    assert res.law.components == ((0.5, 0), (0.5, 1))
+    assert res.sigma is None
+
+
+def test_run_test_union_with_one_branch_holding_is_exact():
     theta = np.array([1.3, 1.3, 2.0])
     data = sample(TREE4, theta, "gumbel", 350, seed=63).values
     res = run_test(data, TREE4, "gumbel", "(0,1)=(0) | (0,2)=(0)",
                    method="mixture", seed=8, config=CFG)
-    assert res.setting == "twin-union"
-    assert res.conservative
     assert res.fit_null.branch == ((1,),)
+    assert len(res.cones[1]) == 1
+    assert not res.conservative
+    assert res.law.components == ((0.5, 0), (0.5, 1))
+    assert res.sigma is None
 
 
 def test_run_test_conditional():

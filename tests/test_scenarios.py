@@ -229,10 +229,10 @@ def test_full_fit_below_null_fails_every_method(monkeypatch, scenario,
     calls = []
 
     def low_full(data, tree, family, hypothesis=None, config=FitConfig(),
-                 start=None):
+                 start=None, **private):
         calls.append((hypothesis, start is not None))
         fit = real_mle(data, tree, family, hypothesis=hypothesis,
-                       config=config, start=start)
+                       config=config, start=start, **private)
         if hypothesis is not None:
             return fit
         return dataclasses.replace(fit, loglik=fit.loglik - 1e6)
