@@ -29,7 +29,7 @@ from .fisher import (
     determinant_scan,
     sigma_hat,
 )
-from .lrt import NULL_DRAWS, POWER_DRAWS, power_curve, run_test
+from .lrt import NULL_DRAWS, power_curve, run_test
 from .sampler import pseudo_obs, sample
 from .scenarios import ScenarioSpec, rejection_table, run_scenario
 from .tree import HacTree, Hypothesis
@@ -408,13 +408,12 @@ def cmd_sigma(ctx, tree_text, family, theta_text, data_path, source, method,
 @click.option("--h-max", type=float, default=0.5, show_default=True)
 @click.option("--h-points", type=int, default=26, show_default=True)
 @click.option("--alpha", type=float, default=0.05, show_default=True)
-@click.option("--m", type=int, default=POWER_DRAWS, show_default=True)
 @click.option("--n-sigma", type=int, default=SIGMA_DRAWS, show_default=True)
 @click.option("--delta-tau", type=float, default=DELTA_TAU, show_default=True,
               help="Step behind a finite-difference covariance.")
 @click.pass_obj
 @_guard
-def cmd_power(ctx, family, tau, h_text, h_max, h_points, alpha, m, n_sigma,
+def cmd_power(ctx, family, tau, h_text, h_max, h_points, alpha, n_sigma,
               delta_tau):
     """Local power curve of the single-tie test; plot-ready CSV."""
     if h_text is not None:
@@ -423,7 +422,7 @@ def cmd_power(ctx, family, tau, h_text, h_max, h_points, alpha, m, n_sigma,
         h_values = np.linspace(0.0, h_max, h_points)
     curve = power_curve(
         family, tau, h_values,
-        alpha=alpha, n_sigma=n_sigma, m=m, seed=ctx.seed,
+        alpha=alpha, n_sigma=n_sigma, seed=ctx.seed,
         delta_tau=delta_tau,
     )
     header = ["family", "tau", "h_prime", "power", "atom_zero"]
@@ -466,17 +465,22 @@ def cmd_detscan(ctx, family, offsets_text, n_mc, tree_text, delta_tau):
               type=click.Choice(["I", "II", "III", "IV"]))
 @click.option("--cases", "cases_text", default=None,
               help="Comma-separated case labels; default all.")
-@click.option("--data-families", "df_text", default="gumbel,clayton,frank",
+@click.option("--data-families", "df_text",
+              default=",".join(ScenarioSpec.data_families), show_default=True)
+@click.option("--model-families", "mf_text",
+              default=",".join(ScenarioSpec.model_families), show_default=True)
+@click.option("--n", "n_text",
+              default=",".join(map(str, ScenarioSpec.n_values)),
               show_default=True)
-@click.option("--model-families", "mf_text", default="gumbel,clayton,frank",
-              show_default=True)
-@click.option("--n", "n_text", default="32,128,512", show_default=True)
-@click.option("--r", type=int, default=500, show_default=True,
+@click.option("--r", type=int, default=ScenarioSpec.r, show_default=True,
               help="Replications per cell.")
-@click.option("--alpha", type=float, default=0.05, show_default=True)
-@click.option("--m", type=int, default=NULL_DRAWS, show_default=True)
-@click.option("--n-sigma", type=int, default=SIGMA_DRAWS, show_default=True)
-@click.option("--sigma-variants", "variants_text", default="null:mc",
+@click.option("--alpha", type=float, default=ScenarioSpec.alpha,
+              show_default=True)
+@click.option("--m", type=int, default=ScenarioSpec.m, show_default=True)
+@click.option("--n-sigma", type=int, default=ScenarioSpec.n_sigma,
+              show_default=True)
+@click.option("--sigma-variants", "variants_text",
+              default=",".join(map(":".join, ScenarioSpec.sigma_variants)),
               show_default=True,
               help="Comma-separated at:source pairs (scenario II).")
 @click.option("--long", "long_form", is_flag=True,

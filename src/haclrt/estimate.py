@@ -28,7 +28,7 @@ from .density import (
 )
 from .errors import ConvergenceError, DomainError, NumericError
 from .generators import get_family
-from .tree import HacTree, Hypothesis, node_name, validate_params
+from .tree import HacTree, Hypothesis, node_name, tight_edges, validate_params
 
 __all__ = [
     "FitConfig",
@@ -51,7 +51,6 @@ FTOL = 1e-10        # relative loglik change
 JITTER = 0.08       # tau-scale sd of the perturbed starts
 THETA_HI = 1e4
 TAU_HI = 0.999
-ACTIVE_TOL = 1e-8
 _EPS = np.finfo(float).eps
 
 
@@ -298,17 +297,14 @@ def _objective(data, tree, family, pg, analytic):
     return fun
 
 
-def _projected_sup_norm(grad, x, bounds, tol=1e-10) -> float:
-    out = 0.0
-    for g, xi, (lo, hi) in zip(grad, x, bounds):
-        if xi <= lo + tol:
-            v = max(-g, 0.0)
-        elif xi >= hi - tol:
-            v = max(g, 0.0)
-        else:
-            v = abs(g)
-        out = max(out, v)
-    return float(out)
+def _projected_sup_norm(grad, at_lo, at_hi) -> float:
+    """Sup norm of the gradient left after projecting onto the box: a
+    coordinate on its lower (upper) bound counts only a descent
+    direction that points into the box."""
+    return float(np.max(np.where(
+        at_lo, np.maximum(-grad, 0.0),
+        np.where(at_hi, np.maximum(grad, 0.0), np.abs(grad)),
+    )))
 
 
 def _fit_branch(data, tree, family, atoms, cfg: FitConfig, start, taus):
@@ -352,17 +348,19 @@ def _fit_branch(data, tree, family, atoms, cfg: FitConfig, start, taus):
         raise ConvergenceError(f"all {n_starts} starts failed: {fails}")
 
     best = min(fits, key=lambda r: r.fun)
-    grad = np.atleast_1d(np.asarray(best.jac, dtype=float))
-    gnorm = _projected_sup_norm(grad, best.x, bounds)
-    active = []
-    for gi in range(pg.g):
-        top = pg.groups[gi][0]
-        if gi == 0:
-            if best.x[0] <= lo + ACTIVE_TOL:
-                active.append(f"{node_name(top)}=lo")
-        elif best.x[gi] <= ACTIVE_TOL:
-            active.append(f"{node_name(top)}={node_name(top[:-1])}")
     theta = pg.expand(pg.from_x(best.x))
+    # a group is on its lower bound when theta sits on the domain edge
+    # (the root group) or its top node's edge is tight
+    tight = tight_edges(tree, theta)
+    tops = [members[0] for members in pg.groups]
+    at_lo = [best.x[0] <= lo] + [(top[:-1], top) in tight for top in tops[1:]]
+    grad = np.atleast_1d(np.asarray(best.jac, dtype=float))
+    gnorm = _projected_sup_norm(grad, at_lo, best.x >= [b[1] for b in bounds])
+    active = [
+        f"{node_name(top)}=lo" if gi == 0
+        else f"{node_name(top)}={node_name(top[:-1])}"
+        for gi, top in enumerate(tops) if at_lo[gi]
+    ]
     ll = loglik(data, tree, family, theta)
     start_lls = tuple(
         float(-r.fun * data.shape[0]) for r in fits

@@ -25,7 +25,7 @@ from .errors import DomainError, NumericError, SchemeError, SingularSigmaError
 from .estimate import merge_groups
 from .generators import get_family
 from .sampler import sample
-from .tree import HacTree, node_name, validate_params
+from .tree import HacTree, node_name, tight_edges, validate_params
 
 __all__ = [
     "DELTA_TAU",
@@ -49,7 +49,6 @@ RIDGE_SCALE = 1e-8      # optional ridge, times trace/p
 DELTA_TAU = 0.005       # Kendall-scale finite-difference step
 SIGMA_DRAWS = 100_000   # model draws behind a Monte Carlo covariance
 SCAN_DRAWS = 10_000     # model draws per determinant-scan cell
-TIE_TOL = 1e-8          # relative gap at which a stencil treats a tie as tight
 
 
 def kendall_step(
@@ -99,14 +98,10 @@ def fd_scheme(
 
     lock_down = np.zeros(p, dtype=bool)
     lock_up = np.zeros(p, dtype=bool)
-    for par, ch in tree.constraint_pairs():
-        ip, ic = tree.param_pos[par], tree.param_pos[ch]
-        if vec[ic] - vec[ip] <= TIE_TOL * (1.0 + abs(vec[ip])):
-            lock_up[ip] = True
-            lock_down[ic] = True
-    for i in range(p):
-        if vec[i] - fam.domain.lo <= TIE_TOL * (1.0 + abs(vec[i])):
-            lock_down[i] = True
+    for par, ch in tight_edges(tree, vec):
+        lock_up[tree.param_pos[par]] = True
+        lock_down[tree.param_pos[ch]] = True
+    lock_down |= vec <= fam.domain.lo
 
     down = np.empty(p)
     up = np.empty(p)

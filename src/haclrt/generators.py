@@ -61,7 +61,6 @@ __all__ = [
     "tau_inv",
     "stirling_s",
     "stirling_S",
-    "s_nk",
     "s_nk_table",
     "s_nk_tables",
 ]
@@ -196,20 +195,6 @@ def s_nk_table(x, n: int) -> np.ndarray:
     power down.  An array x gives one table per entry.
     """
     return s_nk_tables(x, (n,))[0]
-
-
-def s_nk(x, n: int, k: int, order: int = 0):
-    """Polynomial sum_{j=k}^n x^j s(n,j) S(j,k), or its derivative in x.
-
-    `order` 0, 1 or 2 selects the value, first or second derivative.
-    Accepts scalar or array x.
-    """
-    _check_dim(n)
-    if order not in (0, 1, 2):
-        raise DomainError("order must be 0, 1 or 2")
-    x = np.asarray(x, dtype=float)
-    out = s_nk_table(x, n)[order, k] if 0 <= k <= n else np.zeros_like(x)
-    return out if out.ndim else float(out)
 
 
 # ====================================================================

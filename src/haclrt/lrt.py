@@ -17,7 +17,6 @@ the local cones where its weights have closed forms.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -33,12 +32,11 @@ from .errors import (
 from .estimate import FitConfig, FitResult, _lazy_taus, mle
 from .fisher import DELTA_TAU, SIGMA_DRAWS, FisherEstimate, sigma_hat
 from .generators import get_family, tau_inv
-from .tree import TIGHT_TOL, Cone, HacTree, Hypothesis, local_cones, node_name
+from .tree import Cone, HacTree, Hypothesis, local_cones, tight_edges
 
 __all__ = [
     "ATOM_TOL",
     "NULL_DRAWS",
-    "POWER_DRAWS",
     "Projection",
     "MixtureLaw",
     "ConditionalResult",
@@ -59,11 +57,11 @@ __all__ = [
     "run_test",
 ]
 
-# statistics at or below this are the boundary atom, p-value 1
+# loglik slack, on the statistic's scale, before a full fit below the
+# null fit counts as a failed fit rather than roundoff
 ATOM_TOL = 1e-8
 
 NULL_DRAWS = 5000       # draws of the simulated limit law per p-value
-POWER_DRAWS = 10_000    # Gaussian draws behind a power curve
 
 
 # ====================================================================
@@ -319,15 +317,14 @@ def mc_null_pvalue(
     """Monte Carlo p-value under the simulated limit law.
 
     p = (1 + #{draws >= L_n}) / (m + 1); the +1 keeps the estimate
-    strictly positive and finite-sample valid.
+    strictly positive and finite-sample valid, and L_n = 0 gives 1.
     """
     if not statistic >= 0.0:    # NaN included; inf is a valid statistic
         raise DomainError(f"statistic must be nonnegative, got {statistic}")
     if m < 1000:
         raise DomainError("m must be at least 1000")
     draws = null_statistics(sigma, cone, null_cones, h=h, m=m, seed=seed)
-    l_n = 0.0 if statistic <= ATOM_TOL else statistic
-    return float(1.0 + np.count_nonzero(draws >= l_n)) / (m + 1.0)
+    return float(1.0 + np.count_nonzero(draws >= statistic)) / (m + 1.0)
 
 
 # ====================================================================
@@ -473,10 +470,10 @@ def mixture_law(cone: Cone, null_cones, sigma=None) -> MixtureLaw | None:
 
 
 def mixture_pvalue(law: MixtureLaw, statistic: float) -> float:
-    """Survival probability of the mixture at the observed statistic."""
+    """P(L >= statistic) under the mixture: 1 at the atom L = 0."""
     if not statistic >= 0.0:    # NaN included; inf is a valid statistic
         raise DomainError(f"statistic must be nonnegative, got {statistic}")
-    if statistic <= ATOM_TOL:
+    if statistic == 0.0:
         return 1.0
     p = 0.0
     for w, df in law.components:
@@ -500,7 +497,6 @@ class ConditionalResult:
     alpha: float
     alpha_used: float
     effective_size: float | None
-    ambiguous: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
         return {
@@ -511,41 +507,29 @@ class ConditionalResult:
             "alpha": self.alpha,
             "alpha_used": self.alpha_used,
             "effective_size": self.effective_size,
-            "ambiguous": list(self.ambiguous),
         }
 
 
 def conditional_test(
-    fit_full: FitResult,
-    fit_null: FitResult,
-    tree: HacTree,
+    pair: FitPair,
     alpha: float = 0.05,
     gamma0: float | None = None,
     exact: bool = False,
 ) -> ConditionalResult:
     """Reject based on chi-squared(nu) given the region of the full MLE.
 
-    nu counts the null equalities not already active at the full fit;
-    with nu = 0 the null is never rejected.  Gaps within a decade of
-    the tolerance are reported as ambiguous and counted as active,
-    which lowers nu and keeps the decision conservative.  The exact
-    variant inflates alpha to alpha/(1 - gamma0).
+    nu counts the atoms of the null fit's branch that are not tight
+    edges at the full fit; with nu = 0 the null is never rejected.  The
+    exact variant inflates alpha to alpha/(1 - gamma0).
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must be in (0, 1)")
-    atoms = fit_null.branch
+    atoms = pair.fit_null.branch
     if atoms is None:
         raise DomainError("null fit carries no constrained branch")
-    statistic = lrt_statistic(fit_null, fit_full)
-    vec = np.asarray(fit_full.theta, dtype=float)
-    nu = 0
-    ambiguous = []
-    for child in atoms:
-        gap = vec[tree.param_pos[child]] - vec[tree.param_pos[child[:-1]]]
-        if gap > 10.0 * TIGHT_TOL:
-            nu += 1
-        elif gap > TIGHT_TOL:
-            ambiguous.append(node_name(child))
+    statistic = pair.statistic
+    tight = tight_edges(pair.tree, pair.fit_full.theta)
+    nu = sum((child[:-1], child) not in tight for child in atoms)
     if exact:
         if gamma0 is None:
             raise DomainError("exact variant needs gamma0")
@@ -568,62 +552,38 @@ def conditional_test(
         alpha=alpha,
         alpha_used=alpha_used,
         effective_size=effective,
-        ambiguous=tuple(ambiguous),
     )
 
 
-def _internal_nonroot(tree: HacTree):
-    return tuple(p for p in tree.internal_paths if p != ())
-
-
 def hybrid_pvalue(
-    fit_full: FitResult,
-    fit_null: FitResult,
-    tree: HacTree,
-    hypothesis: Hypothesis,
+    pair: FitPair,
     sigma,
-    n: int,
-    nuisance=None,
     m: int = NULL_DRAWS,
     seed=0,
 ) -> float:
     """MC p-value with nuisance gaps folded into the mean of Z.
 
-    The mean is sqrt(n) times the fitted null gap on each nuisance
-    coordinate and zero on the constrained ones, while the cones keep
-    the nuisance ties in the tight set.  Large gaps push the nuisance
-    constraint out of play; zero gaps recover the fully tied geometry.
+    The nuisance nests are the non-root nodes outside the null fit's
+    branch.  The mean is sqrt(n) times the fitted null gap on each
+    nuisance coordinate and zero on the constrained ones, while the
+    cones keep the nuisance ties in the tight set.  Large gaps push the
+    nuisance constraint out of play; zero gaps recover the fully tied
+    geometry.
     """
-    if n < 1:
-        raise DomainError("n must be positive")
-    statistic = lrt_statistic(fit_null, fit_full)
-    vec = np.asarray(fit_null.theta, dtype=float)
-    branch = fit_null.branch
-    if branch is None:
-        branch = hypothesis.branches[0]
-    constrained = set(branch)
-    if nuisance is None:
-        nuisance = tuple(
-            p for p in _internal_nonroot(tree) if p not in constrained
-        )
-    else:
-        nuisance = tuple(tuple(p) for p in nuisance)
-        for p in nuisance:
-            if p not in tree.param_pos or p == ():
-                raise DomainError(f"unknown nuisance node {p}")
-            if p in constrained:
-                raise DomainError(
-                    f"node {node_name(p)} is constrained, not nuisance"
-                )
-    pairs = tuple((p[:-1], p) for p in nuisance)
-    cone, null_cones = local_cones(tree, hypothesis, vec, assume_tight=pairs)
+    tree, vec = pair.tree, pair.fit_null.theta
+    constrained = set(pair.fit_null.branch or pair.hypothesis.branches[0])
+    nuisance = [p for p in tree.internal_paths[1:] if p not in constrained]
+    cone, null_cones = local_cones(
+        tree, pair.hypothesis, vec,
+        assume_tight=[(p[:-1], p) for p in nuisance],
+    )
     h = np.zeros(tree.p)
-    root_n = math.sqrt(n)
+    root_n = math.sqrt(pair.rows.shape[0])
     for p in nuisance:
         gap = vec[tree.param_pos[p]] - vec[tree.param_pos[p[:-1]]]
         h[tree.param_pos[p]] = root_n * gap
     return mc_null_pvalue(
-        statistic, sigma, cone, null_cones, h=h, m=m, seed=seed
+        pair.statistic, sigma, cone, null_cones, h=h, m=m, seed=seed
     )
 
 
@@ -643,7 +603,6 @@ class PowerCurve:
     c_alpha: float
     alpha: float
     theta_scale: float          # d theta / d tau at tau
-    m: int
     seed: int
 
     def rows(self):
@@ -666,7 +625,6 @@ class PowerCurve:
             "c_alpha": self.c_alpha,
             "alpha": self.alpha,
             "theta_scale": self.theta_scale,
-            "m": self.m,
             "seed": self.seed,
         }
 
@@ -690,21 +648,20 @@ def power_curve(
     sigma=None,
     alpha: float = 0.05,
     n_sigma: int = SIGMA_DRAWS,
-    m: int = POWER_DRAWS,
     seed: int = 0,
     e=(0.0, 1.0),
     delta_tau: float = DELTA_TAU,
 ) -> PowerCurve:
-    """Monte Carlo power of the single-tie test under local shifts.
+    """Power of the single-tie test under local shifts, in closed form.
 
     Each tau-scale value h' maps to a mean shift h = h' (dtheta/dtau) e
-    of the limiting Gaussian; the test rejects when L exceeds the
-    (1 - 2 alpha) quantile of chi-squared(1).  Each shift draws L with
-    null_statistics from the same seed, so the standard normal draws are
-    shared across the grid and across families called with that seed,
-    and curves are directly comparable.
+    of the limiting Gaussian Z; the test rejects when L exceeds the
+    (1 - 2 alpha) quantile c_alpha of chi-squared(1).  With one tie,
+    L = max(W, 0)^2 for W = (Z_1 - Z_0)/sd ~ N(mu, 1), mu = h' (dtheta/dtau)
+    (e_1 - e_0)/sd, so the power is 1 - Phi(sqrt(c_alpha) - mu) and the
+    atom P(L = 0) is Phi(-mu).
     When sigma is missing it is estimated from n_sigma model draws at
-    the exchangeable null of the tree [[1,2],3];
+    the exchangeable null of the tree [[1,2],3], seeded by seed;
     delta_tau is the step behind a finite-difference covariance there.
     Families whose tie-point information is unbounded (Joe) only have
     step-regularized covariances, and cross-family comparisons should
@@ -746,33 +703,20 @@ def power_curve(
     if sigma.shape != (2, 2):
         raise DomainError("sigma must be 2x2 for the power curve")
 
-    cone = Cone(2, ineq=np.array([[1.0, -1.0]]))
-    null_cone = Cone(2, eq=np.array([[1.0, -1.0]]))
+    _chol_pd(sigma)
     c_alpha = float(stats.chi2.ppf(1.0 - 2.0 * alpha, 1))
     scale = _dtheta_dtau(fam, tau)
-    var_diff = sigma[0, 0] + sigma[1, 1] - 2.0 * sigma[0, 1]
-
-    power = []
-    atom = []
-    for h in h_values:
-        draws = null_statistics(
-            sigma, cone, null_cone, h=(scale * h) * e, m=m, seed=seed
-        )
-        power.append(float(np.mean(draws > c_alpha)))
-        # P(L = 0) = P(Z0 >= Z1), Gaussian with mean h1 - h0
-        mean_diff = scale * h * (e[1] - e[0])
-        atom.append(float(stats.norm.cdf(0.0, loc=mean_diff,
-                                         scale=math.sqrt(var_diff))))
+    sd = math.sqrt(sigma[0, 0] + sigma[1, 1] - 2.0 * sigma[0, 1])
+    mu = scale * np.array(h_values) * (e[1] - e[0]) / sd
     return PowerCurve(
         family=fam.name,
         tau=tau,
         h_values=h_values,
-        power=tuple(power),
-        atom=tuple(atom),
+        power=tuple(stats.norm.sf(math.sqrt(c_alpha) - mu).tolist()),
+        atom=tuple(stats.norm.cdf(-mu).tolist()),
         c_alpha=c_alpha,
         alpha=alpha,
         theta_scale=scale,
-        m=m,
         seed=seed,
     )
 
@@ -829,9 +773,6 @@ class LrtResult:
             },
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 def _check_choices(method: str, sigma_at: str) -> None:
     if method not in ("mc", "mixture", "conditional", "hybrid"):
@@ -865,7 +806,10 @@ def fit_pair(
     A full fit that ends below the null fit by more than ATOM_TOL in
     the statistic is replaced by a refit with one start at the null
     optimum: that point is feasible for the full model, and descent
-    from it cannot end below it.
+    from it cannot end below it.  The statistic is exactly 0 when the
+    full fit lies in the null set, with every atom of some branch a
+    tight edge there; otherwise it is lrt_statistic's clamped 2(l_full
+    - l_null), which a null fit that stopped short would leave above 0.
     """
     rows = np.asarray(rows, dtype=float)
     # the fits share one Kendall-tau matrix, computed on first use
@@ -876,6 +820,11 @@ def fit_pair(
     if 2.0 * (fit_full.loglik - fit_null.loglik) < -ATOM_TOL:
         fit_full = mle(rows, tree, family, config=config,
                        start=fit_null.theta)
+    statistic = lrt_statistic(fit_null, fit_full)
+    tight = tight_edges(tree, fit_full.theta)
+    if any(all((a[:-1], a) in tight for a in branch)
+           for branch in hypothesis.branches):
+        statistic = 0.0
     return FitPair(
         rows=rows,
         tree=tree,
@@ -883,7 +832,7 @@ def fit_pair(
         hypothesis=hypothesis,
         fit_full=fit_full,
         fit_null=fit_null,
-        statistic=lrt_statistic(fit_null, fit_full),
+        statistic=statistic,
     )
 
 
@@ -975,15 +924,12 @@ def run_fitted(
         m_used = m
     elif used == "conditional":
         conditional = conditional_test(
-            fit_full, fit_null, hac, alpha=alpha,
+            pair, alpha=alpha,
             gamma0=None if law is None else law.weights[0], exact=exact,
         )
         p_value = conditional.p_value
     else:  # hybrid
-        p_value = hybrid_pvalue(
-            fit_full, fit_null, hac, hyp, get_sigma().sigma,
-            n=pair.rows.shape[0], m=m, seed=mc_seed,
-        )
+        p_value = hybrid_pvalue(pair, get_sigma().sigma, m=m, seed=mc_seed)
         m_used = m
 
     if not 0.0 <= p_value <= 1.0:

@@ -221,15 +221,15 @@ def _frank_inner_count(rng, alpha: float, th_child: float, size: int) -> np.ndar
     return np.empty(0) if out is None else out
 
 
-def _compound(rng, v, draw_one, max_draws: int, what: str) -> np.ndarray:
-    """Sum of v i.i.d. counts per entry, with a realized-draw budget."""
+def _compound(rng, v, draw_one, what: str) -> np.ndarray:
+    """Sum of v i.i.d. counts per entry, within MAX_COMPOUND_DRAWS."""
     v = np.asarray(v, dtype=float)
     total = float(v.sum())
-    if not np.isfinite(total) or total > max_draws:
+    if not np.isfinite(total) or total > MAX_COMPOUND_DRAWS:
         raise UnsupportedNestingError(
             f"{what}: compound inner frailty needs ~{total:.3g} draws, "
-            f"over the budget of {max_draws}; this nesting cannot be "
-            "sampled exactly at this parameter value"
+            f"over the budget of {MAX_COMPOUND_DRAWS}; this nesting cannot "
+            "be sampled exactly at this parameter value"
         )
     counts = v.astype(np.int64)
     xs = draw_one(rng, int(counts.sum()))
@@ -263,7 +263,7 @@ def _root_frailty(fam_name: str, theta: float, n: int, rng) -> np.ndarray:
     return _sibuya(rng, 1.0 / theta, n)
 
 
-def _inner_frailty(fam_name, th_parent, th_child, v, rng, max_draws):
+def _inner_frailty(fam_name, th_parent, th_child, v, rng):
     alpha = th_parent / th_child
     if fam_name == "gumbel":
         return v ** (1.0 / alpha) * _positive_stable(rng, alpha, v.shape[0])
@@ -271,15 +271,10 @@ def _inner_frailty(fam_name, th_parent, th_child, v, rng, max_draws):
         return _tilted_stable(rng, alpha, v)
     if fam_name == "frank":
         return _compound(
-            rng,
-            v,
-            lambda r, m: _frank_inner_count(r, alpha, th_child, m),
-            max_draws,
+            rng, v, lambda r, m: _frank_inner_count(r, alpha, th_child, m),
             "frank",
         )
-    return _compound(
-        rng, v, lambda r, m: _sibuya(r, alpha, m), max_draws, "joe"
-    )
+    return _compound(rng, v, lambda r, m: _sibuya(r, alpha, m), "joe")
 
 
 def sample(
@@ -288,7 +283,6 @@ def sample(
     family,
     n: int,
     seed,
-    max_compound: int = MAX_COMPOUND_DRAWS,
 ) -> SampleBatch:
     """n i.i.d. rows from the HAC C_theta; columns follow leaf labels.
 
@@ -309,7 +303,7 @@ def sample(
     if n < 1:
         raise DomainError("need n >= 1 rows")
 
-    ctree, cvec = collapse(tree, vec, tol=0.0)
+    ctree, cvec = collapse(tree, vec)
     theta_of = dict(zip(ctree.internal_paths, cvec))
     rng = np.random.default_rng(seed)
     out = np.empty((n, tree.d))
@@ -323,7 +317,7 @@ def sample(
                     out[:, child - 1] = fam.psi(th, e / frailty)
             else:
                 inner = _inner_frailty(
-                    fam.name, th, theta_of[child], frailty, rng, max_compound
+                    fam.name, th, theta_of[child], frailty, rng
                 )
                 walk(child, inner)
 

@@ -33,13 +33,10 @@ __all__ = [
     "validate_params",
     "collapse",
     "local_cones",
-    "TIGHT_TOL",
+    "tight_edges",
 ]
 
 MAX_FACE_CONSTRAINTS = 16
-
-# a nesting gap at or below this counts as tight (at equality)
-TIGHT_TOL = 1e-6
 
 
 def node_name(path: Path) -> str:
@@ -266,10 +263,6 @@ class Hypothesis:
                         f"hypothesis atom {node_name(child)} has no internal parent"
                     )
 
-    @property
-    def is_union(self) -> bool:
-        return len(self.branches) > 1
-
     def __str__(self):
         parts = []
         for branch in self.branches:
@@ -304,16 +297,11 @@ def _parse_atom(text: str) -> Path:
 class ParamReport:
     in_domain: bool
     in_cone: bool
-    tight: tuple[tuple[Path, Path], ...]
     violations: tuple[str, ...]
 
     @property
     def valid(self) -> bool:
         return self.in_domain and self.in_cone
-
-    @property
-    def on_boundary(self) -> bool:
-        return self.valid and len(self.tight) > 0
 
 
 def validate_params(
@@ -330,7 +318,6 @@ def validate_params(
             violations.append(
                 f"theta{node_name(path)}={vec[i]} outside {fam.name} domain"
             )
-    tight = []
     in_cone = True
     for par, ch in tree.constraint_pairs():
         gap = vec[tree.param_pos[ch]] - vec[tree.param_pos[par]]
@@ -339,13 +326,25 @@ def validate_params(
             violations.append(
                 f"theta{node_name(par)} > theta{node_name(ch)} (gap {gap:.3g})"
             )
-        elif gap <= tol:
-            tight.append((par, ch))
-    return ParamReport(in_domain, in_cone, tuple(tight), tuple(violations))
+    return ParamReport(in_domain, in_cone, tuple(violations))
 
 
-def collapse(tree: HacTree, theta, tol: float = 0.0):
-    """Merge internal children whose parameter ties their parent's.
+def tight_edges(tree: HacTree, theta) -> tuple[tuple[Path, Path], ...]:
+    """The (parent, child) nesting edges with theta_child - theta_parent <= 0.
+
+    This is the one test of tightness.  A fitted tie is a gap of exactly
+    zero: a merged atom, or a gap the optimizer left on its bound.  Every
+    other fitted gap sits far above rounding, so no tolerance is needed.
+    """
+    vec = tree.theta_vector(theta)
+    return tuple(
+        (par, ch) for par, ch in tree.constraint_pairs()
+        if vec[tree.param_pos[ch]] - vec[tree.param_pos[par]] <= 0.0
+    )
+
+
+def collapse(tree: HacTree, theta):
+    """Merge internal children on tight edges into their parent.
 
     Returns (new_tree, new_theta_vector).  Merging is transitive along
     chains; each surviving node keeps the parameter of its topmost
@@ -361,9 +360,8 @@ def collapse(tree: HacTree, theta, tol: float = 0.0):
             p = rep[p]
         return p
 
-    for par, ch in tree.constraint_pairs():
-        if abs(vec[tree.param_pos[ch]] - vec[tree.param_pos[par]]) <= tol:
-            rep[find(ch)] = find(par)
+    for par, ch in tight_edges(tree, vec):
+        rep[find(ch)] = find(par)
 
     def build(path: Path) -> tuple[list, list[Path]]:
         # nested spec of the subtree plus the original path of each
@@ -476,25 +474,25 @@ def local_cones(
 ):
     """Local cones (A, A_null) of the parameter space and the null set.
 
-    A collects the nesting constraints tight at theta0 as half-spaces
-    {z_parent - z_child <= 0}; strictly slack constraints vanish in the
+    A collects the tight_edges at theta0, and the assume_tight pairs, as
+    half-spaces {z_parent - z_child <= 0}; slack constraints vanish in the
     local limit.  A_null is a tuple of cones, one per hypothesis branch
-    satisfied at theta0: the branch atoms become equalities, remaining
-    tight constraints stay half-spaces.
+    whose atoms are all tight edges: the branch atoms become equalities,
+    remaining tight constraints stay half-spaces.
     """
     hypothesis.check_against(tree)
     vec = tree.theta_vector(theta0)
-    forced = {(tuple(a), tuple(b)) for a, b in assume_tight}
-
-    tight_pairs = []
-    for par, ch in tree.constraint_pairs():
-        gap = vec[tree.param_pos[ch]] - vec[tree.param_pos[par]]
-        if gap < -TIGHT_TOL:
+    tight = tight_edges(tree, vec)
+    for par, ch in tight:
+        if vec[tree.param_pos[ch]] < vec[tree.param_pos[par]]:
             raise DomainError(
                 f"theta0 violates theta{node_name(par)} <= theta{node_name(ch)}"
             )
-        if gap <= TIGHT_TOL or (par, ch) in forced:
-            tight_pairs.append((par, ch))
+    forced = {(tuple(a), tuple(b)) for a, b in assume_tight}
+    tight_pairs = [
+        pair for pair in tree.constraint_pairs()
+        if pair in tight or pair in forced
+    ]
 
     A = Cone(
         tree.p,
@@ -505,12 +503,7 @@ def local_cones(
 
     null_cones = []
     for branch in hypothesis.branches:
-        satisfied = all(
-            abs(vec[tree.param_pos[ch]] - vec[tree.param_pos[ch[:-1]]])
-            <= TIGHT_TOL
-            for ch in branch
-        )
-        if not satisfied:
+        if any((ch[:-1], ch) not in tight for ch in branch):
             continue
         branch_pairs = {(ch[:-1], ch) for ch in branch}
         eq_rows = [_pair_row(tree, p_, c_) for p_, c_ in sorted(branch_pairs)]
@@ -527,7 +520,5 @@ def local_cones(
             )
         )
     if not null_cones:
-        raise HypothesisError(
-            f"no branch of {hypothesis} holds at theta0 within {TIGHT_TOL}"
-        )
+        raise HypothesisError(f"no branch of {hypothesis} holds at theta0")
     return A, tuple(null_cones)

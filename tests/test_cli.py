@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -208,7 +209,7 @@ def test_detscan_grid_csv(runner):
 def test_power_plot_csv(runner):
     out = _invoke(runner, [
         "--seed", "2", "power", "--family", "gumbel", "--tau", "0.5",
-        "--h", "0,0.3", "--m", "2000", "--n-sigma", "3000",
+        "--h", "0,0.3", "--n-sigma", "3000",
     ]).output
     rows = list(csv.reader(out.splitlines()))
     assert rows[0] == ["family", "tau", "h_prime", "power", "atom_zero"]
@@ -309,8 +310,7 @@ COMMAND_RUNS = {
               "--data", "{data}", "--source", "observed", "--method", "fd",
               "--atoms", "(0,1)=(0)", "--delta-tau", "0.02", "--ridge"],
     "power": ["--family", "gumbel", "--tau", "0.5", "--h-max", "0.3",
-              "--h-points", "2", "--alpha", "0.1", "--m", "300",
-              "--n-sigma", "400"],
+              "--h-points", "2", "--alpha", "0.1", "--n-sigma", "400"],
     "detscan": ["--family", "clayton", "--offsets", "0.5,1.0",
                 "--n-mc", "300", "--tree", TREE, "--delta-tau", "0.02"],
     "scenario": ["--scenario", "I", "--cases", "a",
@@ -349,3 +349,54 @@ def test_manifest_requires_fields(tmp_path):
     bad.write_text(json.dumps({"command": "sample"}))
     with pytest.raises(Exception, match="manifest missing"):
         RunConfig.from_manifest(bad)
+
+
+def test_scenario_defaults_are_the_spec_defaults(runner, monkeypatch):
+    seen = []
+
+    def fake_run(spec, jobs=1):
+        seen.append(spec)
+        return []
+
+    monkeypatch.setattr(cli, "run_scenario", fake_run)
+    result = _invoke(runner, ["scenario", "--scenario", "II"])
+    assert result.exit_code == 0
+    [spec] = seen
+    default = cli.ScenarioSpec("II")
+    for field in ("data_families", "model_families", "n_values", "r",
+                  "alpha", "m", "n_sigma", "sigma_variants"):
+        assert getattr(spec, field) == getattr(default, field), field
+
+
+def _readme_commands():
+    """Each `haclrt ...` command of the README's sh blocks, continuations
+    joined, split into words."""
+    import shlex
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        "utf-8")
+    out = []
+    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["haclrt"]:
+                out.append(words)
+    return out
+
+
+def test_readme_command_lines_use_declared_options():
+    commands = _readme_commands()
+    assert len(commands) >= 9
+    group = {o: p for p in main.params for o in p.opts + p.secondary_opts}
+    for words in commands:
+        i = 1
+        while words[i].startswith("-"):       # group options come first
+            param = group[words[i]]
+            i += 1 if param.is_flag else 2
+        assert words[i] in main.commands, words
+        declared = {o for p in main.commands[words[i]].params
+                    for o in p.opts + p.secondary_opts}
+        for word in words[i + 1:]:
+            if word.startswith("-"):
+                assert word in declared, (word, words)

@@ -91,7 +91,7 @@ def test_stirling_rejects_orders_beyond_cap():
     with pytest.raises(ValueError):
         G.stirling_s(G.MAX_DIM + 1, 1)
     with pytest.raises(ValueError):
-        G.s_nk(0.5, G.MAX_DIM + 1, 1)
+        G.s_nk_table(0.5, G.MAX_DIM + 1)
 
 
 def _s_nk_term_by_term(x, n, k, order):
@@ -139,7 +139,8 @@ def test_s_nk_reduces_to_kronecker_at_one():
     for n in range(1, 8):
         for k in range(1, n + 1):
             expected = 1.0 if n == k else 0.0
-            assert G.s_nk(1.0, n, k) == pytest.approx(expected, abs=1e-12)
+            assert G.s_nk_table(1.0, n)[0, k] == pytest.approx(
+                expected, abs=1e-12)
 
 
 def test_s_nk_sign_pattern_on_unit_interval():
@@ -150,7 +151,7 @@ def test_s_nk_sign_pattern_on_unit_interval():
         x = rng.uniform(0.01, 1.0)
         n = int(rng.integers(1, 10))
         for k in range(1, n + 1):
-            v = G.s_nk(x, n, k)
+            v = G.s_nk_table(x, n)[0, k]
             assert v * (-1.0) ** (n - k) > 0.0
 
 
@@ -160,11 +161,12 @@ def test_s_nk_derivatives_match_fd():
         x = rng.uniform(0.05, 1.0)
         n = int(rng.integers(1, 8))
         k = int(rng.integers(1, n + 1))
-        assert G.s_nk(x, n, k, order=1) == pytest.approx(
-            _fd(lambda s: G.s_nk(s, n, k), x), rel=1e-5, abs=1e-7
+        table = G.s_nk_table(x, n)
+        assert table[1, k] == pytest.approx(
+            _fd(lambda s: G.s_nk_table(s, n)[0, k], x), rel=1e-5, abs=1e-7
         )
-        assert G.s_nk(x, n, k, order=2) == pytest.approx(
-            _fd2(lambda s: G.s_nk(s, n, k), x), rel=1e-3, abs=1e-4
+        assert table[2, k] == pytest.approx(
+            _fd2(lambda s: G.s_nk_table(s, n)[0, k], x), rel=1e-3, abs=1e-4
         )
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from haclrt.errors import DomainError, NumericError, SingularSigmaError
 from haclrt.estimate import FitResult, FitConfig, mle
 from haclrt import lrt
 from haclrt.lrt import (
-    ATOM_TOL,
+    FitPair,
     LrtResult,
     MixtureLaw,
     conditional_test,
@@ -22,10 +23,16 @@ from haclrt.lrt import (
     null_statistics,
     power_curve,
     project,
+    run_fitted,
     run_test,
 )
+from haclrt.fisher import fd_scheme
+from haclrt.generators import tau_inv
 from haclrt.sampler import sample
-from haclrt.tree import TIGHT_TOL, Cone, HacTree, Hypothesis, local_cones
+from haclrt.scenarios import ScenarioSpec, run_replicate
+from haclrt.tree import (
+    Cone, HacTree, Hypothesis, local_cones, node_name, tight_edges,
+)
 
 TREE3 = HacTree([[1, 2], 3])
 TREE4 = HacTree([[1, 2], [3, 4]])
@@ -78,6 +85,15 @@ def _fit(theta, loglik, branch=None):
         active=(),
         grad_norm=0.0,
         branch=branch,
+    )
+
+
+def _pair(full, null, tree, hypothesis="(0,1)=(0)", n=100):
+    """A FitPair of two given fits, with lrt_statistic's statistic."""
+    return FitPair(
+        rows=np.full((n, tree.d), 0.5), tree=tree, family="gumbel",
+        hypothesis=Hypothesis.parse(hypothesis), fit_full=full,
+        fit_null=null, statistic=lrt_statistic(null, full),
     )
 
 
@@ -452,9 +468,9 @@ def test_null_draws_nonnegative_and_zero_iff_projections_agree():
 def test_mc_pvalue_at_zero_statistic_is_one():
     p = mc_null_pvalue(0.0, np.eye(2), CONE2, LINE2, m=2000, seed=1)
     assert p == 1.0
-    # below the atom tolerance counts as zero
+    # any positive statistic leaves out the draws at the atom: about half
     p = mc_null_pvalue(5e-9, np.eye(2), CONE2, LINE2, m=2000, seed=1)
-    assert p == 1.0
+    assert 0.45 < p < 0.55
 
 
 def test_mc_pvalue_monotone_in_statistic():
@@ -716,7 +732,9 @@ def test_mixture_pvalue_zero_is_one():
     for law in (mixture_law(CONE2, LINE2),
                 mixture_law(CONE3, (TIED3, TIED3B))):
         assert mixture_pvalue(law, 0.0) == 1.0
-        assert mixture_pvalue(law, ATOM_TOL / 2) == 1.0
+        # P(L >= 5e-9) leaves out the atom: 1 - w0, less a chi2(1) sliver
+        p = mixture_pvalue(law, 5e-9)
+        assert 1.0 - law.weights[0] - 1e-4 < p < 1.0 - law.weights[0]
 
 
 def test_mixture_pvalue_strictly_decreasing():
@@ -748,7 +766,7 @@ def test_mixture_pvalue_rejects_negative():
 def test_conditional_interior_full_fit():
     full = _fit([1.5, 2.0], -100.0)
     null = _fit([1.7, 1.7], -102.5, branch=((1,),))
-    res = conditional_test(full, null, TREE3, alpha=0.05)
+    res = conditional_test(_pair(full, null, TREE3), alpha=0.05)
     assert res.nu == 1
     assert res.statistic == pytest.approx(5.0)
     assert res.p_value == pytest.approx(stats.chi2.sf(5.0, 1))
@@ -759,7 +777,7 @@ def test_conditional_interior_full_fit():
 def test_conditional_never_rejects_on_the_null_set():
     full = _fit([1.7, 1.7], -100.0)
     null = _fit([1.7, 1.7], -100.0, branch=((1,),))
-    res = conditional_test(full, null, TREE3)
+    res = conditional_test(_pair(full, null, TREE3))
     assert res.nu == 0
     assert res.p_value == 1.0
     assert not res.reject
@@ -769,36 +787,46 @@ def test_conditional_partial_activity_counts_free_atoms():
     # twin tree with both atoms constrained but only one active
     full = _fit([1.6, 1.6, 2.4], -100.0)
     null = _fit([1.8, 1.8, 1.8], -101.0, branch=((1,), (2,)))
-    res = conditional_test(full, null, TREE4)
+    res = conditional_test(_pair(full, null, TREE4, "(0,1)=(0) & (0,2)=(0)"))
     assert res.nu == 1
 
 
-def test_conditional_ambiguous_gap_is_conservative():
-    full = _fit([1.7, 1.7 + 5 * TIGHT_TOL, 2.4], -100.0)
+def test_conditional_counts_every_positive_gap_as_free():
+    # only an exact zero gap is tight: a gap of 5e-6 counts toward nu
+    full = _fit([1.7, 1.7 + 5e-6, 2.4], -100.0)
     null = _fit([1.8, 1.8, 1.8], -101.0, branch=((1,), (2,)))
-    res = conditional_test(full, null, TREE4)
-    assert res.nu == 1                      # the 5*tol gap counts as tight
-    assert res.ambiguous == ("(0,1)",)
+    res = conditional_test(_pair(full, null, TREE4, "(0,1)=(0) & (0,2)=(0)"))
+    assert res.nu == 2
+    assert "ambiguous" not in res.to_dict()
 
 
 def test_conditional_exact_variant_inflates_alpha():
     full = _fit([1.5, 2.0], -100.0)
     null = _fit([1.7, 1.7], -101.6, branch=((1,),))
-    res = conditional_test(full, null, TREE3, alpha=0.05, gamma0=0.5,
-                           exact=True)
+    pair = _pair(full, null, TREE3)
+    res = conditional_test(pair, alpha=0.05, gamma0=0.5, exact=True)
     assert res.alpha_used == pytest.approx(0.10)
     assert res.effective_size == pytest.approx(0.05)
-    plain = conditional_test(full, null, TREE3, alpha=0.05, gamma0=0.5)
+    plain = conditional_test(pair, alpha=0.05, gamma0=0.5)
     assert plain.alpha_used == 0.05
     assert plain.effective_size == pytest.approx(0.025)
     with pytest.raises(DomainError):
-        conditional_test(full, null, TREE3, exact=True)
+        conditional_test(pair, exact=True)
 
 
 def test_conditional_requires_constrained_branch():
     full = _fit([1.5, 2.0], -100.0)
     with pytest.raises(DomainError):
-        conditional_test(full, _fit([1.7, 1.7], -101.0), TREE3)
+        conditional_test(_pair(full, _fit([1.7, 1.7], -101.0), TREE3))
+
+
+def test_conditional_reads_the_pair_statistic():
+    full = _fit([1.5, 2.0], -100.0)
+    null = _fit([1.7, 1.7], -102.5, branch=((1,),))
+    pair = replace(_pair(full, null, TREE3), statistic=3.0)
+    res = conditional_test(pair)
+    assert res.statistic == 3.0
+    assert res.p_value == stats.chi2.sf(3.0, 1)
 
 
 # --- hybrid p-value --------------------------------------------------------
@@ -811,7 +839,7 @@ def test_hybrid_zero_gap_equals_tied_geometry_mc():
     stat = 1.7
     full = _fit([1.9, 2.1, 2.2], -100.0)
     null = _fit([2.0, 2.0, 2.0], -100.0 - stat / 2, branch=((1,),))
-    p = hybrid_pvalue(full, null, TREE4, HYP41, SIG3, n=2500,
+    p = hybrid_pvalue(_pair(full, null, TREE4, n=2500), SIG3,
                       m=5000, seed=31)
     cone, nulls = local_cones(
         TREE4, HYP41, null.theta, assume_tight=(((), (2,)),)
@@ -826,7 +854,7 @@ def test_hybrid_large_gap_matches_free_nuisance_mixture():
     full = _fit([1.9, 2.1, 3.0], -100.0)
     # n = 2500 with a unit fitted gap puts the mean at 50
     null = _fit([2.0, 2.0, 3.0], -100.0 - stat / 2, branch=((1,),))
-    p = hybrid_pvalue(full, null, TREE4, HYP41, SIG3, n=2500,
+    p = hybrid_pvalue(_pair(full, null, TREE4, n=2500), SIG3,
                       m=100_000, seed=31)
     expect = mixture_pvalue(
         mixture_law(*local_cones(TREE4, HYP41, null.theta)), stat
@@ -834,14 +862,14 @@ def test_hybrid_large_gap_matches_free_nuisance_mixture():
     assert p == pytest.approx(expect, abs=0.01)
 
 
-def test_hybrid_validates_nuisance_nodes():
+def test_hybrid_validates_inputs():
     full = _fit([1.9, 2.1, 2.6], -100.0)
     null = _fit([2.0, 2.0, 2.6], -100.4, branch=((1,),))
+    pair = _pair(full, null, TREE4)
     with pytest.raises(DomainError):
-        hybrid_pvalue(full, null, TREE4, HYP41, SIG3, n=100,
-                      nuisance=[(1,)])     # constrained, not nuisance
+        hybrid_pvalue(pair, np.eye(2))      # sigma of the wrong size
     with pytest.raises(DomainError):
-        hybrid_pvalue(full, null, TREE4, HYP41, SIG3, n=0)
+        hybrid_pvalue(pair, SIG3, m=500)
 
 
 # --- power curves ----------------------------------------------------------
@@ -849,17 +877,17 @@ def test_hybrid_validates_nuisance_nodes():
 
 def test_power_theta_scales():
     sigma = np.eye(2)
-    pc = power_curve("gumbel", 1.0 / 3.0, [0.0], sigma=sigma, m=1000)
+    pc = power_curve("gumbel", 1.0 / 3.0, [0.0], sigma=sigma)
     assert pc.theta_scale == pytest.approx(2.25, abs=1e-12)
-    pc = power_curve("clayton", 1.0 / 3.0, [0.1], sigma=sigma, m=1000)
+    pc = power_curve("clayton", 1.0 / 3.0, [0.1], sigma=sigma)
     assert pc.theta_scale * 0.1 == pytest.approx(0.45, abs=1e-12)
 
 
 def test_power_curve_family_instance_matches_its_name():
     from haclrt.generators import Gumbel
 
-    by_name = power_curve("gumbel", 0.4, [0.1], sigma=np.eye(2), m=200)
-    by_obj = power_curve(Gumbel(), 0.4, [0.1], sigma=np.eye(2), m=200)
+    by_name = power_curve("gumbel", 0.4, [0.1], sigma=np.eye(2))
+    by_obj = power_curve(Gumbel(), 0.4, [0.1], sigma=np.eye(2))
     assert by_obj.theta_scale == by_name.theta_scale == 1.0 / 0.6**2
     assert by_obj.family == "gumbel"
     assert json.dumps(by_obj.to_dict()) == json.dumps(by_name.to_dict())
@@ -875,22 +903,41 @@ def test_power_numeric_scale_matches_tau_slope():
     step = 1e-6 * theta0
     slope = (fam.tau(theta0 + step) - fam.tau(theta0 - step)) / (2 * step)
     pc = power_curve("frank", tau0, [0.0],
-                     sigma=np.eye(2), m=1000)
+                     sigma=np.eye(2))
     assert pc.theta_scale == pytest.approx(1.0 / slope, rel=1e-4)
 
 
 def test_power_size_point_and_monotonicity():
     sigma = np.array([[2.0, 0.8], [0.8, 1.5]])
     pc = power_curve("gumbel", 1.0 / 3.0, [0.0, 0.05, 0.1, 0.2, 0.4],
-                     sigma=sigma, m=40_000, seed=5)
+                     sigma=sigma, seed=5)
     assert pc.power[0] == pytest.approx(0.05, abs=0.01)
     assert all(a <= b + 1e-12 for a, b in zip(pc.power, pc.power[1:]))
     assert pc.c_alpha == pytest.approx(stats.chi2.ppf(0.90, 1))
 
 
+def test_power_closed_form_matches_simulated_law():
+    # one tie: L = max(W, 0)^2 with W ~ N(mu, 1), so the power is
+    # 1 - Phi(sqrt(c_alpha) - mu); the simulated law agrees within its
+    # standard error
+    sigma = np.array([[2.0, 0.8], [0.8, 1.5]])
+    pc = power_curve("gumbel", 1.0 / 3.0, [0.05, 0.2], sigma=sigma)
+    sd = math.sqrt(sigma[0, 0] + sigma[1, 1] - 2 * sigma[0, 1])
+    m = 200_000
+    for h, power in zip(pc.h_values, pc.power):
+        mu = 2.25 * h / sd
+        assert power == pytest.approx(
+            stats.norm.sf(math.sqrt(pc.c_alpha) - mu), rel=1e-12)
+        draws = null_statistics(sigma, CONE2, LINE2,
+                                h=np.array([0.0, 2.25 * h]), m=m, seed=8)
+        se = math.sqrt(power * (1.0 - power) / m)
+        assert abs(np.mean(draws > pc.c_alpha) - power) < 4.0 * se
+    assert "m" not in pc.to_dict()
+
+
 def test_power_atom_formula():
     sigma = np.array([[2.0, 0.8], [0.8, 1.5]])
-    pc = power_curve("gumbel", 1.0 / 3.0, [0.0, 0.2], sigma=sigma, m=1000)
+    pc = power_curve("gumbel", 1.0 / 3.0, [0.0, 0.2], sigma=sigma)
     assert pc.atom[0] == pytest.approx(0.5)
     var = sigma[0, 0] + sigma[1, 1] - 2 * sigma[0, 1]
     shift = 2.25 * 0.2
@@ -901,7 +948,7 @@ def test_power_atom_formula():
 
 def test_power_estimates_sigma_when_missing():
     pc = power_curve("clayton", 0.5, [0.0, 0.1], n_sigma=20_000,
-                     m=2000, seed=17)
+                     seed=17)
     assert len(pc.power) == 2
     assert 0.0 <= pc.power[0] <= 0.12
 
@@ -909,7 +956,7 @@ def test_power_estimates_sigma_when_missing():
 def test_power_delta_tau_reaches_fd_covariance():
     # analytic families ignore the step; a finite-difference family
     # (joe at a tie has only step-regularized information) must not
-    kw = dict(n_sigma=6000, m=2000, seed=17)
+    kw = dict(n_sigma=6000, seed=17)
     a = power_curve("clayton", 0.5, [0.1], delta_tau=0.005, **kw)
     b = power_curve("clayton", 0.5, [0.1], delta_tau=0.001, **kw)
     assert a.power == b.power
@@ -921,9 +968,9 @@ def test_power_delta_tau_reaches_fd_covariance():
 def test_power_curve_shift_invariance_in_e():
     # moving both coordinates by the same e-offset changes nothing
     sigma = np.array([[1.5, 0.3], [0.3, 1.0]])
-    a = power_curve("gumbel", 0.4, [0.1, 0.3], sigma=sigma, m=5000,
+    a = power_curve("gumbel", 0.4, [0.1, 0.3], sigma=sigma,
                     seed=3, e=(0.0, 1.0))
-    b = power_curve("gumbel", 0.4, [0.1, 0.3], sigma=sigma, m=5000,
+    b = power_curve("gumbel", 0.4, [0.1, 0.3], sigma=sigma,
                     seed=3, e=(-0.5, 0.5))
     assert a.power == pytest.approx(b.power, abs=1e-12)
     assert a.atom == pytest.approx(b.atom, abs=1e-12)
@@ -1000,6 +1047,103 @@ def test_detect_rejects_unrecognized_shapes():
                        np.eye(4)) is None
 
 
+# --- the one boundary rule -------------------------------------------------
+
+
+def _fake_mle(full, null):
+    """An mle stand-in handing fit_pair two given fits."""
+    def fake(rows, tree, family, hypothesis=None, config=None, start=None,
+             *, _taus=None):
+        return full if hypothesis is None else null
+    return fake
+
+
+def test_replay_record_on_the_null_branch_reads_zero():
+    # the full fit ties the nest exactly, while the null fit stopped
+    # short by 2.5e-7 in loglik: L_n is the atom, in both records
+    records = run_replicate(ScenarioSpec("I", seed=815, r=1), "c",
+                            "clayton", "clayton", 128, 1)
+    assert [r["method"] for r in records] == ["mixture", "conditional"]
+    for rec in records:
+        assert rec["statistic"] == 0.0
+        assert rec["p_value"] == 1.0
+
+
+def test_union_full_fit_on_the_other_branch_reads_zero(monkeypatch):
+    # the null fit picked (0,1); the full fit ties (0,2) exactly
+    full = _fit([1.5, 2.0, 1.5], -100.0)
+    null = _fit([1.6, 1.6, 1.9], -100.0 - 1e-7, branch=((1,),))
+    monkeypatch.setattr(lrt, "mle", _fake_mle(full, null))
+    rows = np.full((50, 4), 0.5)
+    union = lrt.fit_pair(rows, TREE4, "gumbel",
+                         Hypothesis.parse("(0,1)=(0) | (0,2)=(0)"))
+    assert union.statistic == 0.0
+    # off the null set, the statistic is the clamped 2 delta-l
+    one = lrt.fit_pair(rows, TREE4, "gumbel", HYP41)
+    assert one.statistic == lrt_statistic(null, full) > 0.0
+
+
+def test_tiny_statistic_off_the_null_set_is_no_atom(monkeypatch):
+    full = _fit([1.5, 2.0], -100.0)
+    null = _fit([1.7, 1.7], -100.0 - 2.5e-9, branch=((1,),))
+    monkeypatch.setattr(lrt, "mle", _fake_mle(full, null))
+    pair = lrt.fit_pair(np.full((50, 3), 0.5), TREE3, "gumbel", HYP41)
+    assert pair.statistic == pytest.approx(5e-9, rel=1e-4)
+    res = run_fitted(pair, "mixture", 0, 1)
+    # P(L >= 5e-9) = 1/2 P(chi2(1) >= 5e-9): about 1 - w0, not 1
+    assert res.p_value == pytest.approx(0.5, abs=1e-4)
+    assert res.p_value < 0.5
+    cond = run_fitted(pair, "conditional", 0, 1).conditional
+    assert cond.nu == 1 and cond.p_value < 1.0
+
+
+@pytest.mark.parametrize("family", ["gumbel", "clayton"])
+def test_every_boundary_decision_reads_tight_edges(family):
+    names = {(par, ch): f"{node_name(ch)}={node_name(par)}"
+             for par, ch in TREE4.constraint_pairs()}
+    full_ties = 0
+    for i, (tau1, tau2) in enumerate([(0.3, 0.3), (0.3, 0.5)]):
+        base = tau_inv(family, 0.3)
+        theta = [base, tau_inv(family, tau1), tau_inv(family, tau2)]
+        rows = sample(TREE4, theta, family, 150, seed=70 + i).values
+        for text in ("(0,1)=(0)", "(0,1)=(0) & (0,2)=(0)"):
+            hyp = Hypothesis.parse(text)
+            pair = lrt.fit_pair(rows, TREE4, family, hyp, config=CFG)
+            full, null = pair.fit_full, pair.fit_null
+            for fit in (full, null):
+                tight = tight_edges(TREE4, fit.theta)
+                # active: the tight edges between the fit's groups
+                merged = {(a[:-1], a) for a in fit.branch or ()}
+                assert set(fit.active) == {names[e] for e in tight
+                                           if e not in merged}
+            tight = tight_edges(TREE4, null.theta)
+            cone, _ = local_cones(TREE4, hyp, null.theta)
+            rows_of = {tuple(r) for r in cone.ineq}
+            assert rows_of == {tuple(_pair_row(e)) for e in tight}
+            dirs = fd_scheme(TREE4, family, null.theta).directions
+            for (par, ch) in tight:
+                assert dirs[TREE4.param_pos[par]] == -1
+                assert dirs[TREE4.param_pos[ch]] == 1
+            free = set(TREE4.internal_paths) - {
+                p for e in tight for p in e}
+            assert all(dirs[TREE4.param_pos[p]] == 0 for p in free)
+            full_tight = tight_edges(TREE4, full.theta)
+            full_ties += len(full_tight)
+            nu = conditional_test(pair).nu
+            assert nu == sum((a[:-1], a) not in full_tight
+                             for a in null.branch)
+            if all((a[:-1], a) in full_tight for a in null.branch):
+                assert pair.statistic == 0.0
+    assert full_ties > 0            # the grid reaches the boundary
+
+
+def _pair_row(edge):
+    row = np.zeros(TREE4.p)
+    row[TREE4.param_pos[edge[0]]] = 1.0
+    row[TREE4.param_pos[edge[1]]] = -1.0
+    return row
+
+
 # --- end-to-end ------------------------------------------------------------
 
 CFG = FitConfig(n_perturbed=2, seed=5)
@@ -1017,7 +1161,7 @@ def test_run_test_mixture_one_tie():
     assert 0.0 <= res.p_value <= 1.0
     assert res.statistic >= 0.0
     assert res.sigma is None             # half/half law needs no sigma
-    payload = json.loads(res.to_json())
+    payload = json.loads(json.dumps(res.to_dict()))
     for key in ("statistic", "p_value", "method", "law", "seeds",
                 "fits", "sigma_meta"):
         assert key in payload

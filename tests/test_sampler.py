@@ -216,9 +216,10 @@ def test_boundary_theta_collapses_then_samples():
         assert abs(got - want) < 3.0 * _tau_se(n)
 
 
-def test_unsupported_nesting_budget():
+def test_unsupported_nesting_budget(monkeypatch):
+    monkeypatch.setattr(sampler, "MAX_COMPOUND_DRAWS", 500)
     with pytest.raises(UnsupportedNestingError):
-        sample(TREE3, (1.5, 3.0), "joe", 1000, seed=51, max_compound=500)
+        sample(TREE3, (1.5, 3.0), "joe", 1000, seed=51)
 
 
 def test_invalid_arguments_rejected():

@@ -14,6 +14,7 @@ from haclrt.tree import (
     local_cones,
     node_name,
     parse_node_name,
+    tight_edges,
     validate_params,
 )
 
@@ -111,7 +112,6 @@ def test_theta_vector_coercion():
 def test_parse_single_atom():
     h = Hypothesis.parse("(0,1)=(0)")
     assert h.branches == (((1,),),)
-    assert not h.is_union
 
 
 def test_parse_reversed_atom():
@@ -123,7 +123,6 @@ def test_parse_intersection_and_union():
     assert h.branches == (((1,), (2,)),)
     hu = Hypothesis.parse("(0,1)=(0) | (0,2)=(0)")
     assert hu.branches == (((1,),), ((2,),))
-    assert hu.is_union
 
 
 def test_parse_precedence():
@@ -159,14 +158,23 @@ def test_hypothesis_checked_against_tree():
 def test_validate_interior():
     t = HacTree([[1, 2], 3])
     r = validate_params(t, "clayton", [1.0, 2.0])
-    assert r.valid and not r.on_boundary and r.tight == ()
+    assert r.valid and tight_edges(t, [1.0, 2.0]) == ()
 
 
 def test_validate_boundary():
     t = HacTree([[1, 2], 3])
     r = validate_params(t, "clayton", [2.0, 2.0])
-    assert r.valid and r.on_boundary
-    assert r.tight == (((), (1,)),)
+    assert r.valid
+    assert tight_edges(t, [2.0, 2.0]) == (((), (1,)),)
+
+
+def test_tight_edges_are_the_gaps_of_at_most_zero():
+    t = HacTree([[1, 2], [3, [4, 5]]])
+    # a gap of one ulp or 1e-300 is slack; zero and negative gaps are tight
+    theta = [1.0, np.nextafter(1.0, 2.0), 1.5, 1.5]
+    assert tight_edges(t, theta) == (((2,), (2, 2)),)
+    assert tight_edges(t, [1e-300, 2e-300, 0.5, 0.4]) == (((2,), (2, 2)),)
+    assert tight_edges(t, [1.0, 1.0, 1.0, 1.0]) == t.constraint_pairs()
 
 
 def test_validate_outside_cone():
@@ -188,34 +196,34 @@ def test_validate_outside_domain():
 
 def test_collapse_tie_merges_to_exchangeable():
     t = HacTree([[1, 2], 3])
-    t2, th2 = collapse(t, [2.0, 2.0], tol=0.0)
+    t2, th2 = collapse(t, [2.0, 2.0])
     assert t2.to_nested() == [1, 2, 3]
     np.testing.assert_array_equal(th2, [2.0])
 
 
 def test_collapse_interior_is_identity():
     t = HacTree([[1, 2], 3])
-    t2, th2 = collapse(t, [1.0, 2.0], tol=1e-8)
+    t2, th2 = collapse(t, [1.0, 2.0])
     assert t2.to_nested() == [[1, 2], 3]
     np.testing.assert_array_equal(th2, [1.0, 2.0])
 
 
 def test_collapse_preserves_child_order():
     t = HacTree([1, [2, 3], 4])
-    t2, th2 = collapse(t, [1.5, 1.5], tol=0.0)
+    t2, th2 = collapse(t, [1.5, 1.5])
     assert t2.to_nested() == [1, 2, 3, 4]
 
 
 def test_collapse_chain_transitive():
     t = HacTree([1, [2, [3, 4]]])
-    t2, th2 = collapse(t, [1.0, 1.0, 1.0], tol=0.0)
+    t2, th2 = collapse(t, [1.0, 1.0, 1.0])
     assert t2.to_nested() == [1, 2, 3, 4]
     np.testing.assert_array_equal(th2, [1.0])
 
 
 def test_collapse_partial_chain():
     t = HacTree([1, [2, [3, 4]]])
-    t2, th2 = collapse(t, [1.0, 1.0, 2.0], tol=0.0)
+    t2, th2 = collapse(t, [1.0, 1.0, 2.0])
     assert t2.to_nested() == [1, 2, [3, 4]]
     np.testing.assert_array_equal(th2, [1.0, 2.0])
 
@@ -223,7 +231,7 @@ def test_collapse_partial_chain():
 def test_collapse_deep_splice_in_place():
     t = HacTree([[1, 2], [3, [4, 5]]])
     theta = [1.0, 2.0, 1.0, 3.0]  # (0,2) ties the root
-    t2, th2 = collapse(t, theta, tol=0.0)
+    t2, th2 = collapse(t, theta)
     assert t2.to_nested() == [[1, 2], 3, [4, 5]]
     np.testing.assert_array_equal(th2, [1.0, 2.0, 3.0])
 
@@ -237,15 +245,17 @@ def test_collapse_idempotent():
             [base, base + rng.choice([0.0, 0.5]), base + rng.choice([0.0, 0.5]), 0.0]
         )
         theta[3] = theta[2] + rng.choice([0.0, 0.4])
-        t1, th1 = collapse(t, theta, tol=0.0)
-        t2, th2 = collapse(t1, th1, tol=0.0)
+        t1, th1 = collapse(t, theta)
+        t2, th2 = collapse(t1, th1)
         assert t1.to_nested() == t2.to_nested()
         np.testing.assert_array_equal(th1, th2)
 
 
 def test_collapse_result_in_cone():
+    # only the exact tie merges; a gap of 5e-9 keeps its nest
     t = HacTree([[1, 2], [3, [4, 5]]])
-    t2, th2 = collapse(t, [1.0, 1.0 + 5e-9, 1.5, 1.5], tol=1e-8)
+    t2, th2 = collapse(t, [1.0, 1.0 + 5e-9, 1.5, 1.5])
+    assert t2.to_nested() == [[1, 2], [3, 4, 5]]
     r = validate_params(t2, "clayton", th2, tol=0.0)
     assert r.in_cone
 
@@ -405,8 +415,8 @@ def test_collapse_idempotent_random(spec, data):
         if path == ():
             continue
         theta[i] = theta[t.param_pos[path[:-1]]] + gaps[i]
-    t1, th1 = collapse(t, theta, tol=0.0)
-    t2, th2 = collapse(t1, th1, tol=0.0)
+    t1, th1 = collapse(t, theta)
+    t2, th2 = collapse(t1, th1)
     assert t1.to_nested() == t2.to_nested()
     np.testing.assert_array_equal(th1, th2)
     assert validate_params(t1, "clayton", th1, tol=0.0).in_cone
