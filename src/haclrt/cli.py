@@ -13,6 +13,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -513,7 +514,7 @@ def cmd_scenario(ctx, which, cases_text, df_text, mf_text, n_text, r, alpha,
                   "model_family", "method", "n", "r_used", "rate_pct",
                   "rate_int", "se_pct", "n_singular", "n_failed"]
         rows = [
-            [row[k] if k != "rate_int" else int(round(row["rate_pct"]))
+            [row[k] if k != "rate_int" else _rate_int(row["rate_pct"])
              for k in header]
             for row in table
         ]
@@ -526,6 +527,11 @@ def cmd_scenario(ctx, which, cases_text, df_text, mf_text, n_text, r, alpha,
                         "alpha": alpha},
                "table": table}
     _finish(ctx, payload, header=header, rows=rows)
+
+
+def _rate_int(rate_pct):
+    # a cell whose every replicate failed has no rate
+    return int(round(rate_pct)) if math.isfinite(rate_pct) else ""
 
 
 def _wide_table(table, n_values):
@@ -558,7 +564,7 @@ def _wide_table(table, n_values):
                 line += ["", "", ""]
             else:
                 line += [
-                    int(round(row["rate_pct"])),
+                    _rate_int(row["rate_pct"]),
                     row["se_pct"],
                     row["n_singular"] + row["n_failed"],
                 ]

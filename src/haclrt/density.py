@@ -64,7 +64,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .generators import GeneratorFamily, get_family, s_nk_table
-from .tree import HacTree
+from .tree import HacTree, check_theta
 
 __all__ = [
     "TwoLevelSpec",
@@ -88,7 +88,8 @@ class TwoLevelSpec:
 
     theta is ordered (theta_0, theta_1, ..., theta_m) matching the tree's
     preorder; child_cols[s] gives the 0-based data columns of child s+1,
-    leaf_cols the columns attached directly to the root.
+    leaf_cols the columns attached directly to the root.  Building a
+    spec, ``with_theta`` too, checks theta with ``tree.check_theta``.
     """
 
     family: GeneratorFamily
@@ -116,6 +117,9 @@ class TwoLevelSpec:
     def ds(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.child_cols)
 
+    def __post_init__(self):
+        check_theta(None, self.family, self.theta)
+
     def with_theta(self, theta) -> "TwoLevelSpec":
         theta = tuple(float(x) for x in np.asarray(theta, dtype=float))
         return TwoLevelSpec(self.family, theta, self.child_cols, self.leaf_cols)
@@ -126,8 +130,7 @@ def two_level_spec(tree: HacTree, family, theta) -> TwoLevelSpec:
     if not tree.is_two_level():
         raise DomainError("density formulas cover two-level trees only")
     fam = get_family(family)
-    vec = tree.theta_vector(theta)
-    _check_theta(fam, vec)
+    vec = check_theta(tree, fam, theta)
     child_cols = []
     leaf_cols = []
     for child in tree.children(()):
@@ -138,18 +141,6 @@ def two_level_spec(tree: HacTree, family, theta) -> TwoLevelSpec:
     return TwoLevelSpec(
         fam, tuple(float(x) for x in vec), tuple(child_cols), tuple(leaf_cols)
     )
-
-
-def _check_theta(fam, vec):
-    for th in vec:
-        if not fam.domain.contains(float(th)):
-            raise DomainError(f"{fam.name}: theta={th} outside domain")
-    root = vec[0]
-    for th in vec[1:]:
-        if th < root:
-            raise DomainError(
-                f"child parameter {th} below root parameter {root}"
-            )
 
 
 def clamp_unit(u) -> np.ndarray:
@@ -479,7 +470,6 @@ def log_density_and_derivs(spec: TwoLevelSpec, u, order: int = 0):
     if order not in (0, 1, 2):
         raise DomainError("order must be 0, 1 or 2")
     fam = spec.family
-    _check_theta(fam, spec.theta)
     rows, squeeze = _as_rows(spec, u)
     if order > 0 and not fam.analytic:
         raise DomainError(

@@ -28,7 +28,8 @@ from .density import (
 )
 from .errors import ConvergenceError, DomainError, NumericError
 from .generators import get_family
-from .tree import HacTree, Hypothesis, node_name, tight_edges, validate_params
+from .tree import (HacTree, Hypothesis, check_theta, node_name, tie_classes,
+                   tight_edges)
 
 __all__ = [
     "FitConfig",
@@ -145,24 +146,14 @@ class ParamGroups:
 
 
 def merge_groups(tree: HacTree, atoms: tuple[Path, ...] = ()) -> ParamGroups:
-    """Union-find partition tying each atom node to its direct parent."""
-    up = {p: p for p in tree.internal_paths}
-
-    def find(p):
-        while up[p] != p:
-            up[p] = up[up[p]]
-            p = up[p]
-        return p
-
+    """Partition tying each atom node to its direct parent."""
     for child in atoms:
         if child not in tree or child[:-1] not in tree:
             raise DomainError(f"atom {node_name(child)} not an internal edge")
-        a, b = find(child), find(child[:-1])
-        if a != b:
-            up[a] = b
+    top = tie_classes(tree, [(child[:-1], child) for child in atoms])
     buckets: dict[Path, list[Path]] = {}
     for p in tree.internal_paths:       # preorder, so buckets sort themselves
-        buckets.setdefault(find(p), []).append(p)
+        buckets.setdefault(top[p], []).append(p)
     groups = tuple(tuple(v) for v in buckets.values())
     idx = {p: gi for gi, members in enumerate(groups) for p in members}
     par = tuple(
@@ -263,7 +254,7 @@ def _objective(data, tree, family, pg, analytic):
         try:
             with np.errstate(all="ignore"):
                 # the tree is walked once per fit; later evaluations swap
-                # in theta, and the density checks it on every call
+                # in theta, which with_theta checks
                 spec = (
                     two_level_spec(tree, family, theta) if spec is None
                     else spec.with_theta(theta)
@@ -368,7 +359,7 @@ def _fit_branch(data, tree, family, atoms, cfg: FitConfig, start, taus):
     return FitResult(
         theta=theta,
         loglik=ll,
-        converged=bool(best.success),
+        converged=bool(best.success) and gnorm <= GTOL,
         n_starts=n_starts,
         active=tuple(active),
         grad_norm=gnorm,
@@ -397,8 +388,10 @@ def mle(
     converges (to a gradient its rounding error cannot hide); otherwise
     the config's perturbed starts run in turn and the best start that
     finished wins.  start, a parameter vector in
-    the cone, replaces all of them with one start there (the result is
-    marked warm); each group starts at the value of its top node.
+    Theta (``tree.check_theta``), replaces all of them with one start
+    there (the result is marked warm); each group starts at the value of
+    its top node.  A fit counts as converged when L-BFGS-B reports
+    success and its projected gradient is within GTOL.
 
     The Kendall-tau matrix is computed at most once per call; fit_pair
     hands its fits one function, _taus, that computes it once for all.
@@ -415,9 +408,7 @@ def mle(
             f"need at least p+1 = {tree.p + 1} rows, got {data.shape[0]}"
         )
     if start is not None:
-        start = tree.theta_vector(start)
-        if not validate_params(tree, family, start).valid:
-            raise DomainError("start lies outside the parameter space")
+        start = check_theta(tree, family, start)
     taus = _taus or _lazy_taus(data)
     if hypothesis is None:
         return _fit_branch(data, tree, family, (), config, start, taus)

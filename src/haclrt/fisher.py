@@ -25,7 +25,7 @@ from .errors import DomainError, NumericError, SchemeError, SingularSigmaError
 from .estimate import merge_groups
 from .generators import get_family
 from .sampler import sample
-from .tree import HacTree, node_name, tight_edges, validate_params
+from .tree import HacTree, check_theta, node_name, tight_edges
 
 __all__ = [
     "DELTA_TAU",
@@ -54,18 +54,12 @@ SCAN_DRAWS = 10_000     # model draws per determinant-scan cell
 def kendall_step(
     family: str, theta: float, delta_tau: float = DELTA_TAU
 ) -> float:
-    """Negative-side theta step matching a delta_tau drop in Kendall tau."""
+    """Negative-side theta step matching a delta_tau drop in Kendall tau;
+    tau_inv raises past the attainable range."""
     fam = get_family(family)
     if delta_tau == 0.0:
         return 0.0
-    t = fam.tau(theta)
-    target = t - delta_tau
-    lo_ok = target >= 0.0 if fam.tau_lo_attainable else target > 0.0
-    if not (lo_ok and target < 1.0):
-        raise DomainError(
-            f"{family}: tau {t:.6g} - {delta_tau:.6g} leaves the attainable range"
-        )
-    return float(fam.tau_inv(target) - theta)
+    return float(fam.tau_inv(fam.tau(theta) - delta_tau) - theta)
 
 
 def _step_magnitude(fam, theta: float, delta_tau: float) -> float:
@@ -92,7 +86,7 @@ def fd_scheme(
     if delta_tau <= 0.0:
         raise DomainError("delta_tau must be positive")
     fam = get_family(family)
-    vec = tree.theta_vector(theta)
+    vec = check_theta(tree, fam, theta)
     p = tree.p
     steps = np.array([_step_magnitude(fam, v, delta_tau) for v in vec])
 
@@ -217,7 +211,7 @@ def fd_hessian(
 ) -> np.ndarray:
     """Mean over rows of the second-difference log-density Hessian."""
     rows = np.asarray(getattr(data, "values", data), dtype=float)
-    vec = tree.theta_vector(theta)
+    vec = check_theta(tree, family, theta)
     if scheme is None:
         scheme = fd_scheme(tree, family, vec, delta_tau)
 
@@ -226,7 +220,11 @@ def fd_hessian(
         return float(np.mean(log_density(spec, rows)))
 
     def feasible(th):
-        return validate_params(tree, family, th, tol=0.0).valid
+        try:
+            check_theta(tree, family, th)
+        except DomainError:
+            return False
+        return True
 
     return fd_hessian_fn(fn, vec, scheme, feasible=feasible)
 
@@ -336,9 +334,10 @@ def sigma_hat(
     source "observed" averages over the data rows; "mc" draws n_mc fresh
     rows from the model at theta.  With atoms set (evaluation under the
     merged null), entry equalities implied by swapping tied same-shape
-    sibling subtrees are enforced by group averaging.
+    sibling subtrees are enforced by group averaging.  theta is checked
+    against the parameter space before any draw or stencil.
     """
-    vec = tree.theta_vector(theta)
+    vec = check_theta(tree, family, theta)
     fam = get_family(family)
     if method is None:
         method = "analytic" if fam.analytic else "fd"
@@ -437,8 +436,6 @@ def determinant_scan(
     if offsets is None:
         offsets = np.linspace(0.25, 2.0, 8)
     offsets = np.asarray(offsets, dtype=float)
-    if np.any(offsets <= 0.0) and fam.domain.lo_open:
-        raise DomainError("offsets must be positive for an open domain edge")
     tree = tree if tree is not None else HacTree([[1, 2], 3])
     if tree.p != 2:
         raise DomainError("the scan grid is over two-parameter trees")

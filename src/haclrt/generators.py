@@ -207,9 +207,12 @@ class ThetaDomain:
     lo_open: bool
 
     def contains(self, theta: float) -> bool:
-        if not np.isfinite(theta):
+        if not math.isfinite(theta):
             return False
         return theta > self.lo if self.lo_open else theta >= self.lo
+
+    def __str__(self):
+        return f"{'(' if self.lo_open else '['}{self.lo}, inf)"
 
 
 @dataclass(frozen=True)
@@ -254,10 +257,8 @@ def _validate_theta(fam: "GeneratorFamily", theta) -> None:
     # a float, or every entry of a theta column
     for th in theta.ravel() if isinstance(theta, np.ndarray) else (theta,):
         if not fam.domain.contains(th):
-            lo = fam.domain.lo
-            op = "(" if fam.domain.lo_open else "["
             raise DomainError(
-                f"{fam.name}: theta={th} outside domain {op}{lo}, inf)"
+                f"{fam.name}: theta={th} outside domain {fam.domain}"
             )
 
 

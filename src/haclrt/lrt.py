@@ -659,13 +659,13 @@ def power_curve(
     (1 - 2 alpha) quantile c_alpha of chi-squared(1).  With one tie,
     L = max(W, 0)^2 for W = (Z_1 - Z_0)/sd ~ N(mu, 1), mu = h' (dtheta/dtau)
     (e_1 - e_0)/sd, so the power is 1 - Phi(sqrt(c_alpha) - mu) and the
-    atom P(L = 0) is Phi(-mu).
+    atom P(L = 0) is Phi(-mu).  Each tau + h' e_i must be attainable.
     When sigma is missing it is estimated from n_sigma model draws at
-    the exchangeable null of the tree [[1,2],3], seeded by seed;
-    delta_tau is the step behind a finite-difference covariance there.
-    Families whose tie-point information is unbounded (Joe) only have
-    step-regularized covariances, and cross-family comparisons should
-    fix a common small delta_tau.
+    the exchangeable null of the tree [[1,2],3], seeded by seed.
+    delta_tau, the step of a finite-difference covariance there, acts
+    only on Frank and Joe (Joe's tie-point information is unbounded, so
+    its covariance is step-regularized); Clayton and Gumbel take the
+    analytic Hessian, so delta_tau changes nothing for them.
     """
     fam = get_family(family)
     if not 0.0 < tau < 1.0:
@@ -676,13 +676,9 @@ def power_curve(
     if e.shape != (2,) or abs(e[1] - e[0] - 1.0) > 1e-12:
         raise DomainError("e must be a pair with e[1] - e[0] = 1")
     h_values = tuple(float(h) for h in h_values)
-    lo_tau = fam.tau(fam.domain.lo) if not fam.domain.lo_open else 0.0
     for h in h_values:
-        shifted = tau + h * float(np.max(e))
-        if not lo_tau <= shifted < 1.0 or tau + h * float(np.min(e)) < lo_tau:
-            raise DomainError(
-                f"tau shift {h} leaves the attainable range at tau={tau}"
-            )
+        for shifted in tau + h * e:
+            fam._check_tau_range(float(shifted))
 
     if sigma is None:
         hac = HacTree([[1, 2], 3])

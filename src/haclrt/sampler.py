@@ -27,7 +27,7 @@ from scipy.stats import rankdata
 
 from .errors import DomainError, UnsupportedNestingError
 from .generators import _log1mexp, get_family
-from .tree import HacTree, collapse
+from .tree import HacTree, check_theta, collapse
 
 __all__ = ["SampleBatch", "sample", "pseudo_obs", "MAX_COMPOUND_DRAWS"]
 
@@ -291,15 +291,7 @@ def sample(
     """
     fam = get_family(family)
     tree = tree if isinstance(tree, HacTree) else HacTree(tree)
-    vec = tree.theta_vector(theta)
-    for th in vec:
-        if not fam.domain.contains(float(th)):
-            raise DomainError(f"{fam.name}: theta={th} outside domain")
-    for parent, child in tree.constraint_pairs():
-        if vec[tree.param_pos[child]] < vec[tree.param_pos[parent]]:
-            raise DomainError(
-                f"child parameter below parent at {child}: theta outside cone"
-            )
+    vec = check_theta(tree, fam, theta)
     if n < 1:
         raise DomainError("need n >= 1 rows")
 

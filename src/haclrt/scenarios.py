@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NumericError, SingularSigmaError
+from .errors import (DomainError, NumericError, SingularSigmaError,
+                     UnsupportedNestingError)
 from .estimate import FitConfig
 from .fisher import SIGMA_DRAWS
 from .lrt import NULL_DRAWS, fit_pair, run_fitted
@@ -223,7 +224,9 @@ def run_replicate(
     The data seed depends on the scenario, case, data family, sample
     size, and replicate index, but not on the model family, so the
     same dataset is refit under every candidate model.  A failed fit
-    marks its own methods and every later one with the fit's error.
+    marks its own methods and every later one with the fit's error.  A
+    data draw beyond the frailty sampler's budget marks every method
+    ``sampler-budget``; a covariance's draw beyond it marks its method.
     """
     scenario = spec.scenario
     case = _case_by_label(scenario, case_label)
@@ -244,11 +247,20 @@ def run_replicate(
         "rep": rep,
         "null_true": case.null_true,
     }
-    theta = case_theta(case, data_family)
-    data = sample(scenario_tree(scenario), theta, data_family, n,
-                  seed=children[0]).values
-
     plan = _plan(spec)
+
+    def failed(k, kind):
+        # every method of the plan from structure k on
+        return [_record(base, name, error=kind)
+                for _, _, later in plan[k:] for name, _, _ in later]
+
+    theta = case_theta(case, data_family)
+    try:
+        data = sample(scenario_tree(scenario), theta, data_family, n,
+                      seed=children[0]).values
+    except UnsupportedNestingError:
+        return failed(0, "sampler-budget")
+
     records = []
     for k, (tree, hyp, methods) in enumerate(plan):
         try:
@@ -257,9 +269,7 @@ def run_replicate(
         except (DomainError, NumericError) as exc:
             kind = ("fit-domain" if isinstance(exc, DomainError)
                     else "fit-numeric")
-            records += [_record(base, name, error=kind)
-                        for _, _, later in plan[k:] for name, _, _ in later]
-            return records
+            return records + failed(k, kind)
         for name, method, i in methods:
             at, source = spec.sigma_variants[i]
             try:
@@ -268,12 +278,13 @@ def run_replicate(
                     alpha=spec.alpha, sigma_source=source, sigma_at=at,
                     n_sigma=spec.n_sigma, m=spec.m,
                 )
-            except SingularSigmaError:
+            except (DomainError, NumericError) as exc:
+                kind = ("sigma-singular" if isinstance(exc, SingularSigmaError)
+                        else "sampler-budget"
+                        if isinstance(exc, UnsupportedNestingError)
+                        else "sigma-domain")
                 records.append(_record(base, name, pair.statistic,
-                                       error="sigma-singular"))
-            except (DomainError, NumericError):
-                records.append(_record(base, name, pair.statistic,
-                                       error="sigma-domain"))
+                                       error=kind))
             else:
                 p = result.p_value
                 records.append(_record(base, name, pair.statistic, p,

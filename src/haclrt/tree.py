@@ -3,13 +3,16 @@
 A tree is given as nested lists of 1-based leaf labels, e.g. [[1, 2], 3].
 Internal nodes are addressed by paths: the root is (), its k-th child (k,),
 and so on (printed as "(0)", "(0,k)", ... with the conventional leading 0).
-The parameter space is the cone {theta: theta_parent <= theta_child}, one
-parameter per internal node, ordered by preorder traversal.
+The parameter space Theta holds the vectors, one parameter per internal
+node in preorder, whose entries lie in the family's domain and which lie
+in the cone {theta: theta_parent <= theta_child}; ``check_theta`` is the
+one test of membership and ``tight_edges`` the one test of a tie.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Sequence, Union
@@ -26,13 +29,13 @@ __all__ = [
     "Path",
     "HacTree",
     "Hypothesis",
-    "ParamReport",
     "Cone",
     "node_name",
     "parse_node_name",
-    "validate_params",
+    "check_theta",
     "collapse",
     "local_cones",
+    "tie_classes",
     "tight_edges",
 ]
 
@@ -290,43 +293,63 @@ def _parse_atom(text: str) -> Path:
 
 
 # ====================================================================
-# Parameter validation and collapse
+# The parameter space, ties and collapse
 # ====================================================================
 
-@dataclass(frozen=True)
-class ParamReport:
-    in_domain: bool
-    in_cone: bool
-    violations: tuple[str, ...]
+def check_theta(tree: HacTree | None, family, theta) -> np.ndarray:
+    """theta as a preorder vector, checked to lie in Theta.
 
-    @property
-    def valid(self) -> bool:
-        return self.in_domain and self.in_cone
+    Theta: every entry finite and inside the family's ThetaDomain (family
+    None skips the domain), and no gap theta_child - theta_parent below
+    zero; a gap of exactly zero, a tie, is inside.  With tree None, theta
+    is a two-level vector whose edges run root -> child, and its nodes
+    are named by position.  Raises one DomainError naming the node and
+    both values.
+    """
+    fam = None if family is None else get_family(family)
+    if tree is None:
+        vec = np.asarray(theta, dtype=float)
+        up = [0] * vec.size
+    else:
+        vec = tree.theta_vector(theta)
+        up = [tree.param_pos[p[:-1]] if p else 0 for p in tree.internal_paths]
 
+    def name(i):
+        return f"[{i}]" if tree is None else node_name(tree.internal_paths[i])
 
-def validate_params(
-    tree: HacTree, family, theta, tol: float = 1e-9
-) -> ParamReport:
-    """Check theta against the family domain and the nesting cone."""
-    fam = get_family(family)
-    vec = tree.theta_vector(theta)
-    violations = []
-    in_domain = True
-    for path, i in tree.param_pos.items():
-        if not fam.domain.contains(vec[i]):
-            in_domain = False
-            violations.append(
-                f"theta{node_name(path)}={vec[i]} outside {fam.name} domain"
+    vals = vec.tolist()
+    # one pass in preorder checks every parent before its children; the
+    # root is its own "parent", at a gap of zero
+    for i, th in enumerate(vals):
+        if not math.isfinite(th):
+            raise DomainError(f"theta{name(i)}={th!r} is not finite")
+        if fam is not None and not fam.domain.contains(th):
+            raise DomainError(
+                f"{fam.name}: theta{name(i)}={th!r} outside domain {fam.domain}"
             )
-    in_cone = True
-    for par, ch in tree.constraint_pairs():
-        gap = vec[tree.param_pos[ch]] - vec[tree.param_pos[par]]
-        if gap < -tol:
-            in_cone = False
-            violations.append(
-                f"theta{node_name(par)} > theta{node_name(ch)} (gap {gap:.3g})"
+        if th - vals[up[i]] < 0.0:
+            raise DomainError(
+                f"theta{name(i)}={th!r} is below "
+                f"theta{name(up[i])}={vals[up[i]]!r} of its parent, outside "
+                "the nesting cone"
             )
-    return ParamReport(in_domain, in_cone, tuple(violations))
+    return vec
+
+
+def tie_classes(tree: HacTree, edges) -> dict[Path, Path]:
+    """Union-find over (parent, child) nesting edges: each internal node
+    maps to the topmost node of the subtree the edges tie it into."""
+    up = {p: p for p in tree.internal_paths}
+
+    def find(p: Path) -> Path:
+        while up[p] != p:
+            up[p] = up[up[p]]
+            p = up[p]
+        return p
+
+    for par, ch in edges:
+        up[find(ch)] = find(par)
+    return {p: find(p) for p in tree.internal_paths}
 
 
 def tight_edges(tree: HacTree, theta) -> tuple[tuple[Path, Path], ...]:
@@ -352,16 +375,7 @@ def collapse(tree: HacTree, theta):
     children spliced into its former position.
     """
     vec = tree.theta_vector(theta)
-    rep: dict[Path, Path] = {p: p for p in tree.internal_paths}
-
-    def find(p: Path) -> Path:
-        while rep[p] != p:
-            rep[p] = rep[rep[p]]
-            p = rep[p]
-        return p
-
-    for par, ch in tight_edges(tree, vec):
-        rep[find(ch)] = find(par)
+    top = tie_classes(tree, tight_edges(tree, vec))
 
     def build(path: Path) -> tuple[list, list[Path]]:
         # nested spec of the subtree plus the original path of each
@@ -371,7 +385,7 @@ def collapse(tree: HacTree, theta):
         for child in tree.children(path):
             if isinstance(child, int):
                 spec.append(child)
-            elif find(child) == find(path):
+            elif top[child] == top[path]:
                 child_spec, child_order = build(child)
                 spec.extend(child_spec)
                 order.extend(child_order[1:])  # drop the absorbed node itself
@@ -478,16 +492,12 @@ def local_cones(
     half-spaces {z_parent - z_child <= 0}; slack constraints vanish in the
     local limit.  A_null is a tuple of cones, one per hypothesis branch
     whose atoms are all tight edges: the branch atoms become equalities,
-    remaining tight constraints stay half-spaces.
+    remaining tight constraints stay half-spaces.  theta0 must be finite
+    and in the cone (check_theta with no family).
     """
     hypothesis.check_against(tree)
-    vec = tree.theta_vector(theta0)
+    vec = check_theta(tree, None, theta0)
     tight = tight_edges(tree, vec)
-    for par, ch in tight:
-        if vec[tree.param_pos[ch]] < vec[tree.param_pos[par]]:
-            raise DomainError(
-                f"theta0 violates theta{node_name(par)} <= theta{node_name(ch)}"
-            )
     forced = {(tuple(a), tuple(b)) for a, b in assume_tight}
     tight_pairs = [
         pair for pair in tree.constraint_pairs()

@@ -249,6 +249,22 @@ def test_scenario_wide_and_long(runner):
         assert int(rec["r_used"]) <= 2
 
 
+def test_scenario_keeps_a_cell_beyond_the_sampler_budget(runner):
+    # joe data at tau = 3/4 with a shifted nest needs ~8e15 compound
+    # draws: every replicate fails, and both tables still come out
+    common = ["--seed", "815", "scenario", "--scenario", "I", "--cases", "f",
+              "--data-families", "joe", "--model-families", "gumbel",
+              "--n", "32", "--r", "2", "--m", "1000", "--n-sigma", "1000"]
+    wide = list(csv.reader(_invoke(runner, common).output.splitlines()))
+    assert [row[5:] for row in wide[1:]] == [
+        ["conditional", "", "nan", "2"], ["mixture", "", "nan", "2"]]
+    long = list(csv.reader(
+        _invoke(runner, common + ["--long"]).output.splitlines()))
+    for row in long[1:]:
+        rec = dict(zip(long[0], row))
+        assert (rec["r_used"], rec["rate_int"], rec["n_failed"]) == ("0", "", "2")
+
+
 def test_scenario_rejects_bad_case(runner):
     result = runner.invoke(main, [
         "scenario", "--scenario", "I", "--cases", "z", "--r", "1",

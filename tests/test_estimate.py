@@ -17,7 +17,7 @@ from haclrt.estimate import FitConfig, loglik, merge_groups, mle
 from haclrt.lrt import fit_pair
 from haclrt.generators import Clayton, Gumbel, get_family, tau_inv
 from haclrt.sampler import sample
-from haclrt.tree import HacTree, Hypothesis, validate_params
+from haclrt.tree import HacTree, Hypothesis, check_theta
 
 TREE3 = HacTree([[1, 2], 3])
 TREE4 = HacTree([[1, 2], [3, 4]])
@@ -110,8 +110,7 @@ def test_mle_recovers_clayton_example():
     assert fit.converged
     se = _observed_se(u, TREE3, "clayton", fit.theta)
     assert np.all(np.abs(fit.theta - theta) <= 3.0 * se)
-    rep = validate_params(TREE3, "clayton", fit.theta, tol=1e-10)
-    assert rep.valid
+    check_theta(TREE3, "clayton", fit.theta)
 
 
 def test_mle_feasible_and_dominates_starts():
@@ -293,6 +292,23 @@ def test_converged_tau_start_is_the_fit(monkeypatch, fam):
         assert fit.n_starts == len(fit.start_logliks) == 1
         assert len(calls) == 1
         assert not fit.warm
+
+
+def test_converged_means_the_gradient_met_gtol():
+    # scenario I, case c, clayton data and model, n = 128, rep 1, seed
+    # 815: L-BFGS-B stops the null fit on its loglik change (FTOL) at a
+    # projected gradient of 1.4e-5, short of the full fit's tie
+    from haclrt.scenarios import case_theta, scenario_cases
+
+    case = scenario_cases("I")[2]
+    seed = np.random.SeedSequence(815, spawn_key=(0, 2, 1, 128, 1)).spawn(8)[0]
+    u = sample(TREE3, case_theta(case, "clayton"), "clayton", 128,
+               seed=seed).values
+    null = mle(u, TREE3, "clayton", Hypothesis.parse("(0,1)=(0)"))
+    assert null.grad_norm > estimate.GTOL and not null.converged
+    full = mle(u, TREE3, "clayton")
+    assert full.grad_norm <= estimate.GTOL and full.converged
+    assert null.theta[0] < full.theta[0]
 
 
 @pytest.mark.parametrize("how", ["unconverged", "raise"])

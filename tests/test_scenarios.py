@@ -8,7 +8,11 @@ from scipy import stats
 
 import haclrt.lrt as lrt_module
 import haclrt.scenarios as scenarios_module
-from haclrt.errors import DomainError, SingularSigmaError
+from haclrt.errors import (
+    DomainError,
+    SingularSigmaError,
+    UnsupportedNestingError,
+)
 from haclrt.estimate import FitConfig
 from haclrt.generators import tau_inv
 from haclrt.scenarios import (
@@ -193,8 +197,11 @@ def test_run_scenario_reproducible():
 # --- error kinds ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("exc, kind", [(SingularSigmaError, "sigma-singular"),
-                                       (DomainError, "sigma-domain")])
+@pytest.mark.parametrize("exc, kind", [
+    (SingularSigmaError, "sigma-singular"),
+    (DomainError, "sigma-domain"),
+    (UnsupportedNestingError, "sampler-budget"),
+])
 @pytest.mark.parametrize("scenario", ["II", "IV"])
 def test_sigma_failures_keep_the_statistic(monkeypatch, scenario, exc, kind):
     spec = _tiny(scenario,
@@ -215,6 +222,31 @@ def test_sigma_failures_keep_the_statistic(monkeypatch, scenario, exc, kind):
         assert rec["error"] == kind
         assert rec["statistic"] == ref["statistic"]
         assert rec["p_value"] is None and rec["reject"] is None
+
+
+def test_data_draw_beyond_the_sampler_budget_fails_every_method():
+    # joe data at tau = 3/4 with a shifted nest: the compound inner
+    # frailty needs ~8e15 draws
+    spec = ScenarioSpec("I", cases=("f",), data_families=("joe",),
+                        model_families=("gumbel",), n_values=(32,), r=2,
+                        seed=815, m=1000, n_sigma=1000)
+    recs = run_scenario(spec)
+    assert [(r["method"], r["error"]) for r in recs] == [
+        ("mixture", "sampler-budget"), ("conditional", "sampler-budget")] * 2
+    assert all(r["statistic"] is None and r["p_value"] is None for r in recs)
+    for row in rejection_table(recs):
+        assert (row["r_used"], row["n_failed"]) == (0, 2)
+
+
+def test_sigma_draw_beyond_the_sampler_budget_is_not_a_domain_error():
+    # the hybrid test's frank-model covariance draws need ~1e9 compound
+    # draws; the simplified test needs no covariance
+    spec = ScenarioSpec("IV", seed=815, r=1, n_sigma=20_000, m=2000)
+    hybrid, simplified = run_replicate(spec, "c", "gumbel", "frank", 128, 0)
+    assert hybrid["error"] == "sampler-budget"
+    assert hybrid["statistic"] is not None and hybrid["p_value"] is None
+    assert simplified["error"] is None
+    assert rejection_table([hybrid])[0]["n_failed"] == 1
 
 
 @pytest.mark.parametrize("scenario, methods", [

@@ -10,12 +10,13 @@ from haclrt.tree import (
     Cone,
     HacTree,
     Hypothesis,
+    check_theta,
     collapse,
     local_cones,
     node_name,
     parse_node_name,
+    tie_classes,
     tight_edges,
-    validate_params,
 )
 
 
@@ -152,19 +153,20 @@ def test_hypothesis_checked_against_tree():
 
 
 # ---------------------------------------------------------------
-# validate_params
+# check_theta
 # ---------------------------------------------------------------
 
 def test_validate_interior():
     t = HacTree([[1, 2], 3])
-    r = validate_params(t, "clayton", [1.0, 2.0])
-    assert r.valid and tight_edges(t, [1.0, 2.0]) == ()
+    vec = check_theta(t, "clayton", {"(0,1)": 2.0, "(0)": 1.0})
+    np.testing.assert_array_equal(vec, [1.0, 2.0])
+    assert tight_edges(t, [1.0, 2.0]) == ()
 
 
 def test_validate_boundary():
+    # a gap of exactly zero lies in the parameter space
     t = HacTree([[1, 2], 3])
-    r = validate_params(t, "clayton", [2.0, 2.0])
-    assert r.valid
+    np.testing.assert_array_equal(check_theta(t, "clayton", [2.0, 2.0]), 2.0)
     assert tight_edges(t, [2.0, 2.0]) == (((), (1,)),)
 
 
@@ -179,15 +181,89 @@ def test_tight_edges_are_the_gaps_of_at_most_zero():
 
 def test_validate_outside_cone():
     t = HacTree([[1, 2], 3])
-    r = validate_params(t, "clayton", [3.0, 2.0])
-    assert not r.in_cone and not r.valid
-    assert r.violations
+    for theta in ([3.0, 2.0], [2.0, np.nextafter(2.0, 0.0)]):
+        with pytest.raises(DomainError, match=r"theta\(0,1\)=.* is below theta\(0\)"):
+            check_theta(t, "clayton", theta)
+        with pytest.raises(DomainError, match="below"):
+            check_theta(t, None, theta)
 
 
 def test_validate_outside_domain():
     t = HacTree([[1, 2], 3])
-    r = validate_params(t, "gumbel", [0.5, 2.0])
-    assert not r.in_domain
+    with pytest.raises(
+        DomainError, match=r"gumbel: theta\(0\)=0.5 outside domain \[1.0, inf\)"
+    ):
+        check_theta(t, "gumbel", [0.5, 2.0])
+    # without a family only finiteness and the cone count
+    np.testing.assert_array_equal(check_theta(t, None, [0.5, 2.0]), [0.5, 2.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError, match=r"theta\(0,1\)=.* is not finite"):
+            check_theta(t, None, [0.5, bad])
+
+
+def _entry_points():
+    """Every caller of check_theta, as theta -> result, on [[1,2],3]."""
+    from haclrt.density import two_level_spec
+    from haclrt.estimate import mle
+    from haclrt.fisher import fd_hessian, fd_scheme, sigma_hat
+    from haclrt.sampler import sample
+
+    t = HacTree([[1, 2], 3])
+    u = sample(t, [2.0, 3.0], "clayton", 64, seed=5).values
+    spec = two_level_spec(t, "clayton", [2.0, 3.0])
+    hyp = Hypothesis.parse("(0,1)=(0)")
+    return t, {
+        "two_level_spec": lambda th: two_level_spec(t, "clayton", th),
+        "with_theta": spec.with_theta,
+        "sample": lambda th: sample(t, th, "clayton", 8, seed=1),
+        "mle_start": lambda th: mle(u, t, "clayton", start=th),
+        "sigma_hat": lambda th: sigma_hat(u, t, "clayton", th),
+        "sigma_hat_fd": lambda th: sigma_hat(u, t, "clayton", th, method="fd"),
+        "sigma_hat_mc": lambda th: sigma_hat(
+            None, t, "clayton", th, source="mc", n_mc=500),
+        "fd_scheme": lambda th: fd_scheme(t, "clayton", th),
+        "fd_hessian": lambda th: fd_hessian(u, t, "clayton", th),
+        "local_cones": lambda th: local_cones(t, hyp, th),
+    }
+
+
+THETA_CASES = {
+    "nan": [2.0, np.nan],
+    "domain": [0.0, 2.0],           # clayton's domain edge is open
+    "gap-5e-10": [2.0, 2.0 - 5e-10],
+    "gap-1": [3.0, 2.0],
+    "gap-0": [2.0, 2.0],
+}
+
+
+@pytest.mark.parametrize("case", list(THETA_CASES))
+@pytest.mark.parametrize("entry", list(_entry_points()[1]))
+def test_every_entry_point_runs_the_one_check(entry, case):
+    t, calls = _entry_points()
+    theta = THETA_CASES[case]
+    if case == "domain" and entry == "local_cones":
+        # local_cones has no family, so Clayton's open edge passes it
+        local_cones(t, Hypothesis.parse("(0,1)=(0)"), [0.0, 0.0])
+        return
+    if case == "gap-0":
+        calls[entry](theta)
+        return
+    # a spec keeps no node paths, so it names nodes by position
+    with pytest.raises(DomainError) as want:
+        check_theta(None if entry == "with_theta" else t,
+                    None if entry == "local_cones" else "clayton", theta)
+    with pytest.raises(DomainError) as got:
+        calls[entry](theta)
+    assert type(got.value) is DomainError
+    assert str(got.value) == str(want.value)
+
+
+def test_tie_classes_map_to_the_topmost_node():
+    t = HacTree([[1, 2], [3, [4, [5, 6]]]])
+    top = tie_classes(t, [((2, 2), (2, 2, 2)), ((), (2,))])
+    assert top == {(): (), (1,): (1,), (2,): (), (2, 2): (2, 2),
+                   (2, 2, 2): (2, 2)}
+    assert tie_classes(t, []) == {p: p for p in t.internal_paths}
 
 
 # ---------------------------------------------------------------
@@ -256,8 +332,7 @@ def test_collapse_result_in_cone():
     t = HacTree([[1, 2], [3, [4, 5]]])
     t2, th2 = collapse(t, [1.0, 1.0 + 5e-9, 1.5, 1.5])
     assert t2.to_nested() == [[1, 2], [3, 4, 5]]
-    r = validate_params(t2, "clayton", th2, tol=0.0)
-    assert r.in_cone
+    check_theta(t2, "clayton", th2)
 
 
 # ---------------------------------------------------------------
@@ -419,7 +494,7 @@ def test_collapse_idempotent_random(spec, data):
     t2, th2 = collapse(t1, th1)
     assert t1.to_nested() == t2.to_nested()
     np.testing.assert_array_equal(th1, th2)
-    assert validate_params(t1, "clayton", th1, tol=0.0).in_cone
+    check_theta(t1, "clayton", th1)
 
 
 @st.composite
