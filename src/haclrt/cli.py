@@ -148,7 +148,8 @@ def _build_argv(ctx: _Ctx, command: str, opts: dict) -> tuple[str, ...]:
 def _finish(ctx: _Ctx, payload, header=None, rows=None):
     """Emit the result and, when writing to a file, the manifest.
 
-    The manifest records every option of the running command, keyed by
+    JSON output is strict: a non-finite float is written as null.  The
+    manifest records every option of the running command, keyed by
     its ``--`` flag, in the order the command declares them.
     """
     click_ctx = click.get_current_context()
@@ -166,7 +167,10 @@ def _finish(ctx: _Ctx, payload, header=None, rows=None):
                                     for k, v in opts.items()}},
     )
     if ctx.fmt == "json":
-        text = json.dumps({**payload, "manifest": cfg.to_dict()}, indent=2)
+        # JSON has no NaN or inf: the round trip writes each as null
+        doc = json.loads(json.dumps({**payload, "manifest": cfg.to_dict()}),
+                         parse_constant=lambda _: None)
+        text = json.dumps(doc, indent=2, allow_nan=False)
         text += "\n"
     elif rows is not None:
         text = _csv_text(header, rows)

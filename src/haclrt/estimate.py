@@ -1,10 +1,13 @@
 """Constrained maximum-likelihood estimation over the parameter cone.
 
-Fits run in a gap parameterization x = (theta of the root group, one
-nonnegative gap per remaining group), which turns the nesting cone
-theta_parent <= theta_child into a box for L-BFGS-B.  Equality
-hypotheses merge nodes into groups before fitting; union hypotheses fit
-each branch separately and keep the best one.
+Fits run in a gap parameterization x = (theta of the root, one
+nonnegative gap per remaining node), which turns the nesting cone
+theta_parent <= theta_child into a box for L-BFGS-B.  A hypothesis
+branch is fitted as the collapsed tree: a nest tied to its parent is
+that parent with the nest's children attached (``tree.quotient``), so
+the branch is the free model of that smaller tree, and its score comes
+straight from the density.  Union hypotheses fit each branch
+separately and keep the best one.
 
 A fit descends first from the Kendall-tau start.  When that descent
 converges to a gradient larger than its rounding error could hide, it
@@ -28,15 +31,13 @@ from .density import (
 )
 from .errors import ConvergenceError, DomainError, NumericError
 from .generators import get_family
-from .tree import (HacTree, Hypothesis, check_theta, node_name, tie_classes,
-                   tight_edges)
+from .tree import (HacTree, Hypothesis, check_theta, node_name, quotient,
+                   tie_classes, tight_edges)
 
 __all__ = [
     "FitConfig",
     "FitResult",
-    "ParamGroups",
     "loglik",
-    "merge_groups",
     "mle",
 ]
 
@@ -92,74 +93,35 @@ class FitResult:
         }
 
 
-@dataclass(frozen=True)
-class ParamGroups:
-    """Partition of the internal nodes induced by equality constraints.
+class _Gaps:
+    """The gap map of a tree: x holds the root's theta, then
+    theta_child - theta_parent for every other node, in preorder."""
 
-    Groups are connected subtrees, listed so that a group's quotient
-    parent always precedes it; the root group comes first.
-    """
-
-    tree: HacTree
-    groups: tuple[tuple[Path, ...], ...]
-    parent: tuple[int, ...]     # quotient parent index, -1 at the root
-
-    @property
-    def g(self) -> int:
-        return len(self.groups)
-
-    def expand(self, values) -> np.ndarray:
-        theta = np.empty(self.tree.p)
-        for gi, members in enumerate(self.groups):
-            for path in members:
-                theta[self.tree.param_pos[path]] = values[gi]
-        return theta
-
-    def reduce_grad(self, grad_theta) -> np.ndarray:
-        out = np.zeros(self.g)
-        for gi, members in enumerate(self.groups):
-            for path in members:
-                out[gi] += grad_theta[self.tree.param_pos[path]]
-        return out
+    def __init__(self, tree: HacTree):
+        self.up = tuple(
+            tree.param_pos[p[:-1]] if p else -1 for p in tree.internal_paths
+        )
+        self.p = tree.p
 
     def from_x(self, x) -> np.ndarray:
-        th = np.empty(self.g)
-        for gi in range(self.g):
-            p = self.parent[gi]
-            th[gi] = x[gi] if p < 0 else th[p] + x[gi]
+        th = np.empty(self.p)
+        for i, par in enumerate(self.up):
+            th[i] = x[i] if par < 0 else th[par] + x[i]
         return th
 
-    def to_x(self, group_theta) -> np.ndarray:
-        x = np.empty(self.g)
-        for gi in range(self.g):
-            p = self.parent[gi]
-            x[gi] = group_theta[gi] if p < 0 else group_theta[gi] - group_theta[p]
+    def to_x(self, theta) -> np.ndarray:
+        x = np.empty(self.p)
+        for i, par in enumerate(self.up):
+            x[i] = theta[i] if par < 0 else theta[i] - theta[par]
         return x
 
-    def grad_to_x(self, grad_groups) -> np.ndarray:
-        # d theta_g / d x_j = 1 iff j is an ancestor-or-self of g, so the
+    def grad_to_x(self, grad_theta) -> np.ndarray:
+        # d theta_i / d x_j = 1 iff j is an ancestor-or-self of i, so the
         # x-gradient at j is the subtree sum; accumulate children upward
-        out = np.array(grad_groups, dtype=float)
-        for gi in range(self.g - 1, 0, -1):
-            out[self.parent[gi]] += out[gi]
+        out = np.array(grad_theta, dtype=float)
+        for i in range(self.p - 1, 0, -1):
+            out[self.up[i]] += out[i]
         return out
-
-
-def merge_groups(tree: HacTree, atoms: tuple[Path, ...] = ()) -> ParamGroups:
-    """Partition tying each atom node to its direct parent."""
-    for child in atoms:
-        if child not in tree or child[:-1] not in tree:
-            raise DomainError(f"atom {node_name(child)} not an internal edge")
-    top = tie_classes(tree, [(child[:-1], child) for child in atoms])
-    buckets: dict[Path, list[Path]] = {}
-    for p in tree.internal_paths:       # preorder, so buckets sort themselves
-        buckets.setdefault(top[p], []).append(p)
-    groups = tuple(tuple(v) for v in buckets.values())
-    idx = {p: gi for gi, members in enumerate(groups) for p in members}
-    par = tuple(
-        -1 if members[0] == () else idx[members[0][:-1]] for members in groups
-    )
-    return ParamGroups(tree, groups, par)
 
 
 def loglik(data, tree: HacTree, family: str, theta) -> float:
@@ -193,62 +155,60 @@ def _lazy_taus(data):
     return functools.cache(functools.partial(_tau_matrix, data))
 
 
-def _group_taus(taus, tree: HacTree, pg: ParamGroups) -> np.ndarray:
-    """Mean pairwise tau per group, pooling pairs with their LCA inside."""
-    which = {p: gi for gi, members in enumerate(pg.groups) for p in members}
-    sums = np.zeros(pg.g)
-    cnts = np.zeros(pg.g)
+def _node_taus(taus, tree: HacTree) -> np.ndarray:
+    """Mean pairwise tau per node, pooling the pairs whose LCA it is."""
+    sums = np.zeros(tree.p)
+    cnts = np.zeros(tree.p)
     for a in range(1, tree.d + 1):
         for b in range(a + 1, tree.d + 1):
             t = taus[a - 1, b - 1]
             if np.isfinite(t):
-                gi = which[tree.lca(a, b)]
-                sums[gi] += t
-                cnts[gi] += 1
+                i = tree.param_pos[tree.lca(a, b)]
+                sums[i] += t
+                cnts[i] += 1
     return sums / np.maximum(cnts, 1.0)
 
 
-def _theta_from_taus(fam, taus_g, lo, hi, tau_hi) -> np.ndarray:
+def _theta_from_taus(fam, node_taus, lo, hi, tau_hi) -> np.ndarray:
     tau_floor = fam.tau(lo)
-    out = np.empty(len(taus_g))
-    for gi, t in enumerate(taus_g):
+    out = np.empty(len(node_taus))
+    for i, t in enumerate(node_taus):
         t = min(max(t, tau_floor), tau_hi)
         th = lo if t <= tau_floor else fam.tau_inv(t)
-        out[gi] = min(max(th, lo), hi)
+        out[i] = min(max(th, lo), hi)
     return out
 
 
-def _project_cone(pg: ParamGroups, group_theta, lo, hi) -> np.ndarray:
-    th = np.clip(np.asarray(group_theta, dtype=float), lo, hi)
-    for gi in range(pg.g):
-        p = pg.parent[gi]
-        if p >= 0 and th[gi] < th[p]:
-            th[gi] = th[p]
+def _project_cone(gaps: _Gaps, theta, lo, hi) -> np.ndarray:
+    th = np.clip(np.asarray(theta, dtype=float), lo, hi)
+    for i, par in enumerate(gaps.up):
+        if par >= 0 and th[i] < th[par]:
+            th[i] = th[par]
     return th
 
 
-def _starts(taus, tree, fam, pg, lo, hi, cfg: FitConfig):
+def _starts(taus, tree, fam, gaps, lo, hi, cfg: FitConfig):
     """The Kendall-tau start, then the perturbed ones, each made on demand:
-    a fit whose first start converges inverts tau once per group.  taus()
+    a fit whose first start converges inverts tau once per node.  taus()
     gives the data's tau matrix."""
-    base = _group_taus(taus(), tree, pg)
+    base = _node_taus(taus(), tree)
     rng = np.random.default_rng(cfg.seed)
     for r in range(1 + cfg.n_perturbed):
-        taus_g = base if r == 0 else base + rng.normal(0.0, JITTER, pg.g)
-        th = _theta_from_taus(fam, taus_g, lo, hi, TAU_HI)
-        yield pg.to_x(_project_cone(pg, th, lo, hi))
+        node_taus = base if r == 0 else base + rng.normal(0.0, JITTER, tree.p)
+        th = _theta_from_taus(fam, node_taus, lo, hi, TAU_HI)
+        yield gaps.to_x(_project_cone(gaps, th, lo, hi))
 
 
 # --- optimizer ------------------------------------------------------------
 
 
-def _objective(data, tree, family, pg, analytic):
+def _objective(data, tree, family, gaps, analytic):
     spec = None
     last = (None, np.inf)       # last analytic gradient's point and noise
 
     def fun(x):
         nonlocal spec, last
-        theta = pg.expand(pg.from_x(x))
+        theta = gaps.from_x(x)
         # extreme probes overflow to non-finite logliks; the penalty
         # branch absorbs them, so mute the float warnings here
         try:
@@ -264,12 +224,12 @@ def _objective(data, tree, family, pg, analytic):
                     val = -float(np.mean(ld))
                     if not np.isfinite(val):
                         return _PENALTY, np.zeros_like(x)
-                    g = pg.reduce_grad(-sc.mean(axis=0))
+                    g = -sc.mean(axis=0)
                     if not np.all(np.isfinite(g)):
                         return _PENALTY, np.zeros_like(x)
-                    scale = pg.reduce_grad(np.abs(sc).mean(axis=0))
-                    last = (x.copy(), _EPS * float(pg.grad_to_x(scale).max()))
-                    return val, pg.grad_to_x(g)
+                    scale = np.abs(sc).mean(axis=0)
+                    last = (x.copy(), _EPS * float(gaps.grad_to_x(scale).max()))
+                    return val, gaps.grad_to_x(g)
                 val = -float(np.mean(log_density(spec, data)))
                 return val if np.isfinite(val) else _PENALTY
         except (DomainError, NumericError):
@@ -299,18 +259,21 @@ def _projected_sup_norm(grad, at_lo, at_hi) -> float:
 
 
 def _fit_branch(data, tree, family, atoms, cfg: FitConfig, start, taus):
-    pg = merge_groups(tree, atoms)
+    # the branch is the free model of the tree with its atoms contracted
+    edges = [(child[:-1], child) for child in atoms]
+    ctree, keep = quotient(tree, edges)
+    gaps = _Gaps(ctree)
     fam = get_family(family)
     lo = _box_lo(fam)
     hi = min(fam.tau_inv(TAU_HI), THETA_HI)
     analytic = fam.analytic
-    fun = _objective(data, tree, family, pg, analytic)
-    bounds = [(lo, hi)] + [(0.0, hi - lo)] * (pg.g - 1)
+    fun = _objective(data, ctree, family, gaps, analytic)
+    bounds = [(lo, hi)] + [(0.0, hi - lo)] * (ctree.p - 1)
 
     if start is None:
-        x0s = _starts(taus, tree, fam, pg, lo, hi, cfg)
+        x0s = _starts(taus, ctree, fam, gaps, lo, hi, cfg)
     else:
-        x0s = [pg.to_x([start[tree.param_pos[m[0]]] for m in pg.groups])]
+        x0s = [gaps.to_x(start[[tree.param_pos[k] for k in keep]])]
     fits, fails = [], []
     for r, x0 in enumerate(x0s):
         try:
@@ -330,8 +293,9 @@ def _fit_branch(data, tree, family, atoms, cfg: FitConfig, start, taus):
             continue
         fits.append(res)
         # the Kendall-tau start is the fit once it converges to a gradient
-        # that rounding cannot hide: at a tie, huge per-node scores can
-        # cancel to a zero gradient far from the optimum
+        # that rounding cannot hide: where a start puts a free nest on a
+        # tie, huge per-node scores can cancel to a zero gradient far from
+        # the optimum
         if r == 0 and res.success and fun.grad_noise(res.x) <= GTOL:
             break
     n_starts = len(fits) + len(fails)
@@ -339,19 +303,22 @@ def _fit_branch(data, tree, family, atoms, cfg: FitConfig, start, taus):
         raise ConvergenceError(f"all {n_starts} starts failed: {fails}")
 
     best = min(fits, key=lambda r: r.fun)
-    theta = pg.expand(pg.from_x(best.x))
-    # a group is on its lower bound when theta sits on the domain edge
-    # (the root group) or its top node's edge is tight
-    tight = tight_edges(tree, theta)
-    tops = [members[0] for members in pg.groups]
-    at_lo = [best.x[0] <= lo] + [(top[:-1], top) in tight for top in tops[1:]]
+    ctheta = gaps.from_x(best.x)
+    # a node is on its lower bound when theta sits on the domain edge
+    # (the root) or its edge is tight
+    tight = tight_edges(ctree, ctheta)
+    at_lo = [best.x[0] <= lo] + [
+        (q[:-1], q) in tight for q in ctree.internal_paths[1:]
+    ]
     grad = np.atleast_1d(np.asarray(best.jac, dtype=float))
     gnorm = _projected_sup_norm(grad, at_lo, best.x >= [b[1] for b in bounds])
     active = [
-        f"{node_name(top)}=lo" if gi == 0
-        else f"{node_name(top)}={node_name(top[:-1])}"
-        for gi, top in enumerate(tops) if at_lo[gi]
+        f"{node_name(k)}=lo" if i == 0
+        else f"{node_name(k)}={node_name(k[:-1])}"
+        for i, k in enumerate(keep) if at_lo[i]
     ]
+    top = tie_classes(tree, edges)
+    theta = ctheta[[keep.index(top[p]) for p in tree.internal_paths]]
     ll = loglik(data, tree, family, theta)
     start_lls = tuple(
         float(-r.fun * data.shape[0]) for r in fits
@@ -381,16 +348,17 @@ def mle(
 ) -> FitResult:
     """Best local maximum of the likelihood over Theta (or its subset).
 
-    With a hypothesis, equality atoms are substituted by parameter
-    merging; union branches are solved independently and the best
-    branch wins, ties broken toward fewer merges.  Each fit runs
+    With a hypothesis, each union branch is fitted as the free model of
+    the tree with the branch's atoms contracted (``tree.quotient``), and
+    its estimate is mapped back to one parameter per original node; the
+    best branch wins, ties broken toward fewer atoms.  Each fit runs
     L-BFGS-B from the Kendall-tau start and stops there when it
     converges (to a gradient its rounding error cannot hide); otherwise
     the config's perturbed starts run in turn and the best start that
     finished wins.  start, a parameter vector in
     Theta (``tree.check_theta``), replaces all of them with one start
-    there (the result is marked warm); each group starts at the value of
-    its top node.  A fit counts as converged when L-BFGS-B reports
+    there (the result is marked warm); each contracted node starts at the
+    value of its topmost original node.  A fit counts as converged when L-BFGS-B reports
     success and its projected gradient is within GTOL.
 
     The Kendall-tau matrix is computed at most once per call; fit_pair

@@ -22,10 +22,9 @@ from .density import (
     two_level_spec,
 )
 from .errors import DomainError, NumericError, SchemeError, SingularSigmaError
-from .estimate import merge_groups
 from .generators import get_family
 from .sampler import sample
-from .tree import HacTree, check_theta, node_name, tight_edges
+from .tree import HacTree, check_theta, node_name, tie_classes, tight_edges
 
 __all__ = [
     "DELTA_TAU",
@@ -267,10 +266,7 @@ def _subtree_shape(tree: HacTree, path: Path):
 
 def _sibling_swaps(tree: HacTree, atoms) -> list[tuple[int, ...]]:
     """Parameter permutations swapping tied, same-shape sibling subtrees."""
-    gid = {}
-    for g, members in enumerate(merge_groups(tree, tuple(atoms)).groups):
-        for p in members:
-            gid[p] = g
+    top = tie_classes(tree, [(a[:-1], a) for a in atoms])
     swaps = []
     for parent in tree.internal_paths:
         internal_kids = [
@@ -281,7 +277,7 @@ def _sibling_swaps(tree: HacTree, atoms) -> list[tuple[int, ...]]:
                 continue
             sub_a = [p for p in tree.internal_paths if p[: len(a)] == a]
             pairs = [(q, b + q[len(a):]) for q in sub_a]
-            if any(gid[q] != gid[q2] for q, q2 in pairs):
+            if any(top[q] != top[q2] for q, q2 in pairs):
                 continue
             perm = list(range(tree.p))
             for q, q2 in pairs:
@@ -334,10 +330,11 @@ def sigma_hat(
     source "observed" averages over the data rows; "mc" draws n_mc fresh
     rows from the model at theta.  With atoms set (evaluation under the
     merged null), entry equalities implied by swapping tied same-shape
-    sibling subtrees are enforced by group averaging.  theta is checked
-    against the parameter space before any draw or stencil.
+    sibling subtrees are enforced by group averaging.  theta, and atoms as
+    nesting edges, are checked before any draw or stencil.
     """
     vec = check_theta(tree, family, theta)
+    tie_classes(tree, [(a[:-1], a) for a in atoms])     # checks the atoms
     fam = get_family(family)
     if method is None:
         method = "analytic" if fam.analytic else "fd"

@@ -32,10 +32,12 @@ from .errors import (
 from .estimate import FitConfig, FitResult, _lazy_taus, mle
 from .fisher import DELTA_TAU, SIGMA_DRAWS, FisherEstimate, sigma_hat
 from .generators import get_family, tau_inv
-from .tree import Cone, HacTree, Hypothesis, local_cones, tight_edges
+from .tree import (Cone, HacTree, Hypothesis, holding_branches, local_cones,
+                   tight_edges)
 
 __all__ = [
     "ATOM_TOL",
+    "MIN_NULL_DRAWS",
     "NULL_DRAWS",
     "Projection",
     "MixtureLaw",
@@ -62,6 +64,7 @@ __all__ = [
 ATOM_TOL = 1e-8
 
 NULL_DRAWS = 5000       # draws of the simulated limit law per p-value
+MIN_NULL_DRAWS = 1000   # fewest draws behind a Monte Carlo p-value
 
 
 # ====================================================================
@@ -321,8 +324,8 @@ def mc_null_pvalue(
     """
     if not statistic >= 0.0:    # NaN included; inf is a valid statistic
         raise DomainError(f"statistic must be nonnegative, got {statistic}")
-    if m < 1000:
-        raise DomainError("m must be at least 1000")
+    if m < MIN_NULL_DRAWS:
+        raise DomainError(f"m must be at least {MIN_NULL_DRAWS}")
     draws = null_statistics(sigma, cone, null_cones, h=h, m=m, seed=seed)
     return float(1.0 + np.count_nonzero(draws >= statistic)) / (m + 1.0)
 
@@ -803,8 +806,8 @@ def fit_pair(
     the statistic is replaced by a refit with one start at the null
     optimum: that point is feasible for the full model, and descent
     from it cannot end below it.  The statistic is exactly 0 when the
-    full fit lies in the null set, with every atom of some branch a
-    tight edge there; otherwise it is lrt_statistic's clamped 2(l_full
+    full fit lies in the null set, where some branch holds
+    (holding_branches); otherwise it is lrt_statistic's clamped 2(l_full
     - l_null), which a null fit that stopped short would leave above 0.
     """
     rows = np.asarray(rows, dtype=float)
@@ -817,9 +820,7 @@ def fit_pair(
         fit_full = mle(rows, tree, family, config=config,
                        start=fit_null.theta)
     statistic = lrt_statistic(fit_null, fit_full)
-    tight = tight_edges(tree, fit_full.theta)
-    if any(all((a[:-1], a) in tight for a in branch)
-           for branch in hypothesis.branches):
+    if holding_branches(tree, hypothesis, fit_full.theta):
         statistic = 0.0
     return FitPair(
         rows=rows,

@@ -28,9 +28,9 @@ from .errors import (DomainError, NumericError, SingularSigmaError,
                      UnsupportedNestingError)
 from .estimate import FitConfig
 from .fisher import SIGMA_DRAWS
-from .lrt import NULL_DRAWS, fit_pair, run_fitted
+from .lrt import MIN_NULL_DRAWS, NULL_DRAWS, fit_pair, run_fitted
 from .sampler import sample
-from .tree import HacTree, Hypothesis
+from .tree import HacTree, Hypothesis, holding_branches
 
 __all__ = [
     "CaseSpec",
@@ -95,6 +95,10 @@ class ScenarioSpec:
             raise DomainError("r must be positive")
         if not 0.0 < self.alpha < 0.5:
             raise DomainError("alpha must be in (0, 0.5)")
+        if self.m < MIN_NULL_DRAWS:
+            raise DomainError(f"m must be at least {MIN_NULL_DRAWS}")
+        if self.n_sigma < 1:
+            raise DomainError("n_sigma must be positive")
         known = {c.label for c in scenario_cases(self.scenario)}
         cases = tuple(self.cases) or tuple(sorted(known))
         bad = [c for c in cases if c not in known]
@@ -129,19 +133,10 @@ def _delta_patterns(scenario: str) -> tuple[tuple[float, ...], ...]:
     return ((0.0, 0.0, 0.0), (0.0, 0.0, DELTA), (0.0, DELTA, DELTA))
 
 
-def _null_holds(scenario: str, deltas) -> bool:
-    if scenario == "I":
-        return deltas[1] == 0.0
-    if scenario == "II":
-        return deltas[1] == 0.0 and deltas[2] == 0.0
-    if scenario == "III":
-        return deltas[1] == 0.0 or deltas[2] == 0.0
-    return deltas[1] == 0.0          # IV ties the first nest only
-
-
 def scenario_cases(scenario: str) -> tuple[CaseSpec, ...]:
     if scenario not in SCENARIOS:
         raise DomainError(f"unknown scenario {scenario!r}")
+    tree, hyp = scenario_tree(scenario), scenario_hypothesis(scenario)
     out = []
     k = 0
     for deltas in _delta_patterns(scenario):
@@ -151,7 +146,9 @@ def scenario_cases(scenario: str) -> tuple[CaseSpec, ...]:
                     label=_CASE_LETTERS[k],
                     tau=tau,
                     deltas=deltas,
-                    null_true=_null_holds(scenario, deltas),
+                    # the offsets are theta less a common base, so they
+                    # hold the same ties
+                    null_true=bool(holding_branches(tree, hyp, deltas)),
                 )
             )
             k += 1

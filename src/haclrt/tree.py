@@ -6,7 +6,9 @@ and so on (printed as "(0)", "(0,k)", ... with the conventional leading 0).
 The parameter space Theta holds the vectors, one parameter per internal
 node in preorder, whose entries lie in the family's domain and which lie
 in the cone {theta: theta_parent <= theta_child}; ``check_theta`` is the
-one test of membership and ``tight_edges`` the one test of a tie.
+one test of membership, ``tight_edges`` the one test of a tie, and
+``holding_branches`` the one test of which hypothesis branches hold.  A
+tie contracts its edge: ``quotient`` gives the tree a tie reduces to.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ __all__ = [
     "parse_node_name",
     "check_theta",
     "collapse",
+    "holding_branches",
     "local_cones",
+    "quotient",
     "tie_classes",
     "tight_edges",
 ]
@@ -255,16 +259,8 @@ class Hypothesis:
         return cls(uniq)
 
     def check_against(self, tree: HacTree) -> None:
-        for branch in self.branches:
-            for child in branch:
-                if child not in tree:
-                    raise DomainError(
-                        f"hypothesis references missing node {node_name(child)}"
-                    )
-                if child[:-1] not in tree:
-                    raise DomainError(
-                        f"hypothesis atom {node_name(child)} has no internal parent"
-                    )
+        """Raise DomainError unless every atom is a nesting edge of tree."""
+        tie_classes(tree, [(c[:-1], c) for b in self.branches for c in b])
 
     def __str__(self):
         parts = []
@@ -338,7 +334,8 @@ def check_theta(tree: HacTree | None, family, theta) -> np.ndarray:
 
 def tie_classes(tree: HacTree, edges) -> dict[Path, Path]:
     """Union-find over (parent, child) nesting edges: each internal node
-    maps to the topmost node of the subtree the edges tie it into."""
+    maps to the topmost node of the subtree the edges tie it into.
+    Raises DomainError on a pair that is not a nesting edge of tree."""
     up = {p: p for p in tree.internal_paths}
 
     def find(p: Path) -> Path:
@@ -348,6 +345,9 @@ def tie_classes(tree: HacTree, edges) -> dict[Path, Path]:
         return p
 
     for par, ch in edges:
+        if ch not in tree or ch[:-1] != par:
+            raise DomainError(f"{node_name(ch)}={node_name(par)} is not a "
+                              "nesting edge of the tree")
         up[find(ch)] = find(par)
     return {p: find(p) for p in tree.internal_paths}
 
@@ -356,8 +356,9 @@ def tight_edges(tree: HacTree, theta) -> tuple[tuple[Path, Path], ...]:
     """The (parent, child) nesting edges with theta_child - theta_parent <= 0.
 
     This is the one test of tightness.  A fitted tie is a gap of exactly
-    zero: a merged atom, or a gap the optimizer left on its bound.  Every
-    other fitted gap sits far above rounding, so no tolerance is needed.
+    zero: a contracted atom, or a gap the optimizer left on its bound.
+    Every other fitted gap sits far above rounding, so no tolerance is
+    needed.
     """
     vec = tree.theta_vector(theta)
     return tuple(
@@ -366,41 +367,52 @@ def tight_edges(tree: HacTree, theta) -> tuple[tuple[Path, Path], ...]:
     )
 
 
-def collapse(tree: HacTree, theta):
-    """Merge internal children on tight edges into their parent.
+def holding_branches(tree: HacTree, hypothesis: Hypothesis, theta):
+    """The branches of hypothesis that hold at theta: those whose every
+    atom is a tight_edges edge there.  This is the one holding rule."""
+    tight = tight_edges(tree, theta)
+    return tuple(
+        branch for branch in hypothesis.branches
+        if all((ch[:-1], ch) in tight for ch in branch)
+    )
 
-    Returns (new_tree, new_theta_vector).  Merging is transitive along
-    chains; each surviving node keeps the parameter of its topmost
-    representative.  Child order is preserved, with an absorbed node's
-    children spliced into its former position.
-    """
-    vec = tree.theta_vector(theta)
-    top = tie_classes(tree, tight_edges(tree, vec))
+
+def quotient(tree: HacTree, edges) -> tuple[HacTree, tuple[Path, ...]]:
+    """The tree with the given (parent, child) nesting edges contracted,
+    and the original path of each of its internal nodes (the topmost node
+    of each tie class) in its preorder.  An absorbed node's children are
+    spliced into its place, so the survivors keep their order."""
+    top = tie_classes(tree, edges)
 
     def build(path: Path) -> tuple[list, list[Path]]:
-        # nested spec of the subtree plus the original path of each
-        # surviving internal node in preorder
         spec: list = []
         order: list[Path] = [path]
         for child in tree.children(path):
             if isinstance(child, int):
                 spec.append(child)
-            elif top[child] == top[path]:
-                child_spec, child_order = build(child)
+                continue
+            child_spec, child_order = build(child)
+            if top[child] == top[path]:
                 spec.extend(child_spec)
-                order.extend(child_order[1:])  # drop the absorbed node itself
+                order.extend(child_order[1:])  # drop the absorbed node
             else:
-                child_spec, child_order = build(child)
                 spec.append(child_spec)
                 order.extend(child_order)
         return spec, order
 
     spec, order = build(())
-    new_tree = HacTree(spec)
-    # `order` lists original rep paths in the new tree's preorder
-    assert len(order) == new_tree.p
-    new_vec = np.array([vec[tree.param_pos[p]] for p in order])
-    return new_tree, new_vec
+    return HacTree(spec), tuple(order)
+
+
+def collapse(tree: HacTree, theta):
+    """Contract the tight edges at theta (``quotient``).
+
+    Returns (new_tree, new_theta_vector); each surviving node keeps the
+    parameter of its topmost representative.
+    """
+    vec = tree.theta_vector(theta)
+    new_tree, keep = quotient(tree, tight_edges(tree, vec))
+    return new_tree, vec[[tree.param_pos[p] for p in keep]]
 
 
 # ====================================================================
@@ -490,8 +502,8 @@ def local_cones(
 
     A collects the tight_edges at theta0, and the assume_tight pairs, as
     half-spaces {z_parent - z_child <= 0}; slack constraints vanish in the
-    local limit.  A_null is a tuple of cones, one per hypothesis branch
-    whose atoms are all tight edges: the branch atoms become equalities,
+    local limit.  A_null is a tuple of cones, one per branch that holds at
+    theta0 (holding_branches): the branch atoms become equalities,
     remaining tight constraints stay half-spaces.  theta0 must be finite
     and in the cone (check_theta with no family).
     """
@@ -512,9 +524,7 @@ def local_cones(
     )
 
     null_cones = []
-    for branch in hypothesis.branches:
-        if any((ch[:-1], ch) not in tight for ch in branch):
-            continue
+    for branch in holding_branches(tree, hypothesis, vec):
         branch_pairs = {(ch[:-1], ch) for ch in branch}
         eq_rows = [_pair_row(tree, p_, c_) for p_, c_ in sorted(branch_pairs)]
         ineq_rows = [

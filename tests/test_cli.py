@@ -265,6 +265,39 @@ def test_scenario_keeps_a_cell_beyond_the_sampler_budget(runner):
         assert (rec["r_used"], rec["rate_int"], rec["n_failed"]) == ("0", "", "2")
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_json_output_is_strict(runner):
+    # a cell with no used replicate has no rate: null, not a bare NaN
+    result = _invoke(runner, [
+        "--seed", "815", "--format", "json", "scenario", "--scenario", "I",
+        "--cases", "f", "--data-families", "joe", "--model-families",
+        "gumbel", "--n", "32", "--r", "2", "--m", "1000", "--n-sigma", "1000",
+    ])
+    assert result.exit_code == 0
+    doc = json.loads(result.output, parse_constant=_no_constant)
+    assert [(row["rate_pct"], row["se_pct"]) for row in doc["table"]] == [
+        (None, None), (None, None)]
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--m", "500", "m must be at least 1000"),
+    ("--n-sigma", "0", "n_sigma must be positive"),
+])
+def test_scenario_rejects_bad_counts_up_front(runner, monkeypatch, flag,
+                                             value, message):
+    def never(*args, **kwargs):
+        raise AssertionError("ran a replicate")
+
+    monkeypatch.setattr(cli, "run_scenario", never)
+    result = runner.invoke(main, ["scenario", "--scenario", "IV", "--r", "1",
+                                  flag, value])
+    assert result.exit_code == 2
+    assert json.loads(result.stderr)["message"] == message
+
+
 def test_scenario_rejects_bad_case(runner):
     result = runner.invoke(main, [
         "scenario", "--scenario", "I", "--cases", "z", "--r", "1",
@@ -331,7 +364,7 @@ COMMAND_RUNS = {
                 "--n-mc", "300", "--tree", TREE, "--delta-tau", "0.02"],
     "scenario": ["--scenario", "I", "--cases", "a",
                  "--data-families", "gumbel", "--model-families", "gumbel",
-                 "--n", "32", "--r", "1", "--m", "200", "--n-sigma", "300",
+                 "--n", "32", "--r", "1", "--m", "1000", "--n-sigma", "300",
                  "--sigma-variants", "null:mc", "--long"],
 }
 

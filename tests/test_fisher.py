@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import haclrt.fisher as fisher_module
 from haclrt.density import hessian, two_level_spec
 from haclrt.errors import DomainError, SchemeError, SingularSigmaError
 from haclrt.fisher import (
@@ -283,6 +284,20 @@ def test_sigma_rejects_bad_arguments():
         sigma_hat(u[:, :2], TREE3, "clayton", (1.0, 2.0))
     with pytest.raises(DomainError):
         sigma_hat(u, TREE3, "frank", (1.0, 2.0), method="analytic")
+
+
+@pytest.mark.parametrize("source", ["mc", "observed"])
+def test_sigma_rejects_a_bad_atom_before_any_draw(monkeypatch, source):
+    # (0,3) is a leaf of [[1,2],3], so no nest can tie there
+    def never(*args, **kwargs):
+        raise AssertionError("drew or differentiated before the check")
+
+    monkeypatch.setattr(fisher_module, "sample", never)
+    monkeypatch.setattr(fisher_module, "hessian", never)
+    u = np.full((10, 3), 0.5)
+    with pytest.raises(DomainError, match="not a nesting edge"):
+        sigma_hat(u, TREE3, "clayton", (2.0, 2.0), source=source,
+                  atoms=((3,),))
 
 
 def test_sigma_serializes():

@@ -31,7 +31,8 @@ from haclrt.generators import tau_inv
 from haclrt.sampler import sample
 from haclrt.scenarios import ScenarioSpec, run_replicate
 from haclrt.tree import (
-    Cone, HacTree, Hypothesis, local_cones, node_name, tight_edges,
+    Cone, HacTree, Hypothesis, holding_branches, local_cones, node_name,
+    tight_edges,
 )
 
 TREE3 = HacTree([[1, 2], 3])
@@ -1135,6 +1136,31 @@ def test_every_boundary_decision_reads_tight_edges(family):
             if all((a[:-1], a) in full_tight for a in null.branch):
                 assert pair.statistic == 0.0
     assert full_ties > 0            # the grid reaches the boundary
+
+
+def test_fit_pair_atom_is_the_holding_rule():
+    # tied and shifted twins under the three kinds of hypothesis: L_n is
+    # exactly 0 where a branch holds at the full fit, and 2 delta-l
+    # (clamped) everywhere else
+    held_any = held_none = 0
+    for i, theta in enumerate([(1.5, 1.5, 1.5), (1.5, 1.5, 1.8)]):
+        for seed in range(3):
+            rows = sample(TREE4, theta, "gumbel", 120,
+                          seed=90 + 3 * i + seed).values
+            for text in ("(0,1)=(0)", "(0,1)=(0) & (0,2)=(0)",
+                         "(0,1)=(0) | (0,2)=(0)"):
+                pair = lrt.fit_pair(rows, TREE4, "gumbel",
+                                    Hypothesis.parse(text), config=CFG)
+                held = holding_branches(TREE4, pair.hypothesis,
+                                        pair.fit_full.theta)
+                if held:
+                    held_any += 1
+                    assert pair.statistic == 0.0
+                else:
+                    held_none += 1
+                    assert pair.statistic == lrt_statistic(
+                        pair.fit_null, pair.fit_full)
+    assert held_any and held_none       # the grid meets both sides
 
 
 def _pair_row(edge):

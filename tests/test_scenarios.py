@@ -29,6 +29,7 @@ from haclrt.scenarios import (
     scenario_hypothesis,
     scenario_tree,
 )
+from haclrt.tree import holding_branches
 
 CFG = FitConfig(n_perturbed=1, seed=3)
 
@@ -68,6 +69,16 @@ def test_null_flags_per_scenario():
     assert flags("IV") == three
 
 
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_null_flags_are_the_holding_rule(scenario):
+    # a case's null is true exactly where some branch holds at its theta
+    tree, hyp = scenario_tree(scenario), scenario_hypothesis(scenario)
+    for case in scenario_cases(scenario):
+        for family in ("gumbel", "clayton", "frank", "joe"):
+            held = holding_branches(tree, hyp, case_theta(case, family))
+            assert case.null_true == bool(held), (case.label, family)
+
+
 def test_case_theta_values():
     # gumbel tau_inv(1/4) = 4/3; offset applied on the parameter scale
     d = [c for c in scenario_cases("I") if c.label == "d"][0]
@@ -103,6 +114,15 @@ def test_spec_validation():
         ScenarioSpec("I", alpha=0.6)
     with pytest.raises(DomainError, match="r must"):
         ScenarioSpec("I", r=0)
+    # counts that no replicate could use fail before any fit, in every
+    # scenario, whether or not it simulates
+    with pytest.raises(DomainError, match="m must be at least 1000"):
+        ScenarioSpec("IV", seed=6, r=1, m=500, n_sigma=2000)
+    with pytest.raises(DomainError, match="m must be at least 1000"):
+        ScenarioSpec("I", m=999)
+    with pytest.raises(DomainError, match="n_sigma must be positive"):
+        ScenarioSpec("II", n_sigma=0)
+    assert ScenarioSpec("I", m=lrt_module.MIN_NULL_DRAWS, n_sigma=1).m == 1000
     assert ScenarioSpec("I").cases == tuple("abcdef")
     assert ScenarioSpec("III", cases=("c", "a")).cases == ("c", "a")
 

@@ -12,11 +12,14 @@ from haclrt.tree import (
     Hypothesis,
     check_theta,
     collapse,
+    holding_branches,
     local_cones,
     node_name,
     parse_node_name,
+    quotient,
     tie_classes,
     tight_edges,
+    _pair_row,
 )
 
 
@@ -267,8 +270,57 @@ def test_tie_classes_map_to_the_topmost_node():
 
 
 # ---------------------------------------------------------------
-# collapse
+# quotient and collapse
 # ---------------------------------------------------------------
+
+TWIN = HacTree([[1, 2], [3, 4]])
+
+
+def test_quotient_full_model():
+    q, keep = quotient(TWIN, ())
+    assert q == TWIN
+    assert keep == ((), (1,), (2,))
+
+
+def test_quotient_single_atom():
+    q, keep = quotient(TWIN, [((), (1,))])
+    assert q.to_nested() == [1, 2, [3, 4]]
+    # the survivors keep their original paths, in the quotient's preorder
+    assert keep == ((), (2,))
+    q, keep = quotient(TWIN, [((), (2,))])
+    assert q.to_nested() == [[1, 2], 3, 4]
+    assert keep == ((), (1,))
+
+
+def test_quotient_chain():
+    t = HacTree([1, [2, [3, 4]]])
+    q, keep = quotient(t, [((2,), (2, 2))])
+    assert q.to_nested() == [1, [2, 3, 4]]
+    assert keep == ((), (2,))
+    # contraction is transitive along chains, in either edge order
+    for edges in ([((), (2,)), ((2,), (2, 2))], [((2,), (2, 2)), ((), (2,))]):
+        q, keep = quotient(t, edges)
+        assert q.to_nested() == [1, 2, 3, 4]
+        assert keep == ((),)
+
+
+def test_quotient_rejects_non_edge():
+    # a leaf, a node that is not there, and a grandparent are no edges
+    for edge in [((), (3,)), ((), (1, 1)), ((), (2, 2))]:
+        with pytest.raises(DomainError, match="not a nesting edge"):
+            quotient(HacTree([[1, 2], [3, [4, 5]]]), [edge])
+
+
+def test_collapse_is_the_quotient_of_the_tight_edges():
+    t = HacTree([[1, 2], [3, [4, 5]], [6, 7]])
+    theta = np.array([1.0, 1.0, 1.5, 1.5, 2.0])
+    q, keep = quotient(t, tight_edges(t, theta))
+    t2, th2 = collapse(t, theta)
+    assert t2 == q
+    assert t2.to_nested() == [1, 2, [3, 4, 5], [6, 7]]
+    np.testing.assert_array_equal(th2, [1.0, 1.5, 2.0])
+    assert keep == ((), (2,), (3,))
+
 
 def test_collapse_tie_merges_to_exchangeable():
     t = HacTree([[1, 2], 3])
@@ -377,6 +429,37 @@ def test_cone_scaling_invariance():
         for lam in (0.5, 2.0, 10.0):
             assert c.contains(lam * z, tol=1e-8)
     assert c.contains([0.0, 0.0, 0.0])
+
+
+def test_holding_branches_are_the_branches_with_every_atom_tight():
+    union = Hypothesis.parse("(0,1)=(0) | (0,2)=(0)")
+    both = Hypothesis.parse("(0,1)=(0) & (0,2)=(0)")
+    assert holding_branches(TWIN, union, [1.0, 1.0, 1.0]) == (((1,),),
+                                                              ((2,),))
+    assert holding_branches(TWIN, union, [1.0, 1.5, 1.0]) == (((2,),),)
+    assert holding_branches(TWIN, union, [1.0, 1.5, 2.0]) == ()
+    assert holding_branches(TWIN, both, [1.0, 1.0, 1.0]) == (((1,), (2,)),)
+    assert holding_branches(TWIN, both, [1.0, 1.0, 1.0 + 1e-12]) == ()
+
+
+@pytest.mark.parametrize("text", [
+    "(0,1)=(0)", "(0,2)=(0)", "(0,1)=(0) & (0,2)=(0)",
+    "(0,1)=(0) | (0,2)=(0)",
+])
+def test_local_cones_take_the_holding_branches(text):
+    hyp = Hypothesis.parse(text)
+    for gaps in [(0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5)]:
+        theta = [1.0, 1.0 + gaps[0], 1.0 + gaps[1]]
+        held = holding_branches(TWIN, hyp, theta)
+        if not held:
+            with pytest.raises(HypothesisError):
+                local_cones(TWIN, hyp, theta)
+            continue
+        _, nulls = local_cones(TWIN, hyp, theta)
+        assert len(nulls) == len(held)
+        for cone, branch in zip(nulls, held):
+            want = sorted(tuple(_pair_row(TWIN, a[:-1], a)) for a in branch)
+            assert sorted(map(tuple, cone.eq)) == want
 
 
 def test_local_cones_single_tie_geometry():
