@@ -1,7 +1,10 @@
 """Archimedean generator families and their derivative suites.
 
 Each family bundles the generator psi, its inverse phi, the derivative
-formulas needed by the two-level density, and the Kendall's tau map with
+formulas needed by the two-level density, and the Kendall's tau map,
+exact with no quadrature: ``tau`` and ``dtheta_dtau`` are closed forms
+(Frank's Debye integral through Li2, Joe's digamma difference), with
+series where those cancel, and Newton on the exact slope gives
 its inverse.  Every family has ``psi_column``, log|psi^(k)(t)| and its
 sign for k in a range, summed from same-sign terms (Eulerian polynomials
 for Frank, Stirling numbers for Joe); ``psi_t_deriv`` is one k of it.
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import special
 
 from .errors import DomainError
 
@@ -366,10 +369,32 @@ class GeneratorFamily:
     # -- Kendall's tau -----------------------------------------------------
 
     def tau(self, theta: float) -> float:
-        raise NotImplementedError
+        _validate_theta(self, theta)
+        return float(self._tau_jet(theta)[0])
 
     def tau_inv(self, tau_val: float) -> float:
-        raise NotImplementedError
+        """theta with tau(theta) = tau_val, by Newton on the exact slope.
+
+        ``_tau_jet(theta)`` gives tau, 1 - tau and d tau/d theta, each to
+        full relative accuracy, also on the domain's edge.  tau is
+        increasing and concave, so Newton from that edge rises monotonically
+        onto the root.  Above tau = 1/2 the residual is taken in 1 - tau.
+        """
+        self._check_tau_range(tau_val)
+        s, theta = 1.0 - tau_val, self.domain.lo
+        for _ in range(100):
+            tau, co, slope = self._tau_jet(theta)
+            step = (tau_val - tau if tau_val <= 0.5 else co - s) / slope
+            if step <= 0.0:
+                break
+            theta += step
+            if step <= 1e-9 * theta:         # the error left is about step^2
+                break
+        return float(theta)
+
+    def dtheta_dtau(self, tau_val: float) -> float:
+        """d theta / d tau at tau_val, the reciprocal slope of the tau map."""
+        return float(1.0 / self._tau_jet(self.tau_inv(tau_val))[2])
 
     def _check_tau_range(self, tau_val: float) -> None:
         lo_ok = tau_val >= 0.0 if self.tau_lo_attainable else tau_val > 0.0
@@ -456,6 +481,9 @@ class Clayton(GeneratorFamily):
     def tau_inv(self, tau_val):
         self._check_tau_range(tau_val)
         return 2.0 * tau_val / (1.0 - tau_val)
+
+    def dtheta_dtau(self, tau_val):
+        return 2.0 / (1.0 - tau_val) ** 2
 
 
 class Gumbel(GeneratorFamily):
@@ -593,6 +621,9 @@ class Gumbel(GeneratorFamily):
         self._check_tau_range(tau_val)
         return 1.0 / (1.0 - tau_val)
 
+    def dtheta_dtau(self, tau_val):
+        return 1.0 / (1.0 - tau_val) ** 2
+
 
 def _falling_log_sums(nu: float, k: int, ratios: bool):
     # log|(nu)_k| and, for the ratio rows, the first two log-derivative
@@ -618,10 +649,16 @@ class Frank(GeneratorFamily):
     def phi(self, theta, u):
         _validate_theta(self, theta)
         u = _as_unit(u)
-        # log(c0/cu) with cu-c0 = exp(-theta u) expm1(-theta(1-u)); this
-        # difference form stays accurate as u -> 1 where cu -> c0
+        # -log(r) with r = expm1(-theta u)/expm1(-theta), exact for small u,
+        # plus the rounding error of r, (r - 1) - x with x = r - 1 in the
+        # difference form exp(-theta u) expm1(-theta(1-u))/c0, which keeps
+        # the digits of phi as u -> 1; for r <= 1/2 it is below an ulp
         c0 = -_per_theta(math.expm1, -theta)
-        out = -np.log1p(np.exp(-theta * u) * np.expm1(-theta * (1.0 - u)) / c0)
+        ntu = -theta * u
+        r = np.expm1(ntu) / -c0
+        x = np.exp(ntu) * np.expm1(-theta * (1.0 - u)) / c0
+        with np.errstate(divide="ignore"):
+            out = (r - 1.0) - x - np.log(r)
         return out if out.ndim else float(out)
 
     def phi_prime(self, theta, u):
@@ -660,13 +697,21 @@ class Frank(GeneratorFamily):
             col.sign[k] = float((-1.0) ** k)
         return col
 
-    def tau(self, theta):
-        _validate_theta(self, theta)
-        return 1.0 - 4.0 / theta * (1.0 - _debye1(theta))
-
-    def tau_inv(self, tau_val):
-        self._check_tau_range(tau_val)
-        return _tau_inv_bracketed(self, tau_val)
+    def _tau_jet(self, theta):
+        # tau = 1 - 4/theta + 4 I/theta^2, I = int_0^theta t/(e^t - 1) dt
+        # = pi^2/6 - Li2(e^-theta) + theta log(1 - e^-theta) (Debye); below
+        # theta = 2, where that cancels, tau's Bernoulli series
+        if theta < 2.0:
+            c, dc = _tau_series()[:2]
+            tau = theta * _polyval(c, theta * theta)
+            return tau, 1.0 - tau, _polyval(dc, theta * theta)
+        e = math.exp(-theta)
+        debye = (math.pi**2 / 6.0 - special.spence(-math.expm1(-theta))
+                 + theta * math.log1p(-e))
+        co = 4.0 / theta * (1.0 - debye / theta)
+        slope = 4.0 / theta**2 * (1.0 + theta * e / -math.expm1(-theta)
+                                  - 2.0 * debye / theta)
+        return 1.0 - co, co, slope
 
 
 class Joe(GeneratorFamily):
@@ -720,17 +765,20 @@ class Joe(GeneratorFamily):
             col.sign[k] = float((-1.0) ** k)
         return col
 
-    def tau(self, theta):
-        _validate_theta(self, theta)
-        if theta == 1.0:
-            return 0.0
-        return 1.0 + 4.0 * _joe_tau_integral(theta)
-
-    def tau_inv(self, tau_val):
-        self._check_tau_range(tau_val)
-        if tau_val == 0.0:
-            return 1.0
-        return _tau_inv_bracketed(self, tau_val)
+    def _tau_jet(self, theta):
+        # tau = 1 + a g(a), a = 2/theta, g = (psi(2) - psi(1 + a))/(a - 1)
+        # summing Joe's series; g is its Taylor series about the removable
+        # theta = 2, convergent for theta >= 1.  Near theta = 1, where tau
+        # -> 0 cancels, tau = 2 (theta - 1) T(b)/(2 - theta), b = 2 - a
+        g_c, dg_c, t_c = _tau_series()[2:]
+        a = 2.0 / theta
+        g = _polyval(g_c, 1.0 - a)
+        slope = -0.5 * a * a * (g + a * _polyval(dg_c, 1.0 - a))
+        if theta < 1.15:
+            b = 2.0 * (theta - 1.0) / theta
+            tau = 2.0 * (theta - 1.0) * _polyval(t_c, b) / (2.0 - theta)
+            return tau, 1.0 - tau, slope
+        return 1.0 + a * g, -a * g, slope
 
 
 # ---- Frank helpers ----------------------------------------------------
@@ -769,69 +817,32 @@ def _eulerian_row(n: int) -> tuple[float, ...]:
     return tuple(float(a) for a in row)
 
 
-# ---- tau helpers ------------------------------------------------------
-
-def _debye1(theta: float) -> float:
-    def f(t):
-        if t < 1e-8:
-            return 1.0 - t / 2.0
-        if t > 700.0:
-            return 0.0
-        return t / math.expm1(t)
-
-    val, _ = integrate.quad(f, 0.0, theta, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return val / theta
-
-
-def _joe_tau_integral(theta: float) -> float:
-    # integral of phi/phi' over (0,1), written on log scale so that the
-    # (1-u)**theta terms never underflow into a 0/0 for large theta
-    log_th = math.log(theta)
-
-    def f(u):
-        if u <= 0.0 or u >= 1.0:
-            return 0.0
-        lw = math.log1p(-u)
-        a = theta * lw
-        lm = math.log1p(-math.exp(a)) if a <= -0.693 else math.log(-math.expm1(a))
-        logphi = a if a < -30.0 else math.log(-math.log1p(-math.exp(a)))
-        return -math.exp(logphi + lm + lw - a - log_th)
-
-    val, _ = integrate.quad(
-        f, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=400
-    )
-    return val
-
+# ---- Kendall's tau series ---------------------------------------------
 
 @lru_cache(maxsize=None)
-def _tau_grid(fam_name: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Monotone (thetas, taus) knots that bracket tau inversion."""
-    fam = get_family(fam_name)
-    if fam_name == "frank":
-        thetas = np.geomspace(1e-4, 5e4, 160)
-    elif fam_name == "joe":
-        thetas = 1.0 + np.geomspace(1e-6, 5e3, 160)
-    else:
-        raise UnsupportedFamilyError(fam_name)
-    taus = tuple(fam.tau(float(t)) for t in thetas)
-    return tuple(float(t) for t in thetas), taus
-
-
-def _tau_inv_bracketed(fam: GeneratorFamily, tau_val: float) -> float:
-    thetas, taus = _tau_grid(fam.name)
-    taus = np.asarray(taus)
-    if tau_val <= taus[0]:
-        lo, hi = fam.domain.lo + 1e-12, thetas[0]
-    elif tau_val >= taus[-1]:
-        raise DomainError(f"{fam.name}: tau={tau_val} beyond tabulated range")
-    else:
-        i = int(np.searchsorted(taus, tau_val))
-        lo, hi = thetas[i - 1], thetas[i]
-    return float(
-        optimize.brentq(
-            lambda th: fam.tau(th) - tau_val, lo, hi, xtol=1e-13, rtol=1e-15
-        )
+def _tau_series() -> tuple[tuple[float, ...], ...]:
+    """Coefficients, highest power first: Frank's tau/theta and slope in
+    theta^2, c_k = 4 B_2k/((2k+1)(2k)!) = 8 (-1)^(k+1) zeta(2k)/((2k+1)
+    (2 pi)^2k); Joe's g = -sum_n zeta(n+1, 2) (1-a)^(n-1) and g' (terms
+    below 2^-n), and T(b) = 2 zeta(2, 3) - 1/2 + sum_n (2 zeta(n+2, 3)
+    - zeta(n+1, 3)) b^n, with psi^(n)(q) = (-1)^(n+1) n! zeta(n+1, q)."""
+    k = np.arange(20.0, 0.0, -1.0)
+    c = 8.0 * (-1.0) ** (k + 1) * special.zeta(2.0 * k) / (
+        (2.0 * k + 1.0) * (2.0 * math.pi) ** (2.0 * k)
     )
+    t = 2.0 * special.zeta(k + 1.0, 3.0) - special.zeta(k, 3.0)
+    t[-1] = 2.0 * special.zeta(2.0, 3.0) - 0.5
+    n = np.arange(64.0, 0.0, -1.0)
+    return tuple(tuple(v.tolist()) for v in (c, c * (2.0 * k - 1.0),
+                 -special.zeta(n + 1.0, 2.0), n * special.zeta(n + 2.0, 2.0), t))
+
+
+def _polyval(coeffs, x: float) -> float:
+    # np.polyval on Python floats, without numpy's per-term scalar cost
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
 
 
 # ====================================================================

@@ -632,18 +632,6 @@ class PowerCurve:
         }
 
 
-def _dtheta_dtau(fam, tau: float) -> float:
-    """Scale mapping a tau-scale shift to the parameter scale."""
-    if fam.name == "gumbel":
-        return 1.0 / (1.0 - tau) ** 2
-    if fam.name == "clayton":
-        return 2.0 / (1.0 - tau) ** 2
-    step = min(1e-5, tau / 8.0, (1.0 - tau) / 8.0)
-    hi = tau_inv(fam, tau + step)
-    lo = tau_inv(fam, tau - step)
-    return (hi - lo) / (2.0 * step)
-
-
 def power_curve(
     family: str,
     tau: float,
@@ -663,6 +651,7 @@ def power_curve(
     L = max(W, 0)^2 for W = (Z_1 - Z_0)/sd ~ N(mu, 1), mu = h' (dtheta/dtau)
     (e_1 - e_0)/sd, so the power is 1 - Phi(sqrt(c_alpha) - mu) and the
     atom P(L = 0) is Phi(-mu).  Each tau + h' e_i must be attainable.
+    dtheta/dtau is the family's ``dtheta_dtau``, exact for every family.
     When sigma is missing it is estimated from n_sigma model draws at
     the exchangeable null of the tree [[1,2],3], seeded by seed.
     delta_tau, the step of a finite-difference covariance there, acts
@@ -704,7 +693,7 @@ def power_curve(
 
     _chol_pd(sigma)
     c_alpha = float(stats.chi2.ppf(1.0 - 2.0 * alpha, 1))
-    scale = _dtheta_dtau(fam, tau)
+    scale = fam.dtheta_dtau(tau)
     sd = math.sqrt(sigma[0, 0] + sigma[1, 1] - 2.0 * sigma[0, 1])
     mu = scale * np.array(h_values) * (e[1] - e[0]) / sd
     return PowerCurve(

@@ -30,7 +30,7 @@ from .estimate import FitConfig
 from .fisher import SIGMA_DRAWS
 from .lrt import MIN_NULL_DRAWS, NULL_DRAWS, fit_pair, run_fitted
 from .sampler import sample
-from .tree import HacTree, Hypothesis, holding_branches
+from .tree import HacTree, Hypothesis, holding_branches, quotient
 
 __all__ = [
     "CaseSpec",
@@ -54,9 +54,6 @@ FAMILIES = ("gumbel", "clayton", "frank")
 
 _TREE2 = [[1, 2], 3]
 _TREE3 = [[1, 2], [3, 4]]
-# collapsed structure for the simplified nuisance test: the second
-# nest is assumed to merge into the root
-_TREE2_WIDE = [[1, 2], 3, 4]
 
 _CASE_LETTERS = "abcdefghijkl"
 
@@ -203,9 +200,10 @@ def _plan(spec: ScenarioSpec):
     if scenario == "III":
         return [(tree, hyp, [("mixture", "mixture", 0)])]
     # IV, plus the simplified test that assumes the nuisance nest
-    # collapses into the root: the half/half mixture of the refit
+    # collapses into the root, [[1,2],3,4]: the half/half mixture
+    wide = quotient(tree, [((), (2,))])[0]
     return [(tree, hyp, [("hybrid", "hybrid", 0)]),
-            (HacTree(_TREE2_WIDE), hyp, [("simplified", "mixture", 0)])]
+            (wide, hyp, [("simplified", "mixture", 0)])]
 
 
 def run_replicate(

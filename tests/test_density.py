@@ -575,6 +575,32 @@ def test_frank_and_joe_rows_of_linear_scale_failures_evaluate():
     )
 
 
+def test_frank_rows_near_zero_evaluate():
+    # every u in [1e-4, 1e-3] puts phi_0 at psi_s(t_s) near 1e-24, where
+    # the former Frank phi lost its digits; it raised NumericError on all
+    # five rows, free and tied.  At the tie the density is the
+    # exchangeable one, checked against mpmath at 60 digits
+    mp = pytest.importorskip("mpmath")
+    tree = HacTree([[1, 2, 3, 4, 5, 6], [7, 8, 9, 10, 11, 12]])
+    u = np.random.default_rng(0).uniform(1e-4, 1e-3, (5, 12))
+    free = log_density(two_level_spec(tree, "frank", (2.0, 2.5, 3.0)), u)
+    assert np.all(np.isfinite(free))
+    got = log_density(two_level_spec(tree, "frank", (2.0, 2.0, 2.0)), u)
+    with mp.workdps(60):
+        th = mp.mpf(2)
+
+        def psi(s):
+            return -mp.log(1 - (1 - mp.exp(-th)) * mp.exp(-s)) / th
+
+        for row, val in zip(u, got):
+            us = [mp.mpf(float(x)) for x in row]
+            t = sum(-mp.log(mp.expm1(-th * x) / mp.expm1(-th)) for x in us)
+            ref = mp.log(abs(mp.diff(psi, t, 12))) + sum(
+                mp.log(th * mp.exp(-th * x) / -mp.expm1(-th * x)) for x in us
+            )
+            assert abs(val - ref) <= 1e-11
+
+
 def test_hessian_peak_memory_on_six_nests():
     # rows are evaluated in blocks, so no (rows x coefficients) table of
     # the whole batch is ever held

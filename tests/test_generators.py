@@ -2,8 +2,9 @@
 
 Derivative formulas are checked against central finite differences of the
 next-lower order, Stirling tables against brute-force enumeration, and tau
-maps against quadrature of the defining integral.  A handful of closed-form
-values are frozen as regression anchors.
+maps against quadrature of the defining integral and, for Frank and Joe,
+against 50-digit mpmath from tau -> 0 to tau -> 1.  A handful of
+closed-form values are frozen as regression anchors.
 """
 
 import itertools
@@ -296,6 +297,46 @@ def test_frank_psi_matches_mpmath(theta):
             assert G.psi("frank", theta, t) == val
 
 
+def test_frank_phi_matches_mpmath():
+    # -log(expm1(-theta u)/expm1(-theta)) from u = 1e-300 to 1 - 1e-15;
+    # the former difference form read inf from u = 1e-17 on
+    mp = pytest.importorskip("mpmath")
+    us = np.array([1e-300, 1e-100, 1e-17, 1e-16, 1e-12, 1e-8, 1e-4, 0.1,
+                   0.3, 0.5, 0.7, 0.9, 0.99, 1 - 1e-8, 1 - 1e-12, 1 - 1e-15])
+    with mp.workdps(50):
+        for theta in (1e-3, 0.5, 2.0, 8.0, 40.0):
+            got = G.phi("frank", theta, us)
+            for u, val in zip(us, got):
+                th, uu = mp.mpf(theta), mp.mpf(float(u))
+                ref = -mp.log(mp.expm1(-th * uu) / mp.expm1(-th))
+                assert abs(mp.mpf(val) / ref - 1) <= 4e-15, (theta, u)
+                assert G.phi("frank", theta, float(u)) == val
+
+
+@pytest.mark.parametrize("theta", [700.0, 740.0])
+def test_frank_psi_column_log_scale_fallback_matches_mpmath(theta):
+    # 1 - w = e^-t e^-theta - expm1(-t) is below 1e-290 here, so log(1 - w)
+    # comes from psi's log-scale form; at t = 1e-320 the sum is subnormal
+    # and keeps only a few digits.  Reference: central differences of
+    # log(1 - w) with a step 1e-10 t, at 400 digits
+    mp = pytest.importorskip("mpmath")
+    t = np.array([1e-300, 1e-295, 1e-320])
+    assert np.all(np.exp(-t) * math.exp(-theta) - np.expm1(-t) < 1e-290)
+    col = G.get_family("frank").psi_column(theta, t, 1, 4)
+    with mp.workdps(400):
+        th = mp.mpf(theta)
+
+        def f(s):
+            return -mp.log(1 - (1 - mp.exp(-th)) * mp.exp(-s)) / th
+
+        for i, ti in enumerate(t):
+            s = mp.mpf(float(ti))
+            for k in range(1, 5):
+                ref = mp.diff(f, s, k, h=s * mp.mpf(1e-10))
+                assert col.sign[k] == (1 if ref > 0 else -1)
+                assert abs(col.logmag[k][i] - mp.log(abs(ref))) <= 1e-12, (ti, k)
+
+
 def test_log1mexp_matches_mpmath_on_arrays_and_scalars():
     # both forms, at their ln 2 seam, at the t = 0 pole and deep in the
     # tail (400 digits keep 1 - e^-700 apart from 1); scalars, flat and
@@ -442,6 +483,87 @@ def test_frozen_kendall_steps():
     step_c = G.tau_inv("clayton", G.tau("clayton", 2.0) - 0.005) - 2.0
     assert step_g == pytest.approx(-0.019802, abs=1e-6)
     assert step_c == pytest.approx(-0.039604, abs=1e-6)
+
+
+# Kendall's tau of Frank and Joe in mpmath: Frank's Debye integral through
+# Li2, Joe's series through digamma, with the removable theta = 2 taken as
+# its limit.  100 working digits leave 50 after the cancellations near
+# theta -> 0 (Frank) and theta -> 1, 2 (Joe) and in ``mp.diff``, whose
+# step of 1e-30 theta never lands on theta = 2.
+
+def _frank_tau_mp(mp, th):
+    th = mp.mpf(th)
+    debye = (mp.pi**2 / 6 - mp.polylog(2, mp.exp(-th))
+             + th * mp.log(-mp.expm1(-th)))
+    return mp.re(1 - 4 / th + 4 * debye / th**2)
+
+
+def _joe_tau_mp(mp, th):
+    th = mp.mpf(th)
+    if th == 2:
+        return 2 - mp.pi**2 / 6
+    return 1 + 2 * (mp.digamma(2) - mp.digamma(1 + 2 / th)) / (2 - th)
+
+
+_TAU_MP = {"frank": _frank_tau_mp, "joe": _joe_tau_mp}
+
+
+def _slope_mp(mp, family, th):
+    th = mp.mpf(th)
+    return mp.diff(lambda x: _TAU_MP[family](mp, x), th, h=th * mp.mpf(1e-30))
+
+
+_TAU_GRIDS = {
+    "frank": list(np.geomspace(1e-8, 5e4, 300)) + [2.0 * math.pi],
+    "joe": list(1.0 + np.geomspace(1e-9, 5e3, 300))
+    + [2.0, 2.0 + 1e-9, 2.0 - 1e-9, 2.0 + 5e-4, 2.0 - 5e-4],
+}
+
+
+@pytest.mark.parametrize("family", ("frank", "joe"))
+def test_tau_and_slope_match_mpmath(family):
+    # every branch of the closed form, its series and Taylor pieces; the
+    # former quadrature read Frank tau(1e-8) = -3.8e-8 against 1.1e-9
+    mp = pytest.importorskip("mpmath")
+    fam = G.get_family(family)
+    with mp.workdps(100):
+        for th in _TAU_GRIDS[family]:
+            th = float(th)
+            ref = _TAU_MP[family](mp, th)
+            slope = _slope_mp(mp, family, th)
+            assert abs(fam.tau(th) / ref - 1) <= 1e-12, th
+            assert abs(slope / fam._tau_jet(th)[2] - 1) <= 1e-11, th
+    # tau is concave, which tau_inv's Newton from the domain's edge needs
+    slopes = [fam._tau_jet(float(th))[2] for th in _TAU_GRIDS[family][:300]]
+    assert np.all(np.diff(slopes) <= 0.0)
+
+
+@pytest.mark.parametrize("family", ("frank", "joe"))
+def test_tau_inv_matches_mpmath_root(family):
+    # tau_inv and dtheta_dtau against the 50-digit root, from tau -> 0 to
+    # tau -> 1; the former knot grid ended below tau = 0.99992 (Frank) and
+    # 0.9996 (Joe)
+    mp = pytest.importorskip("mpmath")
+    fam = G.get_family(family)
+    f = _TAU_MP[family]
+    with mp.workdps(100):
+        for t in (1e-9, 1e-6, 0.25, 0.5, 0.75, 0.999, 0.99999, 1.0 - 2.0**-40):
+            th = fam.tau_inv(t)
+            root = mp.findroot(
+                lambda x: f(mp, x) - t,
+                (mp.mpf(th) * (1 - mp.mpf(1e-9)), mp.mpf(th) * (1 + mp.mpf(1e-9))),
+                solver="anderson",
+            )
+            slope = _slope_mp(mp, family, root)
+            assert abs(th / root - 1) <= 1e-12, t
+            assert abs(fam.dtheta_dtau(t) * slope - 1) <= 1e-11, t
+
+
+def test_dtheta_dtau_closed_forms():
+    # Clayton's and Gumbel's scales are their closed forms, bit for bit
+    for t in (0.1, 0.4, 0.999):
+        assert G.get_family("clayton").dtheta_dtau(t) == 2.0 / (1.0 - t) ** 2
+        assert G.get_family("gumbel").dtheta_dtau(t) == 1.0 / (1.0 - t) ** 2
 
 
 # ---------------------------------------------------------------

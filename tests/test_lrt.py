@@ -895,7 +895,9 @@ def test_power_curve_family_instance_matches_its_name():
 
 
 def test_power_numeric_scale_matches_tau_slope():
-    # the numeric derivative must invert the analytic tau slope
+    # the theta-scale inverts a central difference of the tau map, and it is
+    # the family's dtheta_dtau; at tau = 0.999 that is 4,000,000.68, which
+    # the former numeric slope of the knot-grid inverse read as 4,000,400.7
     from haclrt.generators import get_family, tau_inv
 
     fam = get_family("frank")
@@ -906,6 +908,9 @@ def test_power_numeric_scale_matches_tau_slope():
     pc = power_curve("frank", tau0, [0.0],
                      sigma=np.eye(2))
     assert pc.theta_scale == pytest.approx(1.0 / slope, rel=1e-4)
+    pc = power_curve("frank", 0.999, [0.0], sigma=np.eye(2))
+    assert pc.theta_scale == fam.dtheta_dtau(0.999)
+    assert pc.theta_scale == pytest.approx(4_000_000.68, abs=0.01)
 
 
 def test_power_size_point_and_monotonicity():

@@ -29,7 +29,7 @@ from haclrt.scenarios import (
     scenario_hypothesis,
     scenario_tree,
 )
-from haclrt.tree import holding_branches
+from haclrt.tree import HacTree, holding_branches
 
 CFG = FitConfig(n_perturbed=1, seed=3)
 
@@ -99,6 +99,11 @@ def test_structures_and_hypotheses():
     assert len(scenario_hypothesis("II").branches[0]) == 2
     assert len(scenario_hypothesis("III").branches) == 2
     assert scenario_hypothesis("IV").branches == (((1,),),)
+    # the simplified test of IV refits the tree with its nuisance nest
+    # contracted into the root
+    structures = [tree for tree, _, _ in scenarios_module._plan(
+        ScenarioSpec("IV"))]
+    assert structures == [scenario_tree("IV"), HacTree([[1, 2], 3, 4])]
 
 
 def test_spec_validation():
