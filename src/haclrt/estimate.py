@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.stats import kendalltau
 
 from .density import (
     log_density,
@@ -137,15 +136,90 @@ def _box_lo(fam) -> float:
     return fam.domain.lo if not fam.domain.lo_open else 1e-4
 
 
+def _tied_pairs(s) -> np.ndarray:
+    """Pairs of equal entries in each row of s, whose rows are sorted."""
+    idx = np.arange(s.shape[1])
+    new = np.ones(s.shape, dtype=bool)
+    new[:, 1:] = s[:, 1:] != s[:, :-1]
+    start = np.maximum.accumulate(np.where(new, idx, 0), axis=1)
+    return (idx - start).sum(axis=1)
+
+
+def _inversions(y) -> np.ndarray:
+    """Strict inversions, pairs a < b with y_a > y_b, in each row of y.
+
+    y holds ranks below its row length n.  The rows are padded with the
+    rank n, which is never above a later entry, and cut into blocks of
+    at most 16 whose inversions are counted by comparing all their
+    pairs.  Bottom-up merge levels follow: at each, a right block's
+    count is its left partner's size minus the left entries <= each of
+    its entries, found by one searchsorted over all left blocks at once,
+    whose entries are made one sorted array by adding (n + 1) times the
+    block index.
+    """
+    rows, n = y.shape
+    levels = max(0, (n - 1).bit_length() - 4)
+    w = -(-n // 2**levels)                  # bottom block length
+    size = w << levels
+    blocks = np.full((rows, size), n, dtype=np.int64)
+    blocks[:, :n] = y
+    bottom = blocks.reshape(rows, -1, w)
+    later = np.triu(np.ones((w, w), dtype=bool), 1)
+    dis = ((bottom[..., :, None] > bottom[..., None, :]) & later).sum(
+        axis=(1, 2, 3))
+    blocks = np.sort(bottom, axis=-1).reshape(rows, size)
+    for level in range(levels):
+        if level:       # merge the sorted halves of each block
+            blocks = np.sort(blocks.reshape(rows, -1, w), axis=-1,
+                             kind="stable").reshape(rows, size)
+        nb = size // (2 * w)
+        pair = blocks.reshape(rows, nb, 2, w)
+        block = np.arange(rows * nb, dtype=np.int64).reshape(rows, nb, 1)
+        left = (pair[:, :, 0] + block * (n + 1)).ravel()
+        right = (pair[:, :, 1] + block * (n + 1)).ravel()
+        le = np.searchsorted(left, right, side="right").reshape(rows, nb, w)
+        dis += nb * w * w - (le - block * w).sum(axis=(1, 2))
+        w *= 2
+    return dis
+
+
 def _tau_matrix(data) -> np.ndarray:
-    """Kendall's tau of every pair of columns of data."""
-    d = data.shape[1]
+    """Kendall's tau-b of every pair of columns of data, in one pass.
+
+    Each column is ranked once, as dense ranks.  For every pair (i, j)
+    the rows are ordered by (x_i, x_j), and the discordant pairs are the
+    strict inversions of x_j's ranks in that order.  The tau is formed
+    as scipy.stats.kendalltau forms it, so the two agree bit for bit,
+    ties included: (tot - xtie - ytie + ntie - 2 dis), over
+    sqrt(tot - xtie) and then sqrt(tot - ytie), clipped to [-1, 1]; a
+    constant column gives NaN.
+    """
+    n, d = data.shape
+    order = np.argsort(data, axis=0)
+    ordered = np.take_along_axis(data, order, axis=0)
+    new = np.ones((n, d), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    dense = np.cumsum(new, axis=0) - 1      # dense ranks, in column order
+    ranks = np.empty((n, d), dtype=np.int64)
+    np.put_along_axis(ranks, order, dense, axis=0)
+    ties = _tied_pairs(dense.T)
+    i, j = np.triu_indices(d, 1)
+    # rows in x_i order, so the stable sort only orders the ties in x_i
+    by_i = order[:, i]
+    keys = np.sort((ranks[by_i, i] * n + ranks[by_i, j]).T, axis=1,
+                   kind="stable")
+    dis = _inversions(keys % n)
+    tot = n * (n - 1) // 2
+    x_pairs, y_pairs = tot - ties[i], tot - ties[j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = ((x_pairs + y_pairs - tot + _tied_pairs(keys)
+                - 2 * dis).astype(float)
+               / np.sqrt(x_pairs.astype(float))
+               / np.sqrt(y_pairs.astype(float)))
+    tau = np.clip(tau, -1.0, 1.0)
+    tau[(x_pairs == 0) | (y_pairs == 0)] = np.nan
     taus = np.zeros((d, d))
-    for i in range(d):
-        for j in range(i + 1, d):
-            taus[i, j] = taus[j, i] = kendalltau(
-                data[:, i], data[:, j]
-            ).statistic
+    taus[i, j] = taus[j, i] = tau
     taus.flags.writeable = False        # shared by the fits of one dataset
     return taus
 

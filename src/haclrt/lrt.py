@@ -7,12 +7,14 @@ the squared Sigma-Mahalanobis distance from a Gaussian Z to its
 projection onto the local cone of the alternative (Z_full) and of the
 null set (Z_null).  This module computes the projections exactly:
 each draw takes the face of the cone whose KKT certificate (tight
-multipliers >= 0, inactive slacks <= 0) holds, tested for all faces
-at once, and the equality-constrained solution on that face.  A Cone's
-rows are linearly independent, so some face is certified for every
-draw; the certificate is the projection's only rule.  It
-simulates the limit law, and reads the chi-bar-squared mixture law off
-the local cones where its weights have closed forms.
+multipliers >= 0, inactive slacks <= 0) holds, and the
+equality-constrained solution on that face.  A Cone's rows are
+linearly independent, so some face is certified for every draw; the
+certificate is the projection's only rule.  Each draw searches for
+its face: an active-set walk over the face masks that tests only the
+k certificate rows of its current face per round, not all 2^k faces.
+It simulates the limit law, and reads the chi-bar-squared mixture law
+off the local cones where its weights have closed forms.
 """
 
 from __future__ import annotations
@@ -102,19 +104,24 @@ def _chol_pd(sigma) -> np.ndarray:
         ) from None
 
 
-# floats in one chunk of certificate products in _batch_q; the rows per
-# chunk shrink as k * 2^k grows, so memory stays bounded in m and k
+# floats of gathered certificate rows and points in one chunk of the face
+# search; the rows per chunk shrink as k * p grows, so memory stays
+# bounded in m and k
 _CERT_BUDGET = 2**20
 
 
 @dataclass(frozen=True)
 class _FaceOps:
-    """Operators of every face of a cone, in Cone.faces() order."""
+    """Operators of every face of a cone, indexed by face mask.
+
+    Cone.faces() lists the faces in mask order, so face f has inequality
+    i tight exactly when bit i of f is set.
+    """
 
     faces: list             # tight inequality indices of each face
     q_forms: np.ndarray     # (n_faces, p, p): q = z' Q z on the face
     ranks: np.ndarray       # (n_faces,): rank of the face's active rows
-    cert: np.ndarray        # (k, n_faces, p): KKT certificate rows
+    cert: np.ndarray        # (n_faces, k, p): KKT certificate rows
 
 
 def _face_ops(cone: Cone, sigma: np.ndarray) -> _FaceOps:
@@ -131,72 +138,103 @@ def _face_ops(cone: Cone, sigma: np.ndarray) -> _FaceOps:
     when i is tight, and ineq_i P when it is not.  A face is certified
     for z when the largest certificate row times z is <= 0.  The cone's
     rows are linearly independent, so a face's active rows have full
-    row rank: the equalities plus its tight inequalities.
+    row rank: the equalities plus its tight inequalities.  The faces
+    with equally many tight rows are stacked, so each size takes one
+    pinv.
     """
     p, k = cone.p, cone.n_ineq
     r = cone.eq.shape[0]
-    eye = np.eye(p)
     faces = cone.faces()
+    tight = np.arange(len(faces))[:, None] >> np.arange(k) & 1 == 1
+    sizes = tight.sum(axis=1)
     q_forms = np.zeros((len(faces), p, p))
-    ranks = np.array([r + len(face) for face in faces], dtype=int)
-    cert = np.empty((k, len(faces), p))
-    for f, face in enumerate(faces):
-        on = list(face)
-        off = [i for i in range(k) if i not in face]
-        a = np.vstack([cone.eq, cone.ineq[on]])
-        if a.shape[0]:
-            m = a @ sigma @ a.T
+    cert = np.empty((len(faces), k, p))
+    for size in range(k + 1):
+        group = np.flatnonzero(sizes == size)
+        at = group[:, None]
+        on = np.nonzero(tight[group])[1].reshape(len(group), size)
+        off = np.nonzero(~tight[group])[1].reshape(len(group), k - size)
+        if r + size:
+            a = np.concatenate(
+                [np.broadcast_to(cone.eq, (len(group), r, p)),
+                 cone.ineq[on]], axis=1,
+            )
+            m = a @ sigma @ a.transpose(0, 2, 1)
             m_pinv = np.linalg.pinv(m, hermitian=True)
-            q_forms[f] = a.T @ m_pinv @ a
-            cert[on, f] = -(m_pinv @ a)[r:] * np.diag(m)[r:, None]
-        cert[off, f] = cone.ineq[off] @ (eye - sigma @ q_forms[f])
-    return _FaceOps(faces, q_forms, ranks, cert)
+            q_forms[group] = a.transpose(0, 2, 1) @ m_pinv @ a
+            cert[at, on] = (-(m_pinv @ a)[:, r:]
+                            * np.diagonal(m, axis1=1, axis2=2)[:, r:, None])
+        cert[at, off] = cone.ineq[off] @ (np.eye(p) - sigma @ q_forms[group])
+    return _FaceOps(faces, q_forms, r + sizes, cert)
 
 
-def _certified_faces(z, tol, ops: _FaceOps):
-    """Index of the first face whose certificate holds, per row of z.
+def _search_faces(z, tol, ops: _FaceOps) -> np.ndarray:
+    """Mask of the face whose certificate holds, per row of z.
 
-    -1 marks a row that no face certifies.
+    Each row starts from the mask of the inequalities that its
+    projection onto the equalities violates, the rows whose certificate
+    fails at the empty face 0 (with no equalities, the rows z itself
+    violates).  A round takes the k certificate rows of the row's
+    current face and flips every inequality whose certificate fails, a
+    primal-dual active-set step (Hintermueller, Ito & Kunisch 2003).
+    Rows still open after k + 1 rounds flip only the least failing index
+    (Murty 1974), which reaches the certified face within 2^k rounds
+    because V = R Sigma R' is positive definite.  A row that the cap
+    leaves open (a non-finite row, or roundoff under a Sigma conditioned
+    far beyond the 1e10 that sigma_hat admits) raises NumericError.  The
+    gathered certificate rows and points take at most _CERT_BUDGET
+    floats at a time.
     """
-    k, n_faces, _ = ops.cert.shape
-    s = (ops.cert.reshape(k * n_faces, -1) @ z.T).reshape(k, n_faces, -1)
-    held = s.max(axis=0) <= tol
-    return np.where(held.any(axis=0), np.argmax(held, axis=0), -1)
+    n = z.shape[0]
+    _, k, p = ops.cert.shape
+    bit = 1 << np.arange(k)
+    face = (z @ ops.cert[0].T > 0.0) @ bit
+    open_rows = np.arange(n)
+    step = max(1, _CERT_BUDGET // ((k + 1) * p))
+    sweep = 0
+    while open_rows.size:
+        if sweep > k + 1 + 2**k:    # a round checks the last one's flips
+            raise NumericError(
+                f"no face certifies {open_rows.size} of {n} points")
+        still = []
+        for lo in range(0, open_rows.size, step):
+            rows = open_rows[lo:lo + step]
+            s = np.einsum("nkp,np->nk", ops.cert[face[rows]], z[rows])
+            fail = ~(s <= tol[rows, None])
+            if sweep > k:
+                fail &= np.cumsum(fail, axis=1) == 1
+            flip = fail @ bit
+            face[rows] ^= flip
+            still.append(rows[flip != 0])
+        open_rows = np.concatenate(still)
+        sweep += 1
+    return face
 
 
 def _batch_q(z, ops: _FaceOps):
     """Projection q for a batch of points, by KKT certificate.
 
-    Each row takes the first face whose certificate holds within the
-    tolerance 1e-9 (1 + max|z|); faces() yields subsets before their
-    supersets, so where several hold the coarser face wins.  The rows
-    are taken in chunks of _CERT_BUDGET floats of certificate products.
-    On a cone's independent rows some face holds for every finite row
-    in exact arithmetic; a row that none certifies (a non-finite row,
-    or roundoff under a Sigma conditioned far beyond the 1e10 that
-    sigma_hat admits) raises NumericError.  q is then z' Q z on each
-    row's face.
+    Each row's face is found by _search_faces, with the tolerance
+    1e-9 (1 + max|z|) on the certificate rows; on a cone's independent
+    rows exactly one face holds for almost every point.  q is then
+    z' Q z on each row's face.  With no inequalities the only face is
+    the subspace, and every row takes its form.
     Returns (q, rank of the active rows at that face, index of the face
     in ops.faces).
     """
     n = z.shape[0]
-    k, n_faces, _ = ops.cert.shape
-    tol = 1e-9 * (1.0 + np.max(np.abs(z), axis=1))
-    face = np.zeros(n, dtype=int)
-    if k:
-        step = max(1, _CERT_BUDGET // (k * n_faces))
-        for lo in range(0, n, step):
-            rows = slice(lo, lo + step)
-            face[rows] = _certified_faces(z[rows], tol[rows], ops)
-    lost = np.count_nonzero(face < 0)
-    if lost:
-        raise NumericError(f"no face certifies {lost} of {n} points")
-    q = np.empty(n)
-    order = np.argsort(face, kind="stable")
-    used, starts = np.unique(face[order], return_index=True)
-    for f, rows in zip(used, np.split(order, starts[1:])):
-        zf = z[rows]
-        q[rows] = np.einsum("ni,ij,nj->n", zf, ops.q_forms[f], zf)
+    if not ops.cert.shape[1]:
+        face = np.zeros(n, dtype=int)
+        q = np.einsum("ni,ij,nj->n", z, ops.q_forms[0], z)
+    else:
+        tol = 1e-9 * (1.0 + np.max(np.abs(z), axis=1))
+        face = _search_faces(z, tol, ops)
+        q = np.empty(n)
+        order = np.argsort(face, kind="stable")
+        used, starts = np.unique(face[order], return_index=True)
+        for f, rows in zip(used, np.split(order, starts[1:])):
+            zf = z[rows]
+            q[rows] = np.einsum("ni,ij,nj->n", zf, ops.q_forms[f], zf)
     if not np.all(np.isfinite(q)):
         raise NumericError("non-finite projection q for some points")
     return np.maximum(q, 0.0), ops.ranks[face], face
@@ -788,6 +826,8 @@ def fit_pair(
     family: str,
     hypothesis: Hypothesis,
     config: FitConfig = FitConfig(),
+    *,
+    _taus=None,
 ) -> FitPair:
     """Fit the full and the null model and compute the statistic.
 
@@ -798,10 +838,11 @@ def fit_pair(
     full fit lies in the null set, where some branch holds
     (holding_branches); otherwise it is lrt_statistic's clamped 2(l_full
     - l_null), which a null fit that stopped short would leave above 0.
+    The fits share one Kendall-tau matrix, computed on first use; _taus,
+    as in mle, shares it with other fits of the same rows.
     """
     rows = np.asarray(rows, dtype=float)
-    # the fits share one Kendall-tau matrix, computed on first use
-    taus = _lazy_taus(rows)
+    taus = _taus or _lazy_taus(rows)
     fit_full = mle(rows, tree, family, config=config, _taus=taus)
     fit_null = mle(rows, tree, family, hypothesis=hypothesis, config=config,
                    _taus=taus)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (DomainError, NumericError, SingularSigmaError,
                      UnsupportedNestingError)
-from .estimate import FitConfig
+from .estimate import FitConfig, _lazy_taus
 from .fisher import SIGMA_DRAWS
 from .lrt import MIN_NULL_DRAWS, NULL_DRAWS, fit_pair, run_fitted
 from .sampler import sample
@@ -257,10 +257,11 @@ def run_replicate(
         return failed(0, "sampler-budget")
 
     records = []
+    taus = _lazy_taus(data)     # one Kendall-tau matrix for every structure
     for k, (tree, hyp, methods) in enumerate(plan):
         try:
             pair = fit_pair(data, tree, model_family, hyp,
-                            config=spec.fit_config)
+                            config=spec.fit_config, _taus=taus)
         except (DomainError, NumericError) as exc:
             kind = ("fit-domain" if isinstance(exc, DomainError)
                     else "fit-numeric")

@@ -427,7 +427,8 @@ class Cone:
     local cones of a nesting tree satisfy this, since their rows are
     distinct tree edges e_parent - e_child.  On such rows every point
     has a face whose KKT certificate holds, which is the only rule the
-    projection in haclrt.lrt uses.
+    projection in haclrt.lrt uses; it finds that face by an active-set
+    search over faces(), whose index of a face is its bit mask.
     """
 
     p: int
@@ -469,7 +470,9 @@ class Cone:
         return self.ineq.shape[0]
 
     def faces(self):
-        """All faces as tuples of tight inequality indices (0..m-1)."""
+        """All faces as tuples of tight inequality indices (0..m-1), in
+        mask order: face f has index i tight exactly when bit i of f is
+        set."""
         m = self.n_ineq
         out = []
         for mask in range(2**m):

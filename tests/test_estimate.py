@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
+from scipy.stats import kendalltau
 
 from haclrt import estimate
 from haclrt.density import (
@@ -399,27 +400,27 @@ def test_every_start_failing_names_how_many_ran(monkeypatch):
 
 def test_tau_matrix_computed_once_per_dataset(monkeypatch):
     # the full, null and union-branch fits of a fit_pair share one tau
-    # matrix (6 pairs at d=4); a lone mle computes its own, once, and a
-    # fit from a given start needs none
+    # matrix; a lone mle computes its own, once, and a fit from a given
+    # start needs none
     hyp = Hypothesis.parse("(0,1)=(0) | (0,2)=(0)")
     data = [
         sample(TREE4, (1.2, 1.6, 2.0), "gumbel", 120, seed=s).values
         for s in (43, 47)
     ]
     calls = []
-    real = estimate.kendalltau
+    real = estimate._tau_matrix
 
-    def counted(x, y):
+    def counted(u):
         calls.append(1)
-        return real(x, y)
+        return real(u)
 
-    monkeypatch.setattr(estimate, "kendalltau", counted)
+    monkeypatch.setattr(estimate, "_tau_matrix", counted)
     pairs = [fit_pair(u, TREE4, "gumbel", hyp) for u in data]
-    assert len(calls) == 12
+    assert len(calls) == 2
     alone = mle(data[1], TREE4, "gumbel", hypothesis=hyp)
-    assert len(calls) == 18
+    assert len(calls) == 3
     mle(data[1], TREE4, "gumbel", start=alone.theta)
-    assert len(calls) == 18
+    assert len(calls) == 3
     # the shared matrix gives the fit that a matrix of its own gives
     assert np.array_equal(alone.theta, pairs[1].fit_null.theta)
     assert alone.start_logliks == pairs[1].fit_null.start_logliks
@@ -453,3 +454,56 @@ def test_objective_builds_the_spec_once_per_fit(monkeypatch):
     # the gradient's rounding bound is known where it was last taken
     assert 0.0 < fun.grad_noise(np.array([1.3, 0.2, 0.5])) < 1e-12
     assert fun.grad_noise(np.array([1.2, 0.4, 0.8])) == np.inf
+
+
+# --- the Kendall-tau matrix -------------------------------------------------
+
+
+def _scipy_taus(data):
+    d = data.shape[1]
+    taus = np.zeros((d, d))
+    for i in range(d):
+        for j in range(i + 1, d):
+            taus[i, j] = taus[j, i] = kendalltau(
+                data[:, i], data[:, j]
+            ).statistic
+    return taus
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (33, 3), (128, 4), (256, 12),
+                                 (5000, 4)])
+def test_tau_matrix_equals_scipy_on_continuous_data(n, d):
+    rng = np.random.default_rng(n + d)
+    x = rng.random((n, d))
+    x[:, 1:] += 0.7 * x[:, :1]          # dependence of either sign
+    x[:, -1] -= 1.4 * x[:, 0]
+    assert np.array_equal(estimate._tau_matrix(x), _scipy_taus(x))
+
+
+@pytest.mark.parametrize("where", ["x", "y", "both"])
+def test_tau_matrix_equals_scipy_with_ties(where):
+    rng = np.random.default_rng(7)
+    for n in (5, 40, 301):
+        x = rng.random((n, 3))
+        x[:, 1] += 0.5 * x[:, 0]
+        cols = {"x": [0], "y": [1, 2], "both": [0, 1, 2]}[where]
+        x[:, cols] = np.round(x[:, cols] * 4.0)
+        assert np.array_equal(estimate._tau_matrix(x), _scipy_taus(x))
+
+
+def test_tau_matrix_constant_column_is_nan():
+    x = np.random.default_rng(8).random((50, 4))
+    x[:, 2] = 0.3
+    taus = estimate._tau_matrix(x)
+    assert np.array_equal(taus, _scipy_taus(x), equal_nan=True)
+    assert np.all(np.isnan(np.delete(taus[2], 2)))
+    assert np.isfinite(taus[0, 1]) and np.isfinite(taus[1, 3])
+
+
+def test_inversions_count_strict_pairs():
+    rng = np.random.default_rng(9)
+    for n in (1, 2, 3, 5, 8, 17):
+        y = rng.integers(0, n, (4, n))
+        brute = [sum(r[a] > r[b] for a in range(n) for b in range(a + 1, n))
+                 for r in y]
+        assert estimate._inversions(y).tolist() == brute

@@ -421,6 +421,112 @@ def test_batch_q_memory_does_not_grow_with_draws():
     assert np.array_equal(q[:200], q0)
 
 
+def test_faces_index_is_the_mask():
+    # the face search flips bits of a face's index: bit i is row i tight
+    for k in range(9):
+        faces = Cone(k + 1, ineq=np.eye(k + 1)[:k]).faces()
+        assert len(faces) == 2**k
+        for mask, face in enumerate(faces):
+            assert list(face) == sorted(set(face))
+            assert sum(1 << i for i in face) == mask
+
+
+def _face_ops_loop(cone, sigma):
+    """One face at a time: the operators _face_ops stacks by face size."""
+    p, k = cone.p, cone.n_ineq
+    r = cone.eq.shape[0]
+    faces = cone.faces()
+    q_forms = np.zeros((len(faces), p, p))
+    cert = np.empty((len(faces), k, p))
+    for f, face in enumerate(faces):
+        on = list(face)
+        off = [i for i in range(k) if i not in face]
+        a = np.vstack([cone.eq, cone.ineq[on]])
+        if a.shape[0]:
+            m = a @ sigma @ a.T
+            m_pinv = np.linalg.pinv(m, hermitian=True)
+            q_forms[f] = a.T @ m_pinv @ a
+            cert[f, on] = -(m_pinv @ a)[r:] * np.diag(m)[r:, None]
+        cert[f, off] = cone.ineq[off] @ (np.eye(p) - sigma @ q_forms[f])
+    ranks = np.array([np.linalg.matrix_rank(np.vstack(
+        [cone.eq, cone.ineq[list(face)]])) if cone.eq.shape[0] + len(face)
+        else 0 for face in faces])
+    return q_forms, cert, ranks
+
+
+@pytest.mark.parametrize("kind", sorted(TREE_CONES))
+def test_face_ops_stacked_equals_the_face_loop(kind):
+    for k in range(1, 9):
+        cone = TREE_CONES[kind](k)
+        rng = np.random.default_rng(20 * k + len(kind))
+        for sigma in (_spd(rng, cone.p), _spd_cond(rng, cone.p, 1e10)):
+            ops = lrt._face_ops(cone, sigma)
+            q_forms, cert, ranks = _face_ops_loop(cone, sigma)
+            assert ops.faces == cone.faces()
+            assert np.array_equal(ops.q_forms, q_forms)
+            assert np.array_equal(ops.cert, cert)
+            assert np.array_equal(ops.ranks, ranks)
+
+
+@pytest.mark.parametrize("cond", [None, 1e10])
+@pytest.mark.parametrize("kind", sorted(TREE_CONES))
+def test_face_search_picks_the_enumerated_face(kind, cond):
+    # shifted draws, at a random and at the sigma_hat condition cap
+    for k in range(1, 9):
+        cone = TREE_CONES[kind](k)
+        rng = np.random.default_rng(1000 * k + len(kind))
+        sigma = (_spd(rng, cone.p) if cond is None
+                 else _spd_cond(rng, cone.p, cond))
+        h = rng.standard_normal(cone.p) * np.sqrt(np.diag(sigma))
+        z = _gauss(rng, sigma, 2000) + h
+        q, rank, face = lrt._batch_q(z, lrt._face_ops(cone, sigma))
+        q0, rank0, face0 = _enumerate_q(z, cone, sigma)
+        assert np.array_equal(face, face0)
+        assert np.array_equal(rank, rank0)
+        assert np.array_equal(q, q0)
+
+
+def test_face_search_leaves_active_set_cycles_by_least_index_flips():
+    # the orthant {z <= 0} under a nearly rank-2 sigma: flipping every
+    # failing row at once cycles on some of these draws, and the
+    # least-index flips that follow reach the enumerated face
+    rng = np.random.default_rng(0)
+    for k in (6, 7, 8):
+        cone = Cone(k, ineq=np.eye(k))
+        w = rng.standard_normal((k, 2))
+        sigma = w @ w.T + 0.02 * np.eye(k)
+        z = _gauss(rng, sigma, 3000)
+        q, rank, face = lrt._batch_q(z, lrt._face_ops(cone, sigma))
+        q0, rank0, face0 = _enumerate_q(z, cone, sigma)
+        assert np.array_equal(face, face0)
+        assert np.array_equal(q, q0)
+
+
+@pytest.mark.parametrize("kind", sorted(TREE_CONES))
+def test_face_search_certifies_draws_on_face_boundaries(kind):
+    # move each draw so that one certificate row of its face reads -tol/2,
+    # 0 or tol/2: several faces then hold within the tolerance, and the
+    # search must still end on one of them
+    for k in range(1, 9):
+        cone = TREE_CONES[kind](k)
+        rng = np.random.default_rng(50 * k + len(kind))
+        sigma = _spd(rng, cone.p)
+        ops = lrt._face_ops(cone, sigma)
+        z = _gauss(rng, sigma, 600)
+        _, _, face = lrt._batch_q(z, ops)
+        row = ops.cert[face, rng.integers(0, k, z.shape[0])]
+        tol = 1e-9 * (1.0 + np.max(np.abs(z), axis=1))
+        at = np.array([-0.5, 0.0, 0.5])[np.arange(z.shape[0]) % 3] * tol
+        norm2 = np.einsum("np,np->n", row, row)
+        z = z + ((at - np.einsum("np,np->n", row, z)) / norm2)[:, None] * row
+        q, _, face = lrt._batch_q(z, ops)
+        tol = 1e-9 * (1.0 + np.max(np.abs(z), axis=1))
+        s = np.einsum("nkp,np->nk", ops.cert[face], z)
+        assert np.all(s <= tol[:, None])
+        q0, _, _ = _enumerate_q(z, cone, sigma)
+        assert np.allclose(q, q0, rtol=1e-7, atol=1e-9)
+
+
 # --- statistic -------------------------------------------------------------
 
 
@@ -694,7 +800,7 @@ def test_subspace_law_of_three_ties_matches_regions():
         ops = lrt._face_ops(cone, sigma)
         oracle = np.zeros(4)
         for f, face in enumerate(ops.faces):
-            cert = ops.cert[:, f]
+            cert = ops.cert[f]
             oracle[3 - len(face)] += _orthant(cert @ sigma @ cert.T)
         assert law.weights == pytest.approx(oracle, abs=1e-12)
         _, info = null_statistics(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import haclrt.estimate as estimate_module
 import haclrt.lrt as lrt_module
 import haclrt.scenarios as scenarios_module
 from haclrt.errors import (
@@ -184,6 +185,21 @@ def test_scenario_ii_variant_records():
     ]
     # both variants test the same statistic
     assert recs[0]["statistic"] == recs[1]["statistic"]
+
+
+def test_scenario_iv_computes_one_tau_matrix_per_replicate(monkeypatch):
+    # the hybrid and the simplified structure fit the same dataset
+    calls = []
+    real = estimate_module._tau_matrix
+
+    def counted(u):
+        calls.append(1)
+        return real(u)
+
+    monkeypatch.setattr(estimate_module, "_tau_matrix", counted)
+    recs = run_replicate(_tiny("IV"), "e", "gumbel", "gumbel", 48, 0)
+    assert [r["method"] for r in recs] == ["hybrid", "simplified"]
+    assert len(calls) == 1
 
 
 def test_scenario_iv_methods_and_simplified_rule():
