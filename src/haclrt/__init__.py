@@ -31,14 +31,10 @@ from .generators import (
     tau_inv,
 )
 from .lrt import (
+    LimitLaw,
     LrtResult,
-    MixtureLaw,
     conditional_test,
-    hybrid_pvalue,
     lrt_statistic,
-    mc_null_pvalue,
-    mixture_law,
-    mixture_pvalue,
     power_curve,
     project,
     run_test,
@@ -64,8 +60,8 @@ __all__ = [
     "Hypothesis",
     "HypothesisError",
     "Joe",
+    "LimitLaw",
     "LrtResult",
-    "MixtureLaw",
     "NumericError",
     "ScenarioSpec",
     "SingularSigmaError",
@@ -73,15 +69,11 @@ __all__ = [
     "determinant_scan",
     "fd_hessian",
     "get_family",
-    "hybrid_pvalue",
     "local_cones",
     "log_density",
     "log_density_and_derivs",
     "loglik",
     "lrt_statistic",
-    "mc_null_pvalue",
-    "mixture_law",
-    "mixture_pvalue",
     "mle",
     "phi",
     "phi_prime",

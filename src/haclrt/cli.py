@@ -247,6 +247,9 @@ def _read_data(path: str, rank: bool) -> np.ndarray:
     return pseudo_obs(data) if rank else data
 
 
+_PSEUDO_OBS_HELP = ("Rank-transform the input columns first.  P-values and "
+                    "covariances still assume known margins.")
+
 _STARTS_HELP = ("At most N: the Kendall-tau start, then up to N-1 perturbed "
                 "starts if it fails "
                 f"(default: N = {FitConfig().n_perturbed + 1}).")
@@ -308,8 +311,7 @@ def cmd_sample(ctx, tree_text, family, theta_text, n):
 @click.option("--family", required=True)
 @click.option("--hypothesis", "hyp_text", default=None,
               help='Constrain the fit, e.g. "(0,1)=(0)".')
-@click.option("--pseudo-obs", "rank", is_flag=True,
-              help="Rank-transform the input columns first.")
+@click.option("--pseudo-obs", "rank", is_flag=True, help=_PSEUDO_OBS_HELP)
 @click.option("--starts", type=int, default=None, help=_STARTS_HELP)
 @click.pass_obj
 @_guard
@@ -345,7 +347,7 @@ def cmd_fit(ctx, data_path, tree_text, family, hyp_text, rank, starts):
               help="Conditional test at the exact adjusted level.")
 @click.option("--ridge", is_flag=True,
               help="Regularize a near-singular covariance.")
-@click.option("--pseudo-obs", "rank", is_flag=True)
+@click.option("--pseudo-obs", "rank", is_flag=True, help=_PSEUDO_OBS_HELP)
 @click.option("--starts", type=int, default=None, help=_STARTS_HELP)
 @click.pass_obj
 @_guard
@@ -380,7 +382,7 @@ def cmd_test(ctx, data_path, tree_text, family, hyp_text, method, alpha,
 @click.option("--delta-tau", type=float, default=DELTA_TAU,
               show_default=True)
 @click.option("--ridge", is_flag=True)
-@click.option("--pseudo-obs", "rank", is_flag=True)
+@click.option("--pseudo-obs", "rank", is_flag=True, help=_PSEUDO_OBS_HELP)
 @click.pass_obj
 @_guard
 def cmd_sigma(ctx, tree_text, family, theta_text, data_path, source, method,

@@ -13,8 +13,11 @@ linearly independent, so some face is certified for every draw; the
 certificate is the projection's only rule.  Each draw searches for
 its face: an active-set walk over the face masks that tests only the
 k certificate rows of its current face per round, not all 2^k faces.
-It simulates the limit law, and reads the chi-bar-squared mixture law
-off the local cones where its weights have closed forms.
+A fitted pair has one LimitLaw, built from its local cones, Sigma and
+the mean h of Z: the chi-bar-squared mixture where the cone geometry
+gives its weights in closed form, and m simulated draws of L
+everywhere else.  Its sf gives the p-value, and its kind says whether
+that is exact, an upper bound, or simulated.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ __all__ = [
     "MIN_NULL_DRAWS",
     "NULL_DRAWS",
     "Projection",
-    "MixtureLaw",
+    "LimitLaw",
     "ConditionalResult",
     "PowerCurve",
     "LrtResult",
@@ -50,11 +53,7 @@ __all__ = [
     "project",
     "lrt_statistic",
     "null_statistics",
-    "mc_null_pvalue",
-    "mixture_law",
-    "mixture_pvalue",
     "conditional_test",
-    "hybrid_pvalue",
     "power_curve",
     "fit_pair",
     "run_fitted",
@@ -346,66 +345,9 @@ def null_statistics(
     return draws, {"nu": nu, "q_full": q_full, "q_null": q_null}
 
 
-def mc_null_pvalue(
-    statistic: float,
-    sigma,
-    cone: Cone,
-    null_cones,
-    h=None,
-    m: int = NULL_DRAWS,
-    seed=0,
-) -> float:
-    """Monte Carlo p-value under the simulated limit law.
-
-    p = (1 + #{draws >= L_n}) / (m + 1); the +1 keeps the estimate
-    strictly positive and finite-sample valid, and L_n = 0 gives 1.
-    """
-    if not statistic >= 0.0:    # NaN included; inf is a valid statistic
-        raise DomainError(f"statistic must be nonnegative, got {statistic}")
-    if m < MIN_NULL_DRAWS:
-        raise DomainError(f"m must be at least {MIN_NULL_DRAWS}")
-    draws = null_statistics(sigma, cone, null_cones, h=h, m=m, seed=seed)
-    return float(1.0 + np.count_nonzero(draws >= statistic)) / (m + 1.0)
-
-
 # ====================================================================
-# closed-form mixture laws
+# the limit law of a fitted pair
 # ====================================================================
-
-@dataclass(frozen=True)
-class MixtureLaw:
-    """Chi-bar-squared mixture: weights over chi-squared components.
-
-    A component with zero degrees of freedom is the point mass at 0.
-    """
-
-    components: tuple[tuple[float, int], ...]
-    note: str = ""
-
-    def __post_init__(self):
-        total = 0.0
-        for w, df in self.components:
-            if w < -1e-12 or df < 0 or df != int(df):
-                raise DomainError("invalid mixture component")
-            total += w
-        if abs(total - 1.0) > 1e-9:
-            raise DomainError(f"mixture weights sum to {total}, not 1")
-
-    @property
-    def weights(self) -> tuple[float, ...]:
-        return tuple(w for w, _ in self.components)
-
-    @property
-    def dfs(self) -> tuple[int, ...]:
-        return tuple(df for _, df in self.components)
-
-    def to_dict(self) -> dict:
-        return {
-            "weights": list(self.weights),
-            "dfs": list(self.dfs),
-            "note": self.note,
-        }
-
 
 def _orthant(cov) -> float:
     """P(N(0, cov) <= 0), in closed form up to three dimensions."""
@@ -455,76 +397,148 @@ def _subspace_components(v) -> tuple[tuple[float, int], ...]:
     return tuple((wj, j) for j, wj in enumerate(w))
 
 
-def mixture_law(cone: Cone, null_cones, sigma=None) -> MixtureLaw | None:
-    """Chi-bar-squared limit law of L read off the local cones, or None.
+@dataclass(frozen=True, eq=False)
+class LimitLaw:
+    """Law of L = q(Z_null) - q(Z_full), Z ~ N(h, sigma), at a fitted null.
 
-    The law depends on the data only through sigma and the cones.  R
-    holds the k tight rows of the full cone, and each null cone must
-    hold the same rows with some of them as equalities (the shape
-    local_cones gives); V = R sigma R'.  The rules:
-
-    - Subspace null: one null cone with every row an equality, k <= 3.
-      The weight of chi-squared(j) sums the orthant probabilities of the
-      faces of the full cone with j slack rows (Kudo 1963; Silvapulle &
-      Sen 2005, ch. 3).  For k <= 1 every such orthant has at most one
-      dimension, and sigma is not read.
-    - Tied nuisance: one null cone, k = 2, one equality.  With rho the
-      correlation in V, the weights are (1/4 + acos(rho)/2pi, 1/2,
-      1/4 - acos(rho)/2pi), for rho >= 0 only.
-    - Union bound: two or more null cones, k = 2, one equality in each.
-      The half/half law bounds the union's survival from above.
-
-    Any other geometry returns None; use mc_null_pvalue.
+    kind "exact" is a chi-bar-squared mixture, and "bound" one that
+    bounds the law's survival from above; their components are (weight,
+    df) pairs, a df of 0 being the point mass at 0.  kind "simulated"
+    holds m draws of null_statistics, seeded by seed, and draws them
+    each time sf is asked.  h = None is the zero mean.  Build one with
+    closed_form or simulated.
     """
-    cones = _as_cones(null_cones)
-    k = cone.n_ineq
-    if not all(_same_rows(cone, c) for c in cones):
-        return None
-    n_eq = {c.eq.shape[0] for c in cones}
-    if len(cones) > 1:
-        if k == 2 and n_eq == {1}:
-            return MixtureLaw(
-                ((0.5, 0), (0.5, 1)),
-                note="stochastic upper bound on the union's limit law",
-            )
-        return None
-    subspace = n_eq == {k} and k <= 3       # orthants in closed form
-    if not subspace and not (k == 2 and n_eq == {1}):
-        return None
-    if k <= 1:
-        v = np.eye(k)
-    elif sigma is None:
-        raise DomainError(f"the law of {k} tight rows reads sigma")
-    else:
-        sigma = np.asarray(sigma, dtype=float)
-        if sigma.shape != (cone.p, cone.p):
-            raise DomainError(f"sigma must be {cone.p}x{cone.p}")
-        _chol_pd(sigma)
-        v = cone.ineq @ sigma @ cone.ineq.T
-    if subspace:
-        return MixtureLaw(_subspace_components(v))
-    rho = v[0, 1] / math.sqrt(v[0, 0] * v[1, 1])
-    if rho < 0.0:
-        return None
-    gamma0 = 0.25 + math.acos(min(rho, 1.0)) / (2.0 * math.pi)
-    return MixtureLaw(((gamma0, 0), (0.5, 1), (0.5 - gamma0, 2)))
 
+    kind: str
+    cone: Cone
+    null_cones: tuple[Cone, ...]
+    sigma: np.ndarray | None = None
+    h: np.ndarray | None = None
+    components: tuple[tuple[float, int], ...] = ()
+    m: int | None = None
+    seed: object = 0
 
-def mixture_pvalue(law: MixtureLaw, statistic: float) -> float:
-    """P(L >= statistic) under the mixture: 1 at the atom L = 0."""
-    if not statistic >= 0.0:    # NaN included; inf is a valid statistic
-        raise DomainError(f"statistic must be nonnegative, got {statistic}")
-    if statistic == 0.0:
-        return 1.0
-    p = 0.0
-    for w, df in law.components:
-        if df >= 1:
-            p += w * float(stats.chi2.sf(statistic, df))
-    return p
+    def __post_init__(self):
+        if self.kind == "simulated":
+            if self.m is None or self.m < MIN_NULL_DRAWS:
+                raise DomainError(f"m must be at least {MIN_NULL_DRAWS}")
+            return
+        if self.kind not in ("exact", "bound"):
+            raise DomainError(f"unknown law kind {self.kind!r}")
+        total = 0.0
+        for w, df in self.components:
+            if w < -1e-12 or df < 0 or df != int(df):
+                raise DomainError("invalid mixture component")
+            total += w
+        if abs(total - 1.0) > 1e-9:
+            raise DomainError(f"mixture weights sum to {total}, not 1")
+
+    @classmethod
+    def closed_form(cls, cone: Cone, null_cones,
+                    sigma=None) -> LimitLaw | None:
+        """The chi-bar-squared law read off the local cones, or None.
+
+        The law depends on the data only through sigma and the cones.
+        R holds the k tight rows of the full cone, and each null cone
+        must hold the same rows with some of them as equalities (the
+        shape local_cones gives); V = R sigma R'.  The rules:
+
+        - Subspace null: one null cone with every row an equality,
+          k <= 3.  The weight of chi-squared(j) sums the orthant
+          probabilities of the faces of the full cone with j slack rows
+          (Kudo 1963; Silvapulle & Sen 2005, ch. 3).  For k <= 1 every
+          such orthant has at most one dimension, and sigma is not read.
+        - Tied nuisance: one null cone, k = 2, one equality.  With rho
+          the correlation in V, the weights are (1/4 + acos(rho)/2pi,
+          1/2, 1/4 - acos(rho)/2pi), for rho >= 0 only.
+        - Union bound: two or more null cones, k = 2, one equality in
+          each.  The half/half law bounds the union's survival from
+          above.
+
+        Any other geometry returns None; the simulated law covers it.
+        """
+        cones = _as_cones(null_cones)
+        k = cone.n_ineq
+        if not all(_same_rows(cone, c) for c in cones):
+            return None
+        n_eq = {c.eq.shape[0] for c in cones}
+        if len(cones) > 1:
+            if k == 2 and n_eq == {1}:
+                return cls("bound", cone, cones, sigma,
+                           components=((0.5, 0), (0.5, 1)))
+            return None
+        subspace = n_eq == {k} and k <= 3       # orthants in closed form
+        if not subspace and not (k == 2 and n_eq == {1}):
+            return None
+        if k <= 1:
+            v = np.eye(k)
+        elif sigma is None:
+            raise DomainError(f"the law of {k} tight rows reads sigma")
+        else:
+            sigma = np.asarray(sigma, dtype=float)
+            if sigma.shape != (cone.p, cone.p):
+                raise DomainError(f"sigma must be {cone.p}x{cone.p}")
+            _chol_pd(sigma)
+            v = cone.ineq @ sigma @ cone.ineq.T
+        if subspace:
+            return cls("exact", cone, cones, sigma,
+                       components=_subspace_components(v))
+        rho = v[0, 1] / math.sqrt(v[0, 0] * v[1, 1])
+        if rho < 0.0:
+            return None
+        gamma0 = 0.25 + math.acos(min(rho, 1.0)) / (2.0 * math.pi)
+        return cls("exact", cone, cones, sigma,
+                   components=((gamma0, 0), (0.5, 1), (0.5 - gamma0, 2)))
+
+    @classmethod
+    def simulated(cls, cone: Cone, null_cones, sigma, h=None,
+                  m: int = NULL_DRAWS, seed=0) -> LimitLaw:
+        """The law of m draws of null_statistics, for any geometry."""
+        return cls("simulated", cone, _as_cones(null_cones), sigma, h,
+                   m=m, seed=seed)
+
+    @property
+    def weights(self) -> tuple[float, ...]:
+        return tuple(w for w, _ in self.components)
+
+    @property
+    def dfs(self) -> tuple[int, ...]:
+        return tuple(df for _, df in self.components)
+
+    def sf(self, statistic: float) -> float:
+        """P(L >= statistic), 1 at the atom L = 0.
+
+        A simulated law reads (1 + #{draws >= statistic}) / (m + 1) off
+        one call of null_statistics; the +1 keeps it strictly positive
+        and finite-sample valid.
+        """
+        if not statistic >= 0.0:    # NaN included; inf is a valid statistic
+            raise DomainError(f"statistic must be nonnegative, got {statistic}")
+        if self.kind == "simulated":
+            draws = null_statistics(self.sigma, self.cone, self.null_cones,
+                                    h=self.h, m=self.m, seed=self.seed)
+            return float(1.0 + np.count_nonzero(draws >= statistic)) / (
+                self.m + 1.0)
+        if statistic == 0.0:
+            return 1.0
+        p = 0.0
+        for w, df in self.components:
+            if df >= 1:
+                p += w * float(stats.chi2.sf(statistic, df))
+        return p
+
+    def to_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            "weights": list(self.weights),
+            "dfs": list(self.dfs),
+            "m": self.m,
+            "h": None if self.h is None else np.asarray(self.h).tolist(),
+        }
 
 
 # ====================================================================
-# conditional and hybrid variants
+# the conditional test
 # ====================================================================
 
 @dataclass(frozen=True)
@@ -593,38 +607,6 @@ def conditional_test(
         alpha=alpha,
         alpha_used=alpha_used,
         effective_size=effective,
-    )
-
-
-def hybrid_pvalue(
-    pair: FitPair,
-    sigma,
-    m: int = NULL_DRAWS,
-    seed=0,
-) -> float:
-    """MC p-value with nuisance gaps folded into the mean of Z.
-
-    The nuisance nests are the non-root nodes outside the null fit's
-    branch.  The mean is sqrt(n) times the fitted null gap on each
-    nuisance coordinate and zero on the constrained ones, while the
-    cones keep the nuisance ties in the tight set.  Large gaps push the
-    nuisance constraint out of play; zero gaps recover the fully tied
-    geometry.
-    """
-    tree, vec = pair.tree, pair.fit_null.theta
-    constrained = set(pair.fit_null.branch or pair.hypothesis.branches[0])
-    nuisance = [p for p in tree.internal_paths[1:] if p not in constrained]
-    cone, null_cones = local_cones(
-        tree, pair.hypothesis, vec,
-        assume_tight=[(p[:-1], p) for p in nuisance],
-    )
-    h = np.zeros(tree.p)
-    root_n = math.sqrt(pair.rows.shape[0])
-    for p in nuisance:
-        gap = vec[tree.param_pos[p]] - vec[tree.param_pos[p[:-1]]]
-        h[tree.param_pos[p]] = root_n * gap
-    return mc_null_pvalue(
-        pair.statistic, sigma, cone, null_cones, h=h, m=m, seed=seed
     )
 
 
@@ -764,14 +746,23 @@ class LrtResult:
     method: str
     fit_null: FitResult
     fit_full: FitResult
-    law: MixtureLaw | None = None
+    law: LimitLaw | None = None
     sigma: FisherEstimate | None = None
     conditional: ConditionalResult | None = None
     cones: tuple[Cone, tuple[Cone, ...]] | None = None
-    m: int | None = None
     seeds: dict = field(default_factory=dict)
-    conservative: bool = False
     warning: str | None = None
+
+    @property
+    def m(self) -> int | None:
+        """Draws behind a simulated law's p-value."""
+        return None if self.law is None else self.law.m
+
+    @property
+    def conservative(self) -> bool:
+        """Whether the p-value is read off a bound on the law."""
+        return (self.conditional is None and self.law is not None
+                and self.law.kind == "bound")
 
     def to_dict(self) -> dict:
         return {
@@ -800,11 +791,15 @@ class LrtResult:
         }
 
 
-def _check_choices(method: str, sigma_at: str) -> None:
+def _check_choices(method: str, sigma_at: str, alpha: float, m: int) -> None:
     if method not in ("mc", "mixture", "conditional", "hybrid"):
         raise DomainError(f"unknown method {method!r}")
     if sigma_at not in ("null", "full"):
         raise DomainError("sigma_at must be 'null' or 'full'")
+    if not 0.0 < alpha < 1.0:
+        raise DomainError("alpha must be in (0, 1)")
+    if m < MIN_NULL_DRAWS:
+        raise DomainError(f"m must be at least {MIN_NULL_DRAWS}")
 
 
 @dataclass(frozen=True)
@@ -878,19 +873,22 @@ def run_fitted(
 ) -> LrtResult:
     """Pick the reference law for a fitted pair and report the test.
 
-    method "mixture" reads the closed-form law off the local cones at
-    the fitted null (mixture_law) and falls back to the Monte Carlo
-    null with a warning where there is none.  "mc" always simulates the
-    limit law there.  "conditional" compares against chi-squared(nu)
-    given where the full MLE landed, and "hybrid" folds fitted nuisance
-    gaps into the mean of the simulated limit.  Sigma is drawn only
-    when the chosen law or simulation reads it.  sigma_seed feeds the
-    covariance draws and mc_seed the simulated null.
+    The law is built once, from the local cones at the fitted null.
+    method "mixture" takes its closed form (LimitLaw.closed_form) and
+    falls back to the simulated law with a warning where there is none;
+    "mc" always simulates it.  "hybrid" simulates the law of cones that
+    keep the nuisance nests, the non-root nodes outside the null fit's
+    branch, tight, with sqrt(n) times each fitted nuisance gap as the
+    mean of Z: large gaps push the nuisance constraints out of play, and
+    zero gaps recover the fully tied geometry.  "conditional" compares
+    against chi-squared(nu) given where the full MLE landed, and reads
+    gamma0 off the closed form for its exact variant.  Sigma is drawn
+    only when the chosen law reads it.  sigma_seed feeds the covariance
+    draws and mc_seed the simulated law.
     """
-    _check_choices(method, sigma_at)
+    _check_choices(method, sigma_at, alpha, m)
     hac, hyp = pair.tree, pair.hypothesis
     fit_full, fit_null = pair.fit_full, pair.fit_null
-    statistic = pair.statistic
 
     sigma_est = None
 
@@ -913,66 +911,62 @@ def run_fitted(
             )
         return sigma_est
 
-    law = None
-    cones = None
-    conditional = None
-    warning = None
-    conservative = False
-    used = method
-    m_used = None
-
-    if method != "hybrid":
-        cone, null_cones = local_cones(hac, hyp, fit_null.theta)
-        cones = (cone, null_cones)
-        # only a single null cone's law of two or more rows reads sigma
-        reads_sigma = len(null_cones) == 1 and cone.n_ineq >= 2
-        if method == "mixture" or (
-            method == "conditional" and (exact or not reads_sigma)
-        ):
-            law = mixture_law(
-                cone, null_cones, get_sigma().sigma if reads_sigma else None
-            )
-        if method == "mixture" and law is None:
-            warning = (
-                "no closed-form law for these local cones; "
-                "falling back to the Monte Carlo null"
-            )
-            warnings.warn(warning)
-            used = "mc"
-
-    if used == "mixture":
-        p_value = mixture_pvalue(law, statistic)
-        conservative = len(null_cones) > 1
-    elif used == "mc":
-        p_value = mc_null_pvalue(
-            statistic, get_sigma().sigma, cone, null_cones,
-            m=m, seed=mc_seed,
+    vec = fit_null.theta
+    h = None
+    if method == "hybrid":
+        constrained = set(fit_null.branch or hyp.branches[0])
+        nuisance = [p for p in hac.internal_paths[1:] if p not in constrained]
+        cone, null_cones = local_cones(
+            hac, hyp, vec, assume_tight=[(p[:-1], p) for p in nuisance],
         )
-        m_used = m
-    elif used == "conditional":
+        h = np.zeros(hac.p)
+        root_n = math.sqrt(pair.rows.shape[0])
+        for p in nuisance:
+            gap = vec[hac.param_pos[p]] - vec[hac.param_pos[p[:-1]]]
+            h[hac.param_pos[p]] = root_n * gap
+    else:
+        cone, null_cones = local_cones(hac, hyp, vec)
+
+    law = conditional = warning = None
+    # only a single null cone's law of two or more rows reads sigma
+    reads_sigma = len(null_cones) == 1 and cone.n_ineq >= 2
+    if method == "mixture" or (
+        method == "conditional" and (exact or not reads_sigma)
+    ):
+        law = LimitLaw.closed_form(
+            cone, null_cones, get_sigma().sigma if reads_sigma else None
+        )
+    if method == "conditional":
         conditional = conditional_test(
             pair, alpha=alpha,
             gamma0=None if law is None else law.weights[0], exact=exact,
         )
         p_value = conditional.p_value
-    else:  # hybrid
-        p_value = hybrid_pvalue(pair, get_sigma().sigma, m=m, seed=mc_seed)
-        m_used = m
+    else:
+        if law is None:
+            if method == "mixture":
+                warning = (
+                    "no closed-form law for these local cones; "
+                    "falling back to the Monte Carlo null"
+                )
+                warnings.warn(warning)
+                method = "mc"
+            law = LimitLaw.simulated(cone, null_cones, get_sigma().sigma,
+                                     h=h, m=m, seed=mc_seed)
+        p_value = law.sf(pair.statistic)
 
     if not 0.0 <= p_value <= 1.0:
         raise NumericError(f"p-value {p_value} outside [0, 1]")
     return LrtResult(
-        statistic=statistic,
+        statistic=pair.statistic,
         p_value=float(p_value),
-        method=used,
+        method=method,
         fit_null=fit_null,
         fit_full=fit_full,
         law=law,
         sigma=sigma_est,
         conditional=conditional,
-        cones=cones,
-        m=m_used,
-        conservative=conservative,
+        cones=(cone, null_cones),
         warning=warning,
     )
 
@@ -998,7 +992,7 @@ def run_test(
     The covariance and Monte Carlo seeds are the two children of
     SeedSequence(seed); see run_fitted for the methods.
     """
-    _check_choices(method, sigma_at)
+    _check_choices(method, sigma_at, alpha, m)
     hac = tree if isinstance(tree, HacTree) else HacTree(tree)
     hyp = (
         hypothesis

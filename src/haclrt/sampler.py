@@ -325,7 +325,10 @@ def sample(
 
 
 def pseudo_obs(data) -> np.ndarray:
-    """Column-wise average ranks over (n+1); the margins-free ingest path."""
+    """Column-wise average ranks over (n+1); the margins-free ingest path.
+
+    The tests' p-values and covariances still assume known margins.
+    """
     x = np.asarray(data, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise DomainError("need a 2-d array with at least two rows")

@@ -16,7 +16,7 @@ from haclrt.density import log_density, log_density_and_derivs, two_level_spec
 from haclrt.estimate import FitConfig
 from haclrt.fisher import determinant_scan
 from haclrt.generators import get_family
-from haclrt.lrt import mixture_law, null_statistics, power_curve
+from haclrt.lrt import LimitLaw, null_statistics, power_curve
 from haclrt.scenarios import ScenarioSpec, rejection_table, run_scenario
 from haclrt.tree import Cone, HacTree
 
@@ -113,7 +113,7 @@ def test_projection_region_frequencies_match_weights(beta):
                               ineq=np.array([[1.0, 0.0, -1.0]])),
     }
     for setting, null_cone in nulls.items():
-        law = mixture_law(cone, null_cone, sigma)
+        law = LimitLaw.closed_form(cone, null_cone, sigma)
         _, det = null_statistics(sigma, cone, (null_cone,), m=100_000,
                                  seed=int(beta * 40) + 7, details=True)
         for k, weight in zip((0, 1, 2), law.weights):

@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import haclrt.cli as cli
+import haclrt.lrt as lrt
 from haclrt.cli import RunConfig, main, rerun
 from haclrt.errors import SingularSigmaError
 from haclrt.estimate import FitConfig
@@ -155,6 +156,12 @@ def test_starts_help_names_the_default(runner):
         assert f"(default: N = {n})" in " ".join(out.split())
 
 
+def test_pseudo_obs_help_names_the_known_margins(runner):
+    for command in ("fit", "test", "sigma"):
+        out = _invoke(runner, [command, "--help"]).output
+        assert "assume known margins" in " ".join(out.split())
+
+
 # --- sigma / detscan / power -----------------------------------------------
 
 
@@ -294,6 +301,25 @@ def test_scenario_rejects_bad_counts_up_front(runner, monkeypatch, flag,
     monkeypatch.setattr(cli, "run_scenario", never)
     result = runner.invoke(main, ["scenario", "--scenario", "IV", "--r", "1",
                                   flag, value])
+    assert result.exit_code == 2
+    assert json.loads(result.stderr)["message"] == message
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--m", "10", "m must be at least 1000"),
+    ("--alpha", "5.0", "alpha must be in (0, 1)"),
+])
+def test_test_rejects_bad_choices_before_fitting(runner, tmp_path,
+                                                 monkeypatch, flag, value,
+                                                 message):
+    def never(*args, **kwargs):
+        raise AssertionError("fitted a model")
+
+    data = _sample_file(runner, tmp_path / "d.csv")
+    monkeypatch.setattr(lrt, "mle", never)
+    result = runner.invoke(main, ["test", "--data", str(data), "--tree", TREE,
+                                  "--family", "gumbel", "--hypothesis",
+                                  "(0,1)=(0)", flag, value])
     assert result.exit_code == 2
     assert json.loads(result.stderr)["message"] == message
 

@@ -1,7 +1,9 @@
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,14 +14,10 @@ from haclrt.estimate import FitResult, FitConfig, mle
 from haclrt import lrt
 from haclrt.lrt import (
     FitPair,
+    LimitLaw,
     LrtResult,
-    MixtureLaw,
     conditional_test,
-    hybrid_pvalue,
     lrt_statistic,
-    mc_null_pvalue,
-    mixture_law,
-    mixture_pvalue,
     null_statistics,
     power_curve,
     project,
@@ -573,43 +571,43 @@ def test_null_draws_nonnegative_and_zero_iff_projections_agree():
 
 
 def test_mc_pvalue_at_zero_statistic_is_one():
-    p = mc_null_pvalue(0.0, np.eye(2), CONE2, LINE2, m=2000, seed=1)
-    assert p == 1.0
+    law = LimitLaw.simulated(CONE2, LINE2, np.eye(2), m=2000, seed=1)
+    assert law.kind == "simulated" and law.m == 2000
+    assert law.sf(0.0) == 1.0
     # any positive statistic leaves out the draws at the atom: about half
-    p = mc_null_pvalue(5e-9, np.eye(2), CONE2, LINE2, m=2000, seed=1)
+    p = law.sf(5e-9)
     assert 0.45 < p < 0.55
 
 
 def test_mc_pvalue_monotone_in_statistic():
-    ps = [
-        mc_null_pvalue(l, np.eye(2), CONE2, LINE2, m=5000, seed=3)
-        for l in (0.5, 1.0, 2.0, 4.0)
-    ]
+    law = LimitLaw.simulated(CONE2, LINE2, np.eye(2), m=5000, seed=3)
+    ps = [law.sf(l) for l in (0.5, 1.0, 2.0, 4.0)]
     assert all(a >= b for a, b in zip(ps, ps[1:]))
     assert all(0.0 < p <= 1.0 for p in ps)
 
 
 def test_mc_pvalue_reproducible():
-    args = (1.3, np.eye(2), CONE2, LINE2)
-    assert mc_null_pvalue(*args, m=2000, seed=9) == mc_null_pvalue(
-        *args, m=2000, seed=9
-    )
+    args = (CONE2, LINE2, np.eye(2))
+    law = LimitLaw.simulated(*args, m=2000, seed=9)
+    assert law.sf(1.3) == LimitLaw.simulated(*args, m=2000, seed=9).sf(1.3)
+    assert law.sf(1.3) == law.sf(1.3)
 
 
 def test_mc_pvalue_validates_inputs():
     with pytest.raises(DomainError):
-        mc_null_pvalue(1.0, np.eye(2), CONE2, LINE2, m=500)
+        LimitLaw.simulated(CONE2, LINE2, np.eye(2), m=500)
     with pytest.raises(DomainError):
-        mc_null_pvalue(-0.5, np.eye(2), CONE2, LINE2, m=2000)
+        LimitLaw.simulated(CONE2, LINE2, np.eye(2), m=2000).sf(-0.5)
     with pytest.raises(SingularSigmaError):
-        mc_null_pvalue(1.0, np.ones((2, 2)), CONE2, LINE2, m=2000)
+        LimitLaw.simulated(CONE2, LINE2, np.ones((2, 2)), m=2000).sf(1.0)
 
 
 def test_mc_pvalue_rejects_nan_statistic():
     # a NaN would count no draw >= itself: p = 1/(m+1), a false rejection
+    law = LimitLaw.simulated(CONE2, LINE2, np.eye(2), m=2000)
     with pytest.raises(DomainError, match="nan"):
-        mc_null_pvalue(np.nan, np.eye(2), CONE2, LINE2, m=2000)
-    p = mc_null_pvalue(np.inf, np.eye(2), CONE2, LINE2, m=2000)
+        law.sf(np.nan)
+    p = law.sf(np.inf)
     assert p == 1.0 / 2001.0
 
 
@@ -646,8 +644,8 @@ def test_region_frequencies_match_closed_form(beta):
     # laws equal the closed forms of the twin-pair and tied-nuisance nests
     s12 = 3.0 * min(beta, 1.0 - 1e-6) - 1.0
     sigma = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, s12], [0.0, s12, 2.0]])
-    law_pair = mixture_law(CONE3, BOTH3, sigma)
-    law_tied = mixture_law(CONE3, TIED3, sigma)
+    law_pair = LimitLaw.closed_form(CONE3, BOTH3, sigma)
+    law_tied = LimitLaw.closed_form(CONE3, TIED3, sigma)
     g0 = math.acos(min(beta, 1.0 - 1e-6)) / (2.0 * math.pi)
     assert law_pair.weights == pytest.approx((g0, 0.5, 0.5 - g0), abs=1e-12)
     assert law_tied.weights == pytest.approx(
@@ -690,18 +688,18 @@ def test_half_half_laws():
     single = local_cones(TREE3, Hypothesis.parse("(0,1)=(0)"), [1.5, 1.5])
     free = local_cones(TREE4, Hypothesis.parse("(0,1)=(0)"), [1.8, 1.8, 2.6])
     for cone, nulls in (single, free):
-        law = mixture_law(cone, nulls)        # needs no sigma
+        law = LimitLaw.closed_form(cone, nulls)        # needs no sigma
         assert law.components == ((0.5, 0), (0.5, 1))
-        assert law.note == ""
-    law = mixture_law(CONE3, (TIED3, TIED3B))
+        assert law.kind == "exact"
+    law = LimitLaw.closed_form(CONE3, (TIED3, TIED3B))
     assert law.components == ((0.5, 0), (0.5, 1))
-    assert "upper bound" in law.note
+    assert law.kind == "bound"
 
 
 def test_twin_pair_weights_at_beta_one():
     sigma = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0 - 1e-9],
                       [0.0, 1.0 - 1e-9, 1.0]])
-    law = mixture_law(CONE3, BOTH3, sigma)
+    law = LimitLaw.closed_form(CONE3, BOTH3, sigma)
     assert law.weights[0] == pytest.approx(0.0, abs=1e-4)
     assert law.weights[1] == 0.5
     assert law.weights[2] == pytest.approx(0.5, abs=1e-4)
@@ -711,7 +709,7 @@ def test_twin_pair_weights_at_beta_zero():
     # acos(0)/(2 pi) = 1/4; confirmed against the projection simulation
     # in test_region_frequencies_match_closed_form
     sigma = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
-    law = mixture_law(CONE3, BOTH3, sigma)
+    law = LimitLaw.closed_form(CONE3, BOTH3, sigma)
     assert law.weights == pytest.approx((0.25, 0.5, 0.25))
 
 
@@ -719,14 +717,14 @@ def test_tied_nuisance_beta_zero_collapses_to_half_half():
     # at beta = 0 the tied law loses its chi2(2) part entirely and the
     # nuisance costs nothing; the projection simulation confirms
     sigma = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
-    law = mixture_law(CONE3, TIED3, sigma)
+    law = LimitLaw.closed_form(CONE3, TIED3, sigma)
     assert law.weights == pytest.approx((0.5, 0.5, 0.0))
 
 
 def test_tied_nuisance_formula():
     sigma = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.5], [0.0, 0.5, 2.0]])
     beta = (1.0 + 0.5) / 3.0
-    law = mixture_law(CONE3, TIED3, sigma)
+    law = LimitLaw.closed_form(CONE3, TIED3, sigma)
     g0 = 0.25 + math.acos(beta) / (2.0 * math.pi)
     assert law.weights == pytest.approx((g0, 0.5, 0.5 - g0))
 
@@ -735,23 +733,23 @@ def test_tied_nuisance_rejects_negative_beta():
     # rho < 0 has no closed form here: no law, so callers simulate; the
     # subspace law of the same rows has one
     sigma = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, -1.6], [0.0, -1.6, 2.0]])
-    assert mixture_law(CONE3, TIED3, sigma) is None
-    assert mixture_law(CONE3, BOTH3, sigma) is not None
+    assert LimitLaw.closed_form(CONE3, TIED3, sigma) is None
+    assert LimitLaw.closed_form(CONE3, BOTH3, sigma) is not None
 
 
 def test_mixture_law_validates_inputs():
     with pytest.raises(DomainError):
-        mixture_law(CONE3, "nonsense")            # not cones
+        LimitLaw.closed_form(CONE3, "nonsense")            # not cones
     with pytest.raises(DomainError):
-        mixture_law(CONE3, BOTH3, np.eye(2))      # wants 3x3
+        LimitLaw.closed_form(CONE3, BOTH3, np.eye(2))      # wants 3x3
     with pytest.raises(DomainError):
-        mixture_law(CONE3, BOTH3)                 # two rows read sigma
+        LimitLaw.closed_form(CONE3, BOTH3)                 # two rows read sigma
     with pytest.raises(SingularSigmaError):
-        mixture_law(CONE3, TIED3, np.diag([1.0, 1.0, -1.0]))
+        LimitLaw.closed_form(CONE3, TIED3, np.diag([1.0, 1.0, -1.0]))
     # nulls that are not the full cone's rows turned into equalities
     other = Cone(3, eq=np.array([[0.0, 1.0, -1.0]]))
-    assert mixture_law(CONE3, other, np.eye(3)) is None
-    assert mixture_law(CONE3, (BOTH3, TIED3), np.eye(3)) is None
+    assert LimitLaw.closed_form(CONE3, other, np.eye(3)) is None
+    assert LimitLaw.closed_form(CONE3, (BOTH3, TIED3), np.eye(3)) is None
 
 
 def test_tied_nuisance_law_reads_rho_not_beta():
@@ -762,7 +760,7 @@ def test_tied_nuisance_law_reads_rho_not_beta():
     g0 = 0.25 + math.acos(0.5) / (2.0 * math.pi)
     g0_beta = 0.25 + math.acos(c) / (2.0 * math.pi)
     for null in (TIED3, TIED3B):
-        law = mixture_law(CONE3, null, sigma)
+        law = LimitLaw.closed_form(CONE3, null, sigma)
         assert law.weights == pytest.approx((g0, 0.5, 0.5 - g0), abs=1e-12)
         _, info = null_statistics(
             sigma, CONE3, null, m=100_000, seed=9, details=True
@@ -774,7 +772,7 @@ def test_tied_nuisance_law_reads_rho_not_beta():
 
 @pytest.mark.parametrize("rho", [-0.9, -0.5, 0.0, 0.5, 0.9])
 def test_union_half_half_bounds_simulated_survival(rho):
-    law = mixture_law(CONE3, (TIED3, TIED3B))
+    law = LimitLaw.closed_form(CONE3, (TIED3, TIED3B))
     for ratio in (1.0, 3.0):
         c = math.sqrt(ratio) * rho
         sigma = _twin_sigma(np.array([[1.0, c], [c, ratio]]))
@@ -782,7 +780,7 @@ def test_union_half_half_bounds_simulated_survival(rho):
             sigma, CONE3, (TIED3, TIED3B), m=50_000, seed=13
         )
         for stat in (0.5, 2.0, 5.0):
-            assert np.mean(draws >= stat) <= mixture_pvalue(law, stat)
+            assert np.mean(draws >= stat) <= law.sf(stat)
 
 
 def test_subspace_law_of_three_ties_matches_regions():
@@ -795,7 +793,7 @@ def test_subspace_law_of_three_ties_matches_regions():
     for t in range(3):
         w = rng.standard_normal((4, 4))
         sigma = w @ w.T + 0.3 * np.eye(4)
-        law = mixture_law(cone, nulls, sigma)
+        law = LimitLaw.closed_form(cone, nulls, sigma)
         assert law.dfs == (0, 1, 2, 3)
         ops = lrt._face_ops(cone, sigma)
         oracle = np.zeros(4)
@@ -812,43 +810,43 @@ def test_subspace_law_of_three_ties_matches_regions():
 
 def test_mixture_component_validation():
     with pytest.raises(DomainError):
-        MixtureLaw(((0.7, 0), (0.7, 1)))
+        LimitLaw("exact", CONE2, (LINE2,), components=((0.7, 0), (0.7, 1)))
     with pytest.raises(DomainError):
-        MixtureLaw(((-0.1, 0), (1.1, 1)))
+        LimitLaw("exact", CONE2, (LINE2,), components=((-0.1, 0), (1.1, 1)))
 
 
 # --- mixture p-values ------------------------------------------------------
 
 
 def test_mixture_pvalue_half_half_anchor():
-    law = mixture_law(CONE2, LINE2)
-    assert mixture_pvalue(law, 2.705543) == pytest.approx(0.05, abs=1e-6)
+    law = LimitLaw.closed_form(CONE2, LINE2)
+    assert law.sf(2.705543) == pytest.approx(0.05, abs=1e-6)
 
 
 def test_mixture_pvalue_twin_pair_anchor():
     sigma = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0 - 1e-9],
                       [0.0, 1.0 - 1e-9, 1.0]])
-    law = mixture_law(CONE3, BOTH3, sigma)
-    p = mixture_pvalue(law, 5.991465)
+    law = LimitLaw.closed_form(CONE3, BOTH3, sigma)
+    p = law.sf(5.991465)
     expect = 0.5 * stats.chi2.sf(5.991465, 1) + 0.5 * 0.05
     assert p == pytest.approx(expect, abs=1e-4)
     assert p == pytest.approx(0.0322, abs=1e-3)
 
 
 def test_mixture_pvalue_zero_is_one():
-    for law in (mixture_law(CONE2, LINE2),
-                mixture_law(CONE3, (TIED3, TIED3B))):
-        assert mixture_pvalue(law, 0.0) == 1.0
+    for law in (LimitLaw.closed_form(CONE2, LINE2),
+                LimitLaw.closed_form(CONE3, (TIED3, TIED3B))):
+        assert law.sf(0.0) == 1.0
         # P(L >= 5e-9) leaves out the atom: 1 - w0, less a chi2(1) sliver
-        p = mixture_pvalue(law, 5e-9)
+        p = law.sf(5e-9)
         assert 1.0 - law.weights[0] - 1e-4 < p < 1.0 - law.weights[0]
 
 
 def test_mixture_pvalue_strictly_decreasing():
     sigma = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.5], [0.0, 0.5, 2.0]])
-    law = mixture_law(CONE3, BOTH3, sigma)
+    law = LimitLaw.closed_form(CONE3, BOTH3, sigma)
     grid = np.linspace(1e-6, 12.0, 200)
-    vals = [mixture_pvalue(law, x) for x in grid]
+    vals = [law.sf(x) for x in grid]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     # continuity toward the origin: survival tends to 1 - gamma0
     # (the chi2(1) cdf rises like sqrt(x), hence the loose tolerance)
@@ -856,15 +854,15 @@ def test_mixture_pvalue_strictly_decreasing():
 
 
 def test_mixture_pvalue_rejects_nan_statistic():
-    law = mixture_law(CONE2, LINE2)
+    law = LimitLaw.closed_form(CONE2, LINE2)
     with pytest.raises(DomainError, match="nan"):
-        mixture_pvalue(law, float("nan"))
-    assert mixture_pvalue(law, math.inf) == 0.0
+        law.sf(float("nan"))
+    assert law.sf(math.inf) == 0.0
 
 
 def test_mixture_pvalue_rejects_negative():
     with pytest.raises(DomainError):
-        mixture_pvalue(mixture_law(CONE2, LINE2), -0.1)
+        LimitLaw.closed_form(CONE2, LINE2).sf(-0.1)
 
 
 # --- conditional test ------------------------------------------------------
@@ -942,41 +940,52 @@ HYP41 = Hypothesis.parse("(0,1)=(0)")
 SIG3 = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.5], [0.0, 0.5, 2.0]])
 
 
-def test_hybrid_zero_gap_equals_tied_geometry_mc():
+def _given_sigma(monkeypatch, sigma):
+    """Make run_fitted's covariance draw return sigma."""
+    monkeypatch.setattr(lrt, "sigma_hat",
+                        lambda *args, **kwargs: SimpleNamespace(sigma=sigma))
+
+
+def test_hybrid_zero_gap_equals_tied_geometry_mc(monkeypatch):
     stat = 1.7
     full = _fit([1.9, 2.1, 2.2], -100.0)
     null = _fit([2.0, 2.0, 2.0], -100.0 - stat / 2, branch=((1,),))
-    p = hybrid_pvalue(_pair(full, null, TREE4, n=2500), SIG3,
-                      m=5000, seed=31)
+    _given_sigma(monkeypatch, SIG3)
+    res = run_fitted(_pair(full, null, TREE4, n=2500), "hybrid", 0, 31,
+                     m=5000)
     cone, nulls = local_cones(
         TREE4, HYP41, null.theta, assume_tight=(((), (2,)),)
     )
-    direct = mc_null_pvalue(stat, SIG3, cone, nulls,
-                            h=np.zeros(3), m=5000, seed=31)
-    assert p == direct
+    direct = LimitLaw.simulated(cone, nulls, SIG3, h=np.zeros(3), m=5000,
+                                seed=31).sf(stat)
+    assert res.p_value == direct
+    assert res.law.kind == "simulated" and res.law.h.tolist() == [0.0] * 3
+    assert np.array_equal(res.cones[0].ineq, cone.ineq)
 
 
-def test_hybrid_large_gap_matches_free_nuisance_mixture():
+def test_hybrid_large_gap_matches_free_nuisance_mixture(monkeypatch):
     stat = 1.7
     full = _fit([1.9, 2.1, 3.0], -100.0)
     # n = 2500 with a unit fitted gap puts the mean at 50
     null = _fit([2.0, 2.0, 3.0], -100.0 - stat / 2, branch=((1,),))
-    p = hybrid_pvalue(_pair(full, null, TREE4, n=2500), SIG3,
-                      m=100_000, seed=31)
-    expect = mixture_pvalue(
-        mixture_law(*local_cones(TREE4, HYP41, null.theta)), stat
-    )
-    assert p == pytest.approx(expect, abs=0.01)
+    _given_sigma(monkeypatch, SIG3)
+    res = run_fitted(_pair(full, null, TREE4, n=2500), "hybrid", 0, 31,
+                     m=100_000)
+    expect = LimitLaw.closed_form(
+        *local_cones(TREE4, HYP41, null.theta)).sf(stat)
+    assert res.p_value == pytest.approx(expect, abs=0.01)
 
 
-def test_hybrid_validates_inputs():
+def test_hybrid_validates_inputs(monkeypatch):
     full = _fit([1.9, 2.1, 2.6], -100.0)
     null = _fit([2.0, 2.0, 2.6], -100.4, branch=((1,),))
     pair = _pair(full, null, TREE4)
+    _given_sigma(monkeypatch, np.eye(2))        # sigma of the wrong size
     with pytest.raises(DomainError):
-        hybrid_pvalue(pair, np.eye(2))      # sigma of the wrong size
+        run_fitted(pair, "hybrid", 0, 1)
+    _given_sigma(monkeypatch, SIG3)
     with pytest.raises(DomainError):
-        hybrid_pvalue(pair, SIG3, m=500)
+        run_fitted(pair, "hybrid", 0, 1, m=500)
 
 
 # --- power curves ----------------------------------------------------------
@@ -1104,7 +1113,7 @@ def test_power_validates_inputs():
 
 def test_detect_one_tie_structure():
     cone, nulls = local_cones(TREE3, Hypothesis.parse("(0,1)=(0)"), [1.5, 1.5])
-    assert mixture_law(cone, nulls).components == ((0.5, 0), (0.5, 1))
+    assert LimitLaw.closed_form(cone, nulls).components == ((0.5, 0), (0.5, 1))
 
 
 def test_detect_twin_structures():
@@ -1112,28 +1121,28 @@ def test_detect_twin_structures():
     either = Hypothesis.parse("(0,1)=(0) | (0,2)=(0)")
     cone, nulls = local_cones(TREE4, both, [1.8, 1.8, 1.8])
     with pytest.raises(DomainError):
-        mixture_law(cone, nulls)              # two tight rows read sigma
-    assert mixture_law(cone, nulls, SIG3).dfs == (0, 1, 2)
+        LimitLaw.closed_form(cone, nulls)              # two tight rows read sigma
+    assert LimitLaw.closed_form(cone, nulls, SIG3).dfs == (0, 1, 2)
     # both branches hold: the conservative union bound
     cone, nulls = local_cones(TREE4, either, [1.8, 1.8, 1.8])
     assert len(nulls) == 2
-    assert "upper bound" in mixture_law(cone, nulls).note
+    assert LimitLaw.closed_form(cone, nulls).kind == "bound"
     # one branch holds: a single cone, with its exact law
     cone, nulls = local_cones(TREE4, either, [1.8, 1.8, 2.6])
-    law = mixture_law(cone, nulls)
-    assert law.components == ((0.5, 0), (0.5, 1)) and law.note == ""
+    law = LimitLaw.closed_form(cone, nulls)
+    assert law.components == ((0.5, 0), (0.5, 1)) and law.kind == "exact"
 
 
 def test_detect_nuisance_needs_theta():
     hyp = Hypothesis.parse("(0,1)=(0)")
-    free = mixture_law(*local_cones(TREE4, hyp, [1.8, 1.8, 2.6]))
+    free = LimitLaw.closed_form(*local_cones(TREE4, hyp, [1.8, 1.8, 2.6]))
     assert free.components == ((0.5, 0), (0.5, 1))
     cone, nulls = local_cones(TREE4, hyp, [1.8, 1.8, 1.8])
     with pytest.raises(DomainError):
-        mixture_law(cone, nulls)
+        LimitLaw.closed_form(cone, nulls)
     rho = (1.0 + 0.5) / 3.0               # SIG3 is exchangeable
     g0 = 0.25 + math.acos(rho) / (2.0 * math.pi)
-    assert mixture_law(cone, nulls, SIG3).weights == pytest.approx(
+    assert LimitLaw.closed_form(cone, nulls, SIG3).weights == pytest.approx(
         (g0, 0.5, 0.5 - g0), abs=1e-12
     )
 
@@ -1142,20 +1151,20 @@ def test_detect_rejects_unrecognized_shapes():
     both = Hypothesis.parse("(0,1)=(0) & (0,2)=(0)")
     # nests of unequal size share the twin geometry, so they get its law
     uneven = HacTree([[1, 2], [3, 4, 5]])
-    assert mixture_law(*local_cones(uneven, both, [1.5] * 3), SIG3)
+    assert LimitLaw.closed_form(*local_cones(uneven, both, [1.5] * 3), SIG3)
     # one tie among three tight rows, and four tied nests: no closed form
     wide = HacTree([[1, 2], [3, 4], [5, 6]])
     one = local_cones(wide, Hypothesis.parse("(0,1)=(0)"), [1.5] * 4)
-    assert mixture_law(*one, np.eye(4)) is None
+    assert LimitLaw.closed_form(*one, np.eye(4)) is None
     four = HacTree([[1, 2], [3, 4], [5, 6], [7, 8]])
     all_four = Hypothesis.parse(
         "(0,1)=(0) & (0,2)=(0) & (0,3)=(0) & (0,4)=(0)"
     )
-    assert mixture_law(*local_cones(four, all_four, [1.5] * 5),
+    assert LimitLaw.closed_form(*local_cones(four, all_four, [1.5] * 5),
                        np.eye(5)) is None
     # a union of two-tie branches
     pairs = Hypothesis.parse("(0,1)=(0) & (0,2)=(0) | (0,2)=(0) & (0,3)=(0)")
-    assert mixture_law(*local_cones(wide, pairs, [1.5] * 4),
+    assert LimitLaw.closed_form(*local_cones(wide, pairs, [1.5] * 4),
                        np.eye(4)) is None
 
 
@@ -1341,9 +1350,59 @@ def test_run_test_mixture_falls_back_with_warning():
                        method="mixture", m=1500, n_sigma=20_000,
                        seed=6, config=CFG)
     assert res.method == "mc"
-    assert res.law is None
+    assert res.law.kind == "simulated"
     assert res.sigma is not None
     assert res.warning is not None
+
+
+def test_mixture_and_mc_differ_only_in_the_closed_form():
+    # the four-tied-nest geometry above has no closed form: mixture falls
+    # back to the very law that mc simulates, bit for bit
+    tree = HacTree([[1, 2], [3, 4], [5, 6], [7, 8]])
+    theta = np.array([1.3, 2.0, 2.2, 2.4, 2.6])
+    data = sample(tree, theta, "gumbel", 300, seed=62).values
+    hyp = Hypothesis.parse("(0,1)=(0) & (0,2)=(0) & (0,3)=(0) & (0,4)=(0)")
+    pair = lrt.fit_pair(data, tree, "gumbel", hyp, config=CFG)
+    s, t = np.random.SeedSequence(6).spawn(2)
+    results = {}
+    for method in ("mixture", "mc", "conditional", "hybrid"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            results[method] = run_fitted(pair, method, s, t, m=1500,
+                                         n_sigma=20_000)
+        json.dumps(results[method].to_dict(), allow_nan=False)
+    assert results["mixture"].p_value == results["mc"].p_value
+    assert results["mixture"].law.kind == "simulated"
+    assert results["mixture"].m == results["mc"].m == 1500
+
+
+@pytest.mark.parametrize("text, branch, kind", [
+    ("(0,1)=(0) & (0,2)=(0)", ((1,), (2,)), "exact"),     # the twin pair
+    ("(0,1)=(0) | (0,2)=(0)", ((1,),), "bound"),          # both hold
+])
+def test_mixture_law_kind_of_each_twin_geometry(monkeypatch, text, branch,
+                                                kind):
+    full = _fit([1.8, 2.0, 2.2], -100.0)
+    null = _fit([1.8, 1.8, 1.8], -101.0, branch=branch)
+    _given_sigma(monkeypatch, SIG3)
+    res = run_fitted(_pair(full, null, TREE4, text), "mixture", 0, 1)
+    assert res.law.kind == kind
+    assert res.conservative == (kind == "bound")
+    assert res.m is None
+    assert res.p_value == res.law.sf(res.statistic)
+
+
+@pytest.mark.parametrize("method", ["mixture", "mc", "conditional", "hybrid"])
+def test_alpha_and_m_are_checked_before_any_fit(monkeypatch, method):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted before the choices were checked")
+
+    monkeypatch.setattr(lrt, "mle", no_fit)
+    monkeypatch.setattr(lrt, "sigma_hat", no_fit)
+    for bad in ({"alpha": 5.0}, {"alpha": 0.0}, {"m": 10}):
+        with pytest.raises(DomainError):
+            run_test(np.full((50, 3), 0.5), TREE3, "gumbel", "(0,1)=(0)",
+                     method=method, **bad)
 
 
 def test_run_test_union_flagged_conservative():
