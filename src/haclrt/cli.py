@@ -375,7 +375,7 @@ def cmd_test(ctx, data_path, tree_text, family, hyp_text, method, alpha,
 @click.option("--source", type=click.Choice(["observed", "mc"]),
               default="mc", show_default=True)
 @click.option("--method", type=click.Choice(["analytic", "fd"]),
-              default=None, help="Default: analytic when available.")
+              default="analytic", show_default=True)
 @click.option("--n-mc", type=int, default=SIGMA_DRAWS, show_default=True)
 @click.option("--atoms", "atoms_text", default=None,
               help='Tied nests whose rows are averaged, e.g. "(0,1)=(0)".')
@@ -416,12 +416,9 @@ def cmd_sigma(ctx, tree_text, family, theta_text, data_path, source, method,
 @click.option("--h-points", type=int, default=26, show_default=True)
 @click.option("--alpha", type=float, default=0.05, show_default=True)
 @click.option("--n-sigma", type=int, default=SIGMA_DRAWS, show_default=True)
-@click.option("--delta-tau", type=float, default=DELTA_TAU, show_default=True,
-              help="Step behind a finite-difference covariance.")
 @click.pass_obj
 @_guard
-def cmd_power(ctx, family, tau, h_text, h_max, h_points, alpha, n_sigma,
-              delta_tau):
+def cmd_power(ctx, family, tau, h_text, h_max, h_points, alpha, n_sigma):
     """Local power curve of the single-tie test; plot-ready CSV."""
     if h_text is not None:
         h_values = _parse_floats(h_text)
@@ -430,7 +427,6 @@ def cmd_power(ctx, family, tau, h_text, h_max, h_points, alpha, n_sigma,
     curve = power_curve(
         family, tau, h_values,
         alpha=alpha, n_sigma=n_sigma, seed=ctx.seed,
-        delta_tau=delta_tau,
     )
     header = ["family", "tau", "h_prime", "power", "atom_zero"]
     rows = [[r[k] for k in header] for r in curve.rows()]

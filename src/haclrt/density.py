@@ -17,17 +17,20 @@ along a leading group axis, so each generator call and each table below
 runs once per group, with one theta_s per child broadcast over the group
 axis; a lone child is a group of one.  Per group it computes t_s and the
 B2 factors; a child hook, the only family-specific step, then returns
-the group's h_s and a-tables.  For Clayton and Gumbel, ``_child_table``
-gives a_{s,q}(t) = s_{d_s,q}(x_s) (gamma^theta_s + t)^e with x_s =
-theta_0/theta_s and e = q x_s - d_s, and its theta-derivatives, on log
-scale with one scale factor omega_s per child; the s_{d_s,q}(x_s) of the
-whole group come from one table pass.  Every score and Hessian term is
-then a ratio of same-sign scaled sums, which stays finite and correct at
-exact parameter ties (x_s = 1, where a_{s,q} = 0 for q < d_s).  Other
-families (Frank, Joe) use ``_bell_table``: h_s derivatives by implicit
-recursion and a_{s,q} as partial Bell polynomials, values only, one child
-of the group at a time, so "analytic" names the Clayton/Gumbel
-theta-suite.  All children then enter B = prod_s a_s, in child order,
+the group's h_s and a-tables, each as a theta-jet: the value with its
+first and second derivatives in (theta_0, theta_s).  A family with a
+closed-form a-function base (``tilt``: Clayton, Gumbel) takes
+``_child_table``, which gives a_{s,q}(t) = s_{d_s,q}(x_s)
+(gamma^theta_s + t)^e with x_s = theta_0/theta_s and e = q x_s - d_s,
+on log scale with one scale factor omega_s per child; the
+s_{d_s,q}(x_s) of the whole group come from one table pass.  Every
+score and Hessian term is then a ratio of same-sign scaled sums, which
+stays finite and correct at exact parameter ties (x_s = 1, where
+a_{s,q} = 0 for q < d_s).  The other families (Frank, Joe) take
+``_bell_table``: h_s's t-derivatives by the implicit recursion and
+a_{s,q} as partial Bell polynomials, both solved in jets, one child of
+the group at a time.  ``_t_chain`` sums the hooks' h_s jets with the
+root-leaf phi_0 terms.  All children then enter B = prod_s a_s, in child order,
 with its first and second theta-derivatives, one forward product of
 second-order jets (``_b_jet``) whose derivative entries are stacked
 arrays.  The root's log-scale psi_0^(k) column is read once, its s_kq
@@ -209,23 +212,20 @@ def _pairs(p: int):
 class _GroupJet:
     """A size group's terms h_s of t and a-table jets, one row per child.
 
-    ``jet[i, f]`` is child i's table for field f of (a, ar, ac, arr, arc,
-    acc): row q - 1 holds a_{s,q}, q = 1..d_s (a_{s,0} = 0 is not stored),
-    or its derivatives in r = theta_0 and c = theta_s, first then second;
-    an evaluation of order 0, 1 or 2 builds the first 1, 3 or 6 fields.
-    Derivatives in theta_s are total: t_s moves with theta_s.  Entries
-    are the true quantities times exp(-omega) with the per-row scale
-    omega fixed at the evaluation point, so derivative rows share the
-    value row's scaling.  The closed form keeps lbeta = log(gamma^theta_s
-    + t_s), E = e^(x_s lbeta) and 1/(gamma^theta_s + t_s) for the t-chain.
+    Fields run over (value, r, c, rr, rc, cc): a quantity and its
+    derivatives in r = theta_0 and c = theta_s, first then second; an
+    evaluation of order 0, 1 or 2 builds the first 1, 3 or 6 of them.
+    Derivatives in theta_s are total: t_s moves with theta_s.
+    ``h[i, f]`` is child i's h_s jet.  ``jet[i, f]`` is its a-table: row
+    q - 1 holds a_{s,q}, q = 1..d_s (a_{s,0} = 0 is not stored).  Table
+    entries are the true quantities times exp(-omega) with the per-row
+    scale omega fixed at the evaluation point, so derivative rows share
+    the value row's scaling.
     """
 
-    h: np.ndarray                   # (g, n)
+    h: np.ndarray                   # (g, fields, n)
     omega: np.ndarray | float       # (g, n), or 0 for unscaled tables
     jet: np.ndarray                 # (g, fields, d_s, n)
-    lbeta: np.ndarray | None = None
-    E: np.ndarray | None = None
-    beta_inv: np.ndarray | None = None
 
 
 def _consts(rows, ndim):
@@ -246,10 +246,11 @@ def _child_table(fam, th0, ths, ts, ds, tdot, tddot, order):
     """Closed-form (Clayton/Gumbel) jets of one size group up to ``order``.
 
     ths lists the group's theta_s; ts, tdot and tddot are (g, n): t_s and
-    its first two theta_s-derivatives.  h_s = (gamma^theta_s + t_s)^x -
-    gamma^theta_0.  Each per-child constant is the float expression a
-    one-child evaluation uses: a float for a lone child, else a (g, 1, 1)
-    column.  Per-child rows are (g, 1, n), per-coefficient ones (g, d_s, n).
+    its first two theta_s-derivatives.  h_s = E - gamma^theta_0 with E =
+    (gamma^theta_s + t_s)^x.  Each per-child constant is the float
+    expression a one-child evaluation uses: a float for a lone child,
+    else a (g, 1, 1) column.  Per-child rows are (g, 1, n),
+    per-coefficient ones (g, d_s, n).
     """
     xs = [th0 / th for th in ths]
     (x,) = _consts([(xv,) for xv in xs], 3)
@@ -268,9 +269,12 @@ def _child_table(fam, th0, ths, ts, ds, tdot, tddot, order):
     sp0, sp1, sp2 = s_nk_table(np.array(xs), ds)[:, 1:].transpose(0, 2, 1)[
         ..., None
     ]
-    jet = np.empty((len(ths), (1, 3, 6)[order], ds, ts.shape[2]))
+    nf = (1, 3, 6)[order]
+    jet = np.empty((len(ths), nf, ds, ts.shape[2]))
     v = np.multiply(xi, sp0, out=jet[:, 0])
-    out = _GroupJet(h[:, 0], omega[:, 0], jet, lbeta[:, 0], E[:, 0])
+    hj = np.empty((len(ths), nf, ts.shape[2]))
+    hj[:, 0] = h[:, 0]
+    out = _GroupJet(hj, omega[:, 0], jet)
     if order == 0:
         return out
     thc, ths2, c2, c3, c23, c3b, c24 = _consts(
@@ -289,11 +293,15 @@ def _child_table(fam, th0, ths, ts, ds, tdot, tddot, order):
         3,
     )
     beta_inv = np.exp(-lbeta)
-    out.beta_inv = beta_inv[:, 0]
     j_ths = j / thc                             # j / theta_s
     zeta = j_ths * lbeta
     xi_sp1 = xi * sp1
     tdot = tdot[:, None, :]
+    # h_s: dE/d theta_0 = E lbeta/theta_s, and the total theta_s-derivative
+    # through F = d(x lbeta)/d theta_s / x
+    F = beta_inv * tdot - lbeta / thc
+    hj[:, 1] = (E * lbeta / thc)[:, 0]
+    hj[:, 2] = (x * E * F)[:, 0]
 
     # partials at fixed t (dt, dr, dc, ...), composed into total
     # theta_s-derivatives through tdot and tddot
@@ -323,26 +331,100 @@ def _child_table(fam, th0, ths, ts, ds, tdot, tddot, order):
         + c3b * xi_sp1
         + c24 * xi_sp2
     )
+    tddot = tddot[:, None, :]
+    Edot = E * x * F
+    dF = (
+        -(beta_inv**2) * tdot**2
+        + beta_inv * tddot
+        - beta_inv * tdot / thc
+        + lbeta / ths2
+    )
+    hj[:, 3] = (E * (lbeta / thc) ** 2)[:, 0]
+    hj[:, 4] = (
+        Edot * lbeta / thc + E * beta_inv * tdot / thc - E * lbeta / ths2
+    )[:, 0]
+    hj[:, 5] = (x * E * (-F / thc + x * F**2 + dF))[:, 0]
     jet[:, 3] = drr
     np.add(drc, drt * tdot, out=jet[:, 4])
     np.add(
         dcc + 2.0 * dct * tdot + dtt * tdot**2,
-        dt * tddot[:, None, :],
+        dt * tddot,
         out=jet[:, 5],
     )
+    return out
+
+
+def _jet_mul(a, b):
+    """Product of two jets, fields on axis 0 (see ``_GroupJet``)."""
+    if len(a) == 1:
+        return a * b
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[0] = a[0] * b[0]
+    out[1] = a[1] * b[0] + a[0] * b[1]
+    out[2] = a[2] * b[0] + a[0] * b[2]
+    if len(out) > 3:
+        out[3] = a[3] * b[0] + 2.0 * a[1] * b[1] + a[0] * b[3]
+        out[4] = a[4] * b[0] + a[1] * b[2] + a[2] * b[1] + a[0] * b[4]
+        out[5] = a[5] * b[0] + 2.0 * a[2] * b[2] + a[0] * b[5]
+    return out
+
+
+def _jet_div(a, b):
+    """Quotient a/b of two jets, by the product rule on a = q b."""
+    if len(a) == 1:
+        return a / b
+    q = np.empty_like(a)
+    q[0] = a[0] / b[0]
+    q[1] = (a[1] - q[0] * b[1]) / b[0]
+    q[2] = (a[2] - q[0] * b[2]) / b[0]
+    if len(q) > 3:
+        q[3] = (a[3] - 2.0 * q[1] * b[1] - q[0] * b[3]) / b[0]
+        q[4] = (a[4] - q[1] * b[2] - q[2] * b[1] - q[0] * b[4]) / b[0]
+        q[5] = (a[5] - 2.0 * q[2] * b[2] - q[0] * b[5]) / b[0]
+    return q
+
+
+def _psi_jet(col, k, X, own):
+    """Jet of psi^(k)(X; theta) from col's ratio rows (k_lo = 1).
+
+    X is the argument's jet and own (1 for theta_0, 2 for theta_s) the
+    field of psi's own parameter: the chain rule for f(X, theta).
+    """
+    f = col.value(k)
+    if len(X) == 1:
+        return f[None]
+    out = np.empty(X.shape)
+    out[0] = f
+    i = k - 1
+    ft, fr = col.ft[i], col.fr[i]
+    other = 3 - own
+    out[own] = f * (fr + ft * X[own])
+    out[other] = f * ft * X[other]
+    if len(X) == 3:
+        return out
+    ftt, frt = col.ftt[i], col.frt[i]
+    oo, pp = (3, 5) if own == 1 else (5, 3)
+    out[oo] = f * (col.frr[i] + 2.0 * frt * X[own]
+                   + ftt * X[own] ** 2 + ft * X[oo])
+    out[4] = f * (frt * X[other] + ftt * X[1] * X[2] + ft * X[4])
+    out[pp] = f * (ftt * X[other] ** 2 + ft * X[pp])
     return out
 
 
 class _BellMemo:
     """Partial Bell polynomials B_{n,k}(x_1, ...) over a growing x-list.
 
-    B_{n,k} only reads x_1..x_{n-k+1}, so cached entries stay valid as
-    derivatives are appended during the implicit h-recursion.
+    The x_i are jets (``_GroupJet``'s fields on axis 0), so each
+    B_{n,k} carries its theta-derivatives.  B_{n,k} only reads
+    x_1..x_{n-k+1}, so cached entries stay valid as derivatives are
+    appended during the implicit h-recursion.
     """
 
     def __init__(self, shape):
         self.x: list[np.ndarray] = []
-        self._memo = {(0, 0): np.ones(shape)}
+        one = np.zeros(shape)
+        one[0] = 1.0
+        self._memo = {(0, 0): one}
         self._zero = np.zeros(shape)
 
     def append(self, xi):
@@ -357,36 +439,69 @@ class _BellMemo:
         if got is None:
             acc = np.zeros_like(self._zero)
             for i in range(1, n - k + 2):
-                acc += math.comb(n - 1, i - 1) * self.x[i - 1] * self(n - i, k - 1)
+                acc += _jet_mul(
+                    math.comb(n - 1, i - 1) * self.x[i - 1], self(n - i, k - 1)
+                )
             self._memo[(n, k)] = got = acc
         return got
 
 
-def _bell_table(fam, th0, ths, ts, ds):
-    """Value-only jets for any family, with h_s = phi_0(psi_s(t_s)).
+def _bell_table(fam, th0, ths, ts, ds, tdot, tddot, order):
+    """Jets of one size group up to ``order`` for any family.
 
-    h_s's t-derivatives come from implicit differentiation of
-    psi_s = psi_0 . h_s, and a_{s,q} = B_{d_s,q}(h_s', h_s'', ...) is a
-    partial Bell polynomial; the tables are unscaled (omega = 0).  The
-    children of the group are taken one at a time.
+    h_s = phi_0(v) with v = psi_s(t_s).  Its t-derivatives x_k solve the
+    implicit recursion psi_s^(k)(t_s) = sum_r psi_0^(r)(h_s) B_{k,r}(x_1,
+    ...), and a_{s,q} = B_{d_s,q}(x_1, ...) is a partial Bell polynomial.
+    Solved in jets, with both sides' theta-derivatives from the columns'
+    ratio rows, the recursion gives every field of the a-table.  h_s's
+    own jet comes first: h_r and h_rr are phi_0's theta-derivatives at v,
+    and with D = dt_s/d theta_s - phi_s,theta(v), h_c = x_1 D, where
+    x_1 = psi_s'(t_s)/psi_0'(h_s) moves with theta_0 and theta_s as its
+    two columns' ratio rows say.  The tables are unscaled (omega = 0).
+    The children of the group are taken one at a time.
     """
     g, n = ts.shape
-    h = np.empty((g, n))
-    jet = np.empty((g, 1, ds, n))
+    nf = (1, 3, 6)[order]
+    hj = np.empty((g, nf, n))
+    jet = np.empty((g, nf, ds, n))
+    kw = {"ratios": True} if order else {}
     for i, th in enumerate(ths):
-        h[i] = hi = fam.phi(th0, fam.psi(th, ts[i]))
-        col_h = fam.psi_column(th0, hi, 1, ds)
-        col_s = fam.psi_column(th, ts[i], 1, ds)
-        psi0_at_h = {r: col_h.value(r) for r in range(1, ds + 1)}
-        bell = _BellMemo(n)
+        v = fam.psi(th, ts[i])
+        H = hj[i]
+        H[0] = fam.phi(th0, v)
+        col_h = fam.psi_column(th0, H[0], 1, ds, **kw)
+        col_s = fam.psi_column(th, ts[i], 1, ds, **kw)
+        if order:
+            x1 = col_s.value(1) / col_h.value(1)
+            pd0, pds = fam.phi_derivs(th0, v), fam.phi_derivs(th, v)
+            D = tdot[i] - pds.dtheta
+            H[1] = pd0.dtheta
+            H[2] = x1 * D
+        if order == 2:
+            H[3] = pd0.dtheta2
+            H[4] = -x1 * (col_h.fr[0] + col_h.ft[0] * H[1]) * D
+            x1c = x1 * (col_s.fr[0] + col_s.ft[0] * tdot[i]
+                        - col_h.ft[0] * H[2])
+            Dc = (tddot[i] - pds.dtheta2
+                  - fam.dlog_neg_phi_prime_dtheta(th, v) * D)
+            H[5] = x1c * D + x1 * Dc
+        # t_s moves with theta_s only: its jet is (t_s, 0, tdot, 0, 0, tddot)
+        T = np.zeros((nf, n))
+        T[0] = ts[i]
+        if order:
+            T[2] = tdot[i]
+        if order == 2:
+            T[5] = tddot[i]
+        psi0 = [None] + [_psi_jet(col_h, r, H, 1) for r in range(1, ds + 1)]
+        bell = _BellMemo((nf, n))
         for k in range(1, ds + 1):
-            rhs = col_s.value(k)
+            rhs = _psi_jet(col_s, k, T, 2)
             for r in range(2, k + 1):
-                rhs = rhs - psi0_at_h[r] * bell(k, r)
-            bell.append(rhs / psi0_at_h[1])
+                rhs = rhs - _jet_mul(psi0[r], bell(k, r))
+            bell.append(_jet_div(rhs, psi0[1]))
         for q in range(1, ds + 1):
-            jet[i, 0, q - 1] = bell(ds, q)
-    return _GroupJet(h, 0.0, jet)
+            jet[i, :, q - 1] = bell(ds, q)
+    return _GroupJet(hj, 0.0, jet)
 
 
 @dataclass
@@ -397,9 +512,8 @@ class _Group:
     ths: list[float]
     jet: _GroupJet
     log_b2: np.ndarray             # (g, n): sum_j log(-phi_s'(u_sj))
-    tdot: np.ndarray | None        # (g, n) theta_s-derivatives of t_s
-    tddot: np.ndarray | None
     g_sums: np.ndarray | None      # (g, n): sum_j dlog(-phi_s')/dtheta_s
+    g2_sums: np.ndarray | None     # (g, n): its theta_s-derivative
 
 
 # ====================================================================
@@ -409,51 +523,31 @@ class _Group:
 @dataclass
 class _TChain:
     T0: np.ndarray            # dt/d theta_0
-    T00: np.ndarray
+    T00: np.ndarray | None
     Ts: np.ndarray            # (m, n): dt/d theta_s (total), child order
-    T0s: np.ndarray
-    Tss: np.ndarray
+    T0s: np.ndarray | None
+    Tss: np.ndarray | None
 
 
-def _t_chain(spec: TwoLevelSpec, rows, groups, m):
-    # differentiates the closed-form h_s = E_s - gamma^theta_0 of each group
-    fam = spec.family
-    th0 = spec.theta[0]
+def _t_chain(spec: TwoLevelSpec, rows, groups, m, order):
+    # sums the hooks' h_s jets, in child order, with the root-leaf phi_0
+    # terms; T holds dt/d theta_0 and, at order 2, its second derivative
     n = rows.shape[0]
-    Ts, T0s, Tss = (np.empty((m, n)) for _ in range(3))
-    T0_terms, T00_terms = [None] * m, [None] * m
+    hs = np.empty((m, (1, 3, 6)[order], n))
     for grp in groups:
-        x, thc, ths2 = _consts([(th0 / th, th, th**2) for th in grp.ths], 2)
-        E, lb, beta_inv = grp.jet.E, grp.jet.lbeta, grp.jet.beta_inv
-        tdot, tddot = grp.tdot, grp.tddot
-        T0t = E * lb / thc
-        T00t = E * (lb / thc) ** 2
-        F = beta_inv * tdot - lb / thc
-        Edot = E * x * F                      # total d E/d theta_s
-        Ts[grp.idx] = x * E * F
-        T0s[grp.idx] = (
-            Edot * lb / thc + E * beta_inv * tdot / thc - E * lb / ths2
-        )
-        dF = (
-            -(beta_inv**2) * tdot**2
-            + beta_inv * tddot
-            - beta_inv * tdot / thc
-            + lb / ths2
-        )
-        Tss[grp.idx] = x * E * (-F / thc + x * F**2 + dF)
-        for i, s in enumerate(grp.idx):
-            T0_terms[s], T00_terms[s] = T0t[i], T00t[i]
-
-    T0 = np.zeros(n)
-    T00 = np.zeros(n)
-    for s in range(m):
-        T0 += T0_terms[s]
-        T00 += T00_terms[s]
+        hs[grp.idx] = grp.jet.h
+    fields = [1, 3][:order]
+    T = np.zeros((order, n))
+    for h in hs:
+        T += h[fields]
     if spec.leaf_cols:
-        pd = fam.phi_derivs(th0, rows[:, list(spec.leaf_cols)])
-        T0 += pd.dtheta.sum(axis=1)
-        T00 += pd.dtheta2.sum(axis=1)
-    return _TChain(T0, T00, Ts, T0s, Tss)
+        pd = spec.family.phi_derivs(
+            spec.theta[0], rows[:, list(spec.leaf_cols)]
+        )
+        T += np.stack([pd.dtheta, pd.dtheta2][:order]).sum(axis=2)
+    if order == 1:
+        return _TChain(T[0], None, hs[:, 2], None, None)
+    return _TChain(T[0], T[1], hs[:, 2], hs[:, 4], hs[:, 5])
 
 
 # ====================================================================
@@ -464,18 +558,11 @@ def log_density_and_derivs(spec: TwoLevelSpec, u, order: int = 0):
     """(log c, score, hessian) up to the requested order, vectorized.
 
     order 0 returns (logc, None, None); order 1 adds the (n, p) score;
-    order 2 adds the (n, p, p) Hessian.  Scores and Hessians require the
-    Clayton or Gumbel analytic suite.
+    order 2 adds the (n, p, p) Hessian.
     """
     if order not in (0, 1, 2):
         raise DomainError("order must be 0, 1 or 2")
-    fam = spec.family
     rows, squeeze = _as_rows(spec, u)
-    if order > 0 and not fam.analytic:
-        raise DomainError(
-            f"{fam.name}: analytic score/hessian unavailable; "
-            "use finite differences on the log-density"
-        )
     parts = [
         _eval(spec, rows[lo:hi], order, lo)
         for lo, hi in _row_blocks(rows.shape[0])
@@ -530,17 +617,18 @@ def _eval(spec: TwoLevelSpec, rows, order: int, first: int = 0):
         (thc,) = _consts([(th,) for th in ths], 3)
         us = rows.T[[spec.child_cols[s] for s in idx]]   # (g, ds, n)
         ts = fam.phi(thc, us).sum(axis=1)
-        tdot = tddot = gs = None
+        tdot = tddot = gs = gss = None
         if want:
             pd = fam.phi_derivs(thc, us)
             tdot, tddot = pd.dtheta.sum(axis=1), pd.dtheta2.sum(axis=1)
             gs = fam.dlog_neg_phi_prime_dtheta(thc, us).sum(axis=1)
-        if fam.analytic:
-            jet = _child_table(fam, th0, ths, ts, ds, tdot, tddot, order)
-        else:
-            jet = _bell_table(fam, th0, ths, ts, ds)
+        if order == 2:
+            gss = fam.sum_d2log_neg_phi_prime_dtheta2(thc, us, 1)
+        # the family's closed-form a-function base, or the Bell recursion
+        hook = _bell_table if fam.tilt is None else _child_table
+        jet = hook(fam, th0, ths, ts, ds, tdot, tddot, order)
         b2 = fam.log_neg_phi_prime(thc, us).sum(axis=1)
-        grp = _Group(np.array(idx), ths, jet, b2, tdot, tddot, gs)
+        grp = _Group(np.array(idx), ths, jet, b2, gs, gss)
         groups.append(grp)
         for i, s in enumerate(idx):
             at[s] = (grp, i)
@@ -550,7 +638,7 @@ def _eval(spec: TwoLevelSpec, rows, order: int, first: int = 0):
     log_b2 = np.zeros(n)
     omegas, jets = [], []
     for grp, i in at:
-        t += grp.jet.h[i]
+        t += grp.jet.h[i, 0]
         log_b2 += grp.log_b2[i]
         omega = grp.jet.omega
         omegas.append(omega if isinstance(omega, float) else omega[i])
@@ -566,7 +654,6 @@ def _eval(spec: TwoLevelSpec, rows, order: int, first: int = 0):
 
     # B-polynomials: coefficient index = sum of q_s, whose band m..d-|L|
     # holds the coefficients of k = K..d
-    n_leaf = len(spec.leaf_cols)
     k_lo, k_hi = spec.K, d
     B, B_grads, B_hess = _b_jet(jets, n, order)
 
@@ -581,7 +668,7 @@ def _eval(spec: TwoLevelSpec, rows, order: int, first: int = 0):
 
     # score: S_a = sum_k (B^a + B * R_a) psi_hat / D over (theta, k, row)
     # arrays, summed in k order; each step is one product over all theta
-    chain = _t_chain(spec, rows, groups, m)
+    chain = _t_chain(spec, rows, groups, m, order)
     for grp in groups:
         g_sums[1 + grp.idx] = grp.g_sums
     p = spec.p
@@ -609,9 +696,13 @@ def _eval(spec: TwoLevelSpec, rows, order: int, first: int = 0):
     hess = np.empty((n, p, p))
     hess[:, ia, ib] = hv.T
     hess[:, ib, ia] = hv.T
-    hess[:, 0, 0] -= (n_leaf / th0**2) if n_leaf else 0.0
-    for s in range(m):
-        hess[:, 1 + s, 1 + s] -= sizes[s] / spec.theta[1 + s] ** 2
+    # B2's second theta-derivatives: theta_0's from the root leaves,
+    # theta_s's from child s's coordinates
+    if spec.leaf_cols:
+        hess[:, 0, 0] += fam.sum_d2log_neg_phi_prime_dtheta2(th0, ul, 1)
+    for grp in groups:
+        for i, s in enumerate(grp.idx):
+            hess[:, 1 + s, 1 + s] += grp.g2_sums[i]
     return logc, grad, hess
 
 

@@ -276,9 +276,9 @@ def _starts(taus, tree, fam, gaps, lo, hi, cfg: FitConfig):
 # --- optimizer ------------------------------------------------------------
 
 
-def _objective(data, tree, family, gaps, analytic):
+def _objective(data, tree, family, gaps):
     spec = None
-    last = (None, np.inf)       # last analytic gradient's point and noise
+    last = (None, np.inf)       # last gradient's point and noise
 
     def fun(x):
         nonlocal spec, last
@@ -293,29 +293,23 @@ def _objective(data, tree, family, gaps, analytic):
                     two_level_spec(tree, family, theta) if spec is None
                     else spec.with_theta(theta)
                 )
-                if analytic:
-                    ld, sc, _ = log_density_and_derivs(spec, data, order=1)
-                    val = -float(np.mean(ld))
-                    if not np.isfinite(val):
-                        return _PENALTY, np.zeros_like(x)
-                    g = -sc.mean(axis=0)
-                    if not np.all(np.isfinite(g)):
-                        return _PENALTY, np.zeros_like(x)
-                    scale = np.abs(sc).mean(axis=0)
-                    last = (x.copy(), _EPS * float(gaps.grad_to_x(scale).max()))
-                    return val, gaps.grad_to_x(g)
-                val = -float(np.mean(log_density(spec, data)))
-                return val if np.isfinite(val) else _PENALTY
+                ld, sc, _ = log_density_and_derivs(spec, data, order=1)
+                val = -float(np.mean(ld))
+                if not np.isfinite(val):
+                    return _PENALTY, np.zeros_like(x)
+                g = -sc.mean(axis=0)
+                if not np.all(np.isfinite(g)):
+                    return _PENALTY, np.zeros_like(x)
+                scale = np.abs(sc).mean(axis=0)
+                last = (x.copy(), _EPS * float(gaps.grad_to_x(scale).max()))
+                return val, gaps.grad_to_x(g)
         except (DomainError, NumericError):
-            return (_PENALTY, np.zeros_like(x)) if analytic else _PENALTY
+            return _PENALTY, np.zeros_like(x)
 
     def grad_noise(x) -> float:
         """Rounding bound on the gradient's sup norm at x: the scores
         summed into it, times the unit roundoff.  Known only where the
-        last analytic gradient was taken (inf elsewhere); numeric
-        gradients count as exact."""
-        if not analytic:
-            return 0.0
+        last gradient was taken (inf elsewhere)."""
         return last[1] if np.array_equal(last[0], x) else np.inf
 
     fun.grad_noise = grad_noise
@@ -340,8 +334,7 @@ def _fit_branch(data, tree, family, atoms, cfg: FitConfig, start, taus):
     fam = get_family(family)
     lo = _box_lo(fam)
     hi = min(fam.tau_inv(TAU_HI), THETA_HI)
-    analytic = fam.analytic
-    fun = _objective(data, ctree, family, gaps, analytic)
+    fun = _objective(data, ctree, family, gaps)
     bounds = [(lo, hi)] + [(0.0, hi - lo)] * (ctree.p - 1)
 
     if start is None:
@@ -354,7 +347,7 @@ def _fit_branch(data, tree, family, atoms, cfg: FitConfig, start, taus):
             res = minimize(
                 fun,
                 x0,
-                jac=True if analytic else None,
+                jac=True,
                 method="L-BFGS-B",
                 bounds=bounds,
                 options={"maxiter": MAXITER, "ftol": FTOL, "gtol": GTOL},

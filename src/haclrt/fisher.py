@@ -318,7 +318,7 @@ def sigma_hat(
     theta,
     at: str = "bullet",
     source: str = "observed",
-    method: str | None = None,
+    method: str = "analytic",
     n_mc: int = SIGMA_DRAWS,
     seed: int = 0,
     atoms: tuple[Path, ...] = (),
@@ -328,16 +328,16 @@ def sigma_hat(
     """Estimated information and its inverse at a fitted point.
 
     source "observed" averages over the data rows; "mc" draws n_mc fresh
-    rows from the model at theta.  With atoms set (evaluation under the
+    rows from the model at theta.  method "analytic" averages the
+    density's Hessian over those rows, for every family; "fd" takes the
+    signed-step second differences of their mean log-density (``fd_scheme``,
+    step delta_tau on the Kendall scale).  With atoms set (evaluation under the
     merged null), entry equalities implied by swapping tied same-shape
     sibling subtrees are enforced by group averaging.  theta, and atoms as
     nesting edges, are checked before any draw or stencil.
     """
     vec = check_theta(tree, family, theta)
     tie_classes(tree, [(a[:-1], a) for a in atoms])     # checks the atoms
-    fam = get_family(family)
-    if method is None:
-        method = "analytic" if fam.analytic else "fd"
     if method not in ("analytic", "fd"):
         raise DomainError(f"unknown method {method!r}")
     if source == "mc":
@@ -351,10 +351,6 @@ def sigma_hat(
 
     steps = None
     if method == "analytic":
-        if not fam.analytic:
-            raise DomainError(
-                f"{fam.name}: no analytic hessian; use method='fd'"
-            )
         spec = two_level_spec(tree, family, vec)
         mean_hess = hessian(spec, rows).mean(axis=0)
     else:

@@ -8,26 +8,25 @@ series where those cancel, and Newton on the exact slope gives
 its inverse.  Every family has ``psi_column``, log|psi^(k)(t)| and its
 sign for k in a range, summed from same-sign terms (Eulerian polynomials
 for Frank, Stirling numbers for Joe); ``psi_t_deriv`` is one k of it.
-Clayton and Gumbel also carry the analytic theta-derivative suite, and
-each of its formulas lives here once:
+Every family also carries the theta-derivative suite, and each of its
+formulas lives here once:
 
 - the ratio rows of ``psi_column``: first and second t- and
   theta-derivatives of psi^(k);
 - ``phi_derivs``: the first two theta-derivatives of phi;
-- ``log_neg_phi_prime`` and ``dlog_neg_phi_prime_dtheta``: log(-phi') and
-  its theta-derivative;
+- ``log_neg_phi_prime``, ``dlog_neg_phi_prime_dtheta`` and
+  ``sum_d2log_neg_phi_prime_dtheta2``: log(-phi') and its first two
+  theta-derivatives, the second summed over a block of coordinates;
 - ``s_nk_table``: the polynomials s_nk(x) with their first two
-  x-derivatives, used by the density's a-tables; ``s_nk_tables`` builds
-  them for several n in one pass, for the Gumbel column.
+  x-derivatives, used by the density's closed-form (Clayton, Gumbel)
+  a-tables; ``s_nk_tables`` builds them for several n in one pass, for
+  the Gumbel column.
 
 The per-u methods that the density calls (``phi``, ``phi_prime``,
-``log_neg_phi_prime``, ``phi_derivs`` and ``dlog_neg_phi_prime_dtheta``)
+``log_neg_phi_prime``, ``phi_derivs`` and the log(-phi') derivatives)
 take theta as a float, or as an array of one theta per entry of u's
 leading axis, shaped to broadcast over u (such as (g, 1, 1)).  Each
 entry then gets the bits of a call with that float.
-
-Frank and Joe have no theta-derivatives, so their fits and information
-estimates use finite differences.
 """
 
 from __future__ import annotations
@@ -230,9 +229,8 @@ class PhiDerivs:
 class PsiColumn:
     """log|psi^(k)(t)| and its sign for k = k_lo..k_hi, plus ratio rows.
 
-    Every family's ``psi_column(theta, t, k_lo, k_hi)`` returns one for
-    1-d t and 1 <= k_lo <= k_hi; Clayton's and Gumbel's also take
-    ``ratios=True``.
+    Every family's ``psi_column(theta, t, k_lo, k_hi, ratios=False)``
+    returns one for 1-d t and 1 <= k_lo <= k_hi.
 
     The ratio rows are taken with respect to f = psi^(k) as a function of
     (t, theta): ft = f_t/f, ftt = f_tt/f, fr = f_theta/f,
@@ -288,6 +286,23 @@ def _pow_theta(base, expo):
     return np.stack([b ** float(e) for b, e in zip(base, expo.ravel())])
 
 
+def _ratio_rows(col, k_lo, k_hi, fr, frr):
+    """Fill col's ratio rows from log|psi^(k)| for k = k_lo..k_hi + 2,
+    fr for k = k_lo..k_hi + 1 and frr for k = k_lo..k_hi, then drop the
+    two extra k: ft and ftt are ratios of neighbouring psi^(k), and
+    frt = f_theta,t/f is ft times the next k's fr."""
+    lm = np.array([col.logmag[k] for k in range(k_lo, k_hi + 3)])
+    sg = np.array([col.sign[k] for k in range(k_lo, k_hi + 3)])[:, None]
+    col.ft = sg[1:-1] * sg[:-2] * np.exp(lm[1:-1] - lm[:-2])
+    col.ftt = sg[2:] * sg[:-2] * np.exp(lm[2:] - lm[:-2])
+    col.fr = fr[:-1]
+    col.frr = frr
+    col.frt = col.ft * fr[1:]
+    for k in (k_hi + 1, k_hi + 2):
+        del col.logmag[k], col.sign[k]
+    return col
+
+
 def _as_nonneg(t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
@@ -324,9 +339,10 @@ class GeneratorFamily:
 
     name: str = ""
     domain: ThetaDomain = ThetaDomain(0.0, True)
-    tilt: float = 0.0          # gamma in the a-function base gamma**theta + t
+    # gamma in the closed-form a-function base gamma**theta + t; None for
+    # a family whose a-tables come from the implicit (Bell) recursion
+    tilt: float | None = None
     tau_lo_attainable: bool = False   # is tau = 0 reached at the domain edge?
-    analytic: bool = False     # the theta-derivative suite exists
 
     # -- generator values ------------------------------------------------
 
@@ -340,8 +356,7 @@ class GeneratorFamily:
         raise NotImplementedError
 
     def log_neg_phi_prime(self, theta: float, u):
-        u = _as_unit(u)
-        return np.log(-self.phi_prime(theta, u))
+        raise NotImplementedError
 
     # -- higher derivatives ----------------------------------------------
 
@@ -357,14 +372,18 @@ class GeneratorFamily:
         return out if out.ndim else float(out)
 
     def phi_derivs(self, theta: float, u) -> PhiDerivs:
-        raise UnsupportedFamilyError(
-            f"{self.name}: analytic theta derivatives are not available"
-        )
+        raise NotImplementedError
 
     def dlog_neg_phi_prime_dtheta(self, theta: float, u):
-        raise UnsupportedFamilyError(
-            f"{self.name}: analytic theta derivatives are not available"
-        )
+        raise NotImplementedError
+
+    def sum_d2log_neg_phi_prime_dtheta2(self, theta: float, u, axis: int):
+        """Second theta-derivative of log(-phi'(u)), summed over u's axis.
+
+        Summed because Clayton's and Gumbel's term, -1/theta^2 per
+        coordinate, then is one quotient -n/theta^2 for n coordinates.
+        """
+        raise NotImplementedError
 
     # -- Kendall's tau -----------------------------------------------------
 
@@ -409,7 +428,6 @@ class Clayton(GeneratorFamily):
     domain = ThetaDomain(0.0, True)
     tilt = 1.0
     tau_lo_attainable = False
-    analytic = True
 
     def psi(self, theta, t):
         _validate_theta(self, theta)
@@ -474,6 +492,16 @@ class Clayton(GeneratorFamily):
         u = _as_unit(u)
         return 1.0 / theta - np.log(u)
 
+    def sum_d2log_neg_phi_prime_dtheta2(self, theta, u, axis):
+        # -1/theta^2 per coordinate, so the sum is one quotient, broadcast
+        # over u's other axes (a theta column loses the summed axis too)
+        u = _as_unit(u)
+        n = u.shape[axis]
+        if isinstance(theta, np.ndarray) and theta.ndim:
+            theta = np.squeeze(theta, axis)
+        total = _per_theta(lambda th: -(n / th**2), theta)
+        return np.broadcast_to(total, np.delete(u.shape, axis))
+
     def tau(self, theta):
         _validate_theta(self, theta)
         return theta / (theta + 2.0)
@@ -491,7 +519,6 @@ class Gumbel(GeneratorFamily):
     domain = ThetaDomain(1.0, False)
     tilt = 0.0
     tau_lo_attainable = True
-    analytic = True
 
     def psi(self, theta, t):
         _validate_theta(self, theta)
@@ -613,6 +640,8 @@ class Gumbel(GeneratorFamily):
         u = _as_unit(u)
         return 1.0 / theta + np.log(-np.log(u))
 
+    sum_d2log_neg_phi_prime_dtheta2 = Clayton.sum_d2log_neg_phi_prime_dtheta2
+
     def tau(self, theta):
         _validate_theta(self, theta)
         return 1.0 - 1.0 / theta
@@ -661,18 +690,52 @@ class Frank(GeneratorFamily):
             out = (r - 1.0) - x - np.log(r)
         return out if out.ndim else float(out)
 
-    def phi_prime(self, theta, u):
+    def _phi_prime_parts(self, theta, u):
+        # -theta u and -expm1(-theta u) > 0, exact as u -> 0, where
+        # e^(-theta u) - 1 would cancel
         u = _as_unit(u)
-        e = np.exp(-theta * u)
-        out = theta * e / (e - 1.0)
+        ntu = -theta * u
+        return u, ntu, -np.expm1(ntu)
+
+    def phi_prime(self, theta, u):
+        _, ntu, m = self._phi_prime_parts(theta, u)
+        out = -theta * np.exp(ntu) / m
         return out if out.ndim else float(out)
 
-    def psi_column(self, theta, t, k_lo, k_hi):
+    def log_neg_phi_prime(self, theta, u):
+        _, ntu, m = self._phi_prime_parts(theta, u)
+        return _per_theta(math.log, theta) + ntu - np.log(m)
+
+    def phi_derivs(self, theta, u):
+        # phi_theta = 1/expm1(theta) - u/expm1(theta u), each quotient in
+        # its e^-x/(1 - e^-x) form, which cannot overflow
+        _validate_theta(self, theta)
+        u, ntu, m = self._phi_prime_parts(theta, u)
+        c1 = _per_theta(lambda th: math.exp(-th) / -math.expm1(-th), theta)
+        c2 = _per_theta(
+            lambda th: math.exp(-th) / math.expm1(-th) ** 2, theta
+        )
+        ue_m = u * np.exp(ntu) / m
+        return PhiDerivs(c1 - ue_m, u * ue_m / m - c2)
+
+    def dlog_neg_phi_prime_dtheta(self, theta, u):
+        u, _, m = self._phi_prime_parts(theta, u)
+        return 1.0 / theta - u / m
+
+    def sum_d2log_neg_phi_prime_dtheta2(self, theta, u, axis):
+        u, ntu, m = self._phi_prime_parts(theta, u)
+        return (u * u * np.exp(ntu) / (m * m) - 1.0 / theta**2).sum(axis=axis)
+
+    def psi_column(self, theta, t, k_lo, k_hi, ratios=False):
         # (-1)^k psi^(k)(t) = w A_{k-1}(w) / (theta (1 - w)^k) with the
         # Eulerian polynomial A_n: every term is positive.  log(1 - w) is
         # needed to absolute accuracy only, so 1 - w is the sum of the
         # positive -expm1(-t) and e^-t e^-theta, good to about an ulp, with
-        # psi's log-scale form only where that sum nears underflow
+        # psi's log-scale form only where that sum nears underflow.
+        # theta moves w = (1 - e^-theta) e^-t as -c1 d/dt does, c1 =
+        # 1/expm1(theta), so with f = psi^(k) = G(w)/theta the ratio rows
+        # are f_theta/f = -c1 ft - 1/theta and f_theta,theta/f =
+        # c1 (1 + c1) ft + c1^2 ftt + 2 c1 ft/theta + 2/theta^2
         col = PsiColumn()
         e = np.exp(-t)
         w = -math.expm1(-theta) * e
@@ -684,7 +747,7 @@ class Frank(GeneratorFamily):
             tiny = np.flatnonzero(one_m_w < 1e-290)
             log1mw[tiny] = _frank_log1mw(theta, t[tiny])
         base = math.log(-math.expm1(-theta) / theta) - t      # log(w/theta)
-        for k in range(k_lo, k_hi + 1):
+        for k in range(k_lo, k_hi + (3 if ratios else 1)):
             col.logmag[k] = lm = base - k * log1mw
             a = _eulerian_row(k - 1)
             if len(a) > 1:
@@ -695,7 +758,16 @@ class Frank(GeneratorFamily):
                 acc += a[0]
                 lm += np.log(acc)
             col.sign[k] = float((-1.0) ** k)
-        return col
+        if not ratios:
+            return col
+        c1 = math.exp(-theta) / -math.expm1(-theta)
+        lm = np.array([col.logmag[k] for k in range(k_lo, k_hi + 3)])
+        ft = -np.exp(lm[1:] - lm[:-1])            # k = k_lo..k_hi + 1
+        ftt = ft[:-1] * ft[1:]
+        fr = -c1 * ft - 1.0 / theta
+        frr = (c1 * (1.0 + c1) * ft[:-1] + c1 * c1 * ftt
+               + 2.0 * c1 * ft[:-1] / theta + 2.0 / theta**2)
+        return _ratio_rows(col, k_lo, k_hi, fr, frr)
 
     def _tau_jet(self, theta):
         # tau = 1 - 4/theta + 4 I/theta^2, I = int_0^theta t/(e^t - 1) dt
@@ -733,19 +805,47 @@ class Joe(GeneratorFamily):
             out = -_log1mexp(-theta * np.log1p(-u))
         return out if out.ndim else float(out)
 
-    def phi_prime(self, theta, u):
+    def _phi_prime_parts(self, theta, u):
+        # L = log(1 - u), theta L and 1 - (1 - u)^theta > 0, exact as
+        # u -> 0, where 1 - w (1 - u) would cancel
         u = _as_unit(u)
-        w = _pow_theta(1.0 - u, theta - 1.0)
-        out = -theta * w / (1.0 - w * (1.0 - u))
+        L = np.log1p(-u)
+        tL = theta * L
+        return L, tL, -np.expm1(tL)
+
+    def phi_prime(self, theta, u):
+        L, _, m = self._phi_prime_parts(theta, u)
+        out = -theta * np.exp((theta - 1.0) * L) / m
         return out if out.ndim else float(out)
 
-    def psi_column(self, theta, t, k_lo, k_hi):
+    def log_neg_phi_prime(self, theta, u):
+        L, _, m = self._phi_prime_parts(theta, u)
+        return _per_theta(math.log, theta) + (theta - 1.0) * L - np.log(m)
+
+    def phi_derivs(self, theta, u):
+        _validate_theta(self, theta)
+        L, tL, m = self._phi_prime_parts(theta, u)
+        dtheta = L * np.exp(tL) / m
+        return PhiDerivs(dtheta, dtheta * L / m)
+
+    def dlog_neg_phi_prime_dtheta(self, theta, u):
+        L, _, m = self._phi_prime_parts(theta, u)
+        return 1.0 / theta + L / m
+
+    def sum_d2log_neg_phi_prime_dtheta2(self, theta, u, axis):
+        L, tL, m = self._phi_prime_parts(theta, u)
+        return (L * L * np.exp(tL) / (m * m) - 1.0 / theta**2).sum(axis=axis)
+
+    def psi_column(self, theta, t, k_lo, k_hi, ratios=False):
         # (-1)^k psi^(k)(t) = alpha sum_j c_kj v^alpha y^j with alpha =
         # 1/theta, v = 1 - e^-t, y = e^-t/v and the positive coefficients
         # c_kj = S(k,j) (1-alpha)(2-alpha)...(j-1-alpha).  The polynomial in
         # y is evaluated in y where y <= 1, and in 1/y after the per-row
         # shift y^k elsewhere, so no power overflows.  log v is needed to
-        # absolute accuracy only, which log(-expm1(-t)) has for every t
+        # absolute accuracy only, which log(-expm1(-t)) has for every t.
+        # theta enters through alpha only; the alpha-derivatives of the
+        # coefficients have one sign each (ff' <= 0 <= ff''), so the
+        # polynomial's derivatives P' and P'' are same-sign sums too
         col = PsiColumn()
         alpha = 1.0 / theta
         with np.errstate(divide="ignore"):
@@ -754,16 +854,42 @@ class Joe(GeneratorFamily):
         up = z > 0.0
         ys = np.exp(-np.abs(z))
         base = math.log(alpha) + alpha * lv
-        ff = np.cumprod([1.0] + [i - alpha for i in range(1, k_hi)])
-        for k in range(k_lo, k_hi + 1):
-            c = [stirling_S(k, j) * ff[j - 1] for j in range(1, k + 1)]
+        top = k_hi + (2 if ratios else 0)
+        # ff[j - 1] = (1-alpha)...(j-1-alpha) with its alpha-derivatives
+        ff, d1, d2 = [1.0], [0.0], [0.0]
+        for i in range(1, top):
+            d2.append(d2[-1] * (i - alpha) - 2.0 * d1[-1])
+            d1.append(d1[-1] * (i - alpha) - ff[-1])
+            ff.append(ff[-1] * (i - alpha))
+
+        def poly(c, k):
             acc = np.where(up, c[0], c[-1])
             for i in range(1, k):
                 acc *= ys
                 acc += np.where(up, c[i], c[-1 - i])
+            return acc
+
+        fr, frr = [], []
+        for k in range(k_lo, top + 1):
+            S = [stirling_S(k, j) for j in range(1, k + 1)]
+            acc = poly([s * f for s, f in zip(S, ff)], k)
             col.logmag[k] = base + np.maximum(z, k * z) + np.log(acc)
             col.sign[k] = float((-1.0) ** k)
-        return col
+            if not ratios or k > k_hi + 1:
+                continue
+            # log f = log alpha + alpha lv + log P: Pa = P'/P, a1 = (log
+            # f)' in alpha; theta-derivatives by d alpha/d theta = -alpha^2
+            pa = poly([s * f for s, f in zip(S, d1)], k) / acc
+            a1 = theta + lv + pa
+            fr.append(-alpha * alpha * a1)
+            if k > k_hi:
+                continue
+            paa = poly([s * f for s, f in zip(S, d2)], k) / acc
+            f_aa = paa + 2.0 * (lv + pa) * theta + lv * (lv + 2.0 * pa)
+            frr.append(alpha**4 * f_aa + 2.0 * alpha**3 * a1)
+        if not ratios:
+            return col
+        return _ratio_rows(col, k_lo, k_hi, np.array(fr), np.array(frr))
 
     def _tau_jet(self, theta):
         # tau = 1 + a g(a), a = 2/theta, g = (psi(2) - psi(1 + a))/(a - 1)
@@ -879,7 +1005,7 @@ def phi_prime(family, theta: float, u):
 
 
 def phi_derivs(family, theta: float, u) -> PhiDerivs:
-    """Full inverse-generator derivative suite (Clayton/Gumbel)."""
+    """First two theta-derivatives of the inverse generator."""
     return get_family(family).phi_derivs(theta, u)
 
 

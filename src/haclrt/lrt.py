@@ -35,7 +35,7 @@ from .errors import (
     SingularSigmaError,
 )
 from .estimate import FitConfig, FitResult, _lazy_taus, mle
-from .fisher import DELTA_TAU, SIGMA_DRAWS, FisherEstimate, sigma_hat
+from .fisher import SIGMA_DRAWS, FisherEstimate, sigma_hat
 from .generators import get_family, tau_inv
 from .tree import (Cone, HacTree, Hypothesis, holding_branches, local_cones,
                    tight_edges)
@@ -661,7 +661,6 @@ def power_curve(
     n_sigma: int = SIGMA_DRAWS,
     seed: int = 0,
     e=(0.0, 1.0),
-    delta_tau: float = DELTA_TAU,
 ) -> PowerCurve:
     """Power of the single-tie test under local shifts, in closed form.
 
@@ -673,11 +672,10 @@ def power_curve(
     atom P(L = 0) is Phi(-mu).  Each tau + h' e_i must be attainable.
     dtheta/dtau is the family's ``dtheta_dtau``, exact for every family.
     When sigma is missing it is estimated from n_sigma model draws at
-    the exchangeable null of the tree [[1,2],3], seeded by seed.
-    delta_tau, the step of a finite-difference covariance there, acts
-    only on Frank and Joe (Joe's tie-point information is unbounded, so
-    its covariance is step-regularized); Clayton and Gumbel take the
-    analytic Hessian, so delta_tau changes nothing for them.
+    the exchangeable null of the tree [[1,2],3], seeded by seed, as the
+    mean of the density's Hessian over them, for every family.  At that
+    tie the per-row information can be heavy-tailed (Gumbel, Joe), so
+    the estimate moves with the seed.
     """
     fam = get_family(family)
     if not 0.0 < tau < 1.0:
@@ -704,7 +702,6 @@ def power_curve(
             n_mc=n_sigma,
             seed=np.random.SeedSequence(seed).spawn(1)[0],
             atoms=(hac.internal_paths[1],),
-            delta_tau=delta_tau,
         )
         sigma = est.sigma
     sigma = np.asarray(sigma, dtype=float)

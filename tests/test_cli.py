@@ -171,7 +171,7 @@ def test_sigma_json_metadata(runner):
         "--family", "clayton", "--theta", "1.5,2.5",
         "--source", "mc", "--n-mc", "3000",
     ]).output)
-    assert doc["method"] in ("analytic", "fd")
+    assert doc["method"] == "analytic"
     assert doc["n_source"] == 3000
     sig = np.array(doc["sigma"])
     assert sig.shape == (2, 2)

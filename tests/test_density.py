@@ -141,7 +141,7 @@ def test_density_example_point_against_cdf_differences():
     assert np.exp(log_density(spec, u)) == pytest.approx(c_fd, rel=1e-4)
 
 
-@pytest.mark.parametrize("fam", ["clayton", "gumbel"])
+@pytest.mark.parametrize("fam", ["clayton", "gumbel", "frank", "joe"])
 def test_score_matches_central_differences(fam):
     rng = np.random.default_rng(23)
     for trial in range(20):
@@ -153,7 +153,7 @@ def test_score_matches_central_differences(fam):
         assert np.all(np.abs(g - g_fd) / (1.0 + np.abs(g_fd)) < 1e-6)
 
 
-@pytest.mark.parametrize("fam", ["clayton", "gumbel"])
+@pytest.mark.parametrize("fam", ["clayton", "gumbel", "frank", "joe"])
 def test_hessian_matches_central_differences(fam):
     rng = np.random.default_rng(29)
     for trial in range(20):
@@ -175,12 +175,17 @@ def test_score_and_hessian_on_wider_tree():
     tree = HacTree([[1, 2, 3, 4, 5], [6, 7, 8], 9, [10, 11, 12, 13]])
     rng = np.random.default_rng(31)
     for fam, theta in [("clayton", (0.6, 1.4, 2.2, 3.0)),
-                       ("gumbel", (1.3, 1.9, 2.5, 3.1))]:
+                       ("gumbel", (1.3, 1.9, 2.5, 3.1)),
+                       ("frank", (1.5, 2.5, 3.5, 4.5)),
+                       ("joe", (1.3, 1.9, 2.5, 3.1))]:
         spec = two_level_spec(tree, fam, theta)
         _check_score_and_hessian(spec, rng.uniform(0.05, 0.95, tree.d))
 
 
-@pytest.mark.parametrize("fam,root", [("clayton", 0.6), ("gumbel", 1.3)])
+@pytest.mark.parametrize(
+    "fam,root",
+    [("clayton", 0.6), ("gumbel", 1.3), ("frank", 1.5), ("joe", 1.3)],
+)
 @pytest.mark.parametrize("half_tied", [False, True], ids=["interior", "half-tied"])
 def test_score_and_hessian_on_six_nests(fam, root, half_tied):
     # six nests exercise every cross-child Hessian term (15 pairs); in the
@@ -200,17 +205,24 @@ def test_score_and_hessian_on_six_nests(fam, root, half_tied):
 @pytest.mark.parametrize("fam", ["clayton", "gumbel"])
 @pytest.mark.parametrize("tree", [TREE3, TREE4], ids=["d3", "d4"])
 def test_generic_and_analytic_paths_agree(fam, tree):
-    # a Clayton/Gumbel instance without the theta-suite takes the Bell hook
+    # a Clayton/Gumbel instance without its closed-form tilt takes the
+    # Bell hook; log c, score and Hessian must agree with the closed form
     rng = np.random.default_rng(37)
     spec = _random_spec(rng, fam, tree)
     bell_fam = type(spec.family)()
-    bell_fam.analytic = False
+    bell_fam.tilt = None
     bell_spec = TwoLevelSpec(
         bell_fam, spec.theta, spec.child_cols, spec.leaf_cols
     )
     U = rng.uniform(0.05, 0.95, (20, tree.d))
-    gap = np.abs(log_density(spec, U) - log_density(bell_spec, U))
-    assert np.max(gap) < 1e-10
+    lc, g, H = log_density_and_derivs(spec, U, 2)
+    lb, gb, Hb = log_density_and_derivs(bell_spec, U, 2)
+    assert np.max(np.abs(lc - lb)) < 1e-10
+    assert np.all(np.abs(gb - g) <= 1e-8 * (1.0 + np.abs(g)))
+    assert np.all(np.abs(Hb - H) <= 1e-7 * (1.0 + np.abs(H)))
+    np.testing.assert_array_equal(
+        log_density_and_derivs(bell_spec, U, 1)[1], gb
+    )
 
 
 HOOK_TREES = {
@@ -224,24 +236,37 @@ HOOK_TREES = {
 @pytest.mark.parametrize("tree", HOOK_TREES.values(), ids=HOOK_TREES.keys())
 @pytest.mark.parametrize("gap", [1.0, 1e-6], ids=["interior", "gap-1e-6"])
 def test_bell_and_closed_form_child_hooks_agree(fam, tree, gap):
-    # each child's h_s and a-table (the closed form's scaled a times
-    # e^omega); near a tie the low coefficients vanish like the gap, so the
-    # table is compared on the scale of each row's largest coefficient
+    # each child's h_s jet and a-table jets (the closed form's scaled
+    # tables times e^omega) at orders 0, 1 and 2; near a tie the low
+    # coefficients vanish like the gap, so each field is compared on the
+    # scale of each row's largest coefficient of that field
     f = get_family(fam)
     th0 = THETA_LO[fam] + 0.7
     theta = [th0] + [th0 + gap * (s + 1) for s in range(tree.p - 1)]
     spec = two_level_spec(tree, fam, theta)
     U = np.random.default_rng(43).uniform(0.05, 0.95, (20, tree.d))
-    for s, cols in enumerate(spec.child_cols):
+    tol = (1e-10, 1e-9, 1e-9, 1e-8, 1e-8, 1e-8)
+    for (s, cols), order in itertools.product(
+        enumerate(spec.child_cols), (0, 1, 2)
+    ):
         ths, ds = spec.theta[1 + s], spec.ds[s]
-        ts = f.phi(ths, U[:, list(cols)]).sum(axis=1)
+        us = U[:, list(cols)]
+        ts = f.phi(ths, us).sum(axis=1)[None]
+        pd = f.phi_derivs(ths, us)
+        tdot, tddot = (v.sum(axis=1)[None] for v in (pd.dtheta, pd.dtheta2))
         # each hook takes a size group; this one holds the single child s
-        closed = _child_table(f, th0, [ths], ts[None], ds, None, None, 0)
-        bell = _bell_table(f, th0, [ths], ts[None], ds)
-        np.testing.assert_allclose(bell.h[0], closed.h[0], rtol=1e-12)
-        table = closed.jet[0, 0] * np.exp(closed.omega[0])
-        scale = np.abs(table).max(axis=0)
-        assert np.max(np.abs(bell.jet[0, 0] - table) / scale) < 1e-10
+        closed = _child_table(f, th0, [ths], ts, ds, tdot, tddot, order)
+        bell = _bell_table(f, th0, [ths], ts, ds, tdot, tddot, order)
+        assert bell.h.shape == closed.h.shape == (1, (1, 3, 6)[order], 20)
+        for fld in range(bell.h.shape[1]):
+            ref = closed.h[0, fld]
+            err = np.abs(bell.h[0, fld] - ref) / np.abs(ref).max()
+            assert np.max(err) < 1e-10, fld
+        table = closed.jet[0] * np.exp(closed.omega[0])
+        for fld in range(table.shape[0]):
+            scale = np.abs(table[fld]).max(axis=0)
+            err = np.abs(bell.jet[0, fld] - table[fld]) / scale
+            assert np.max(err) < tol[fld], fld
 
 
 @pytest.mark.parametrize(
@@ -368,7 +393,7 @@ def test_row_blocks_match_one_pass(monkeypatch, fam, tree, tail):
     rng = np.random.default_rng(83 + tail)
     spec = _random_spec(rng, fam, tree)
     u = rng.uniform(0.05, 0.95, (3 * 64 + tail, tree.d))
-    order = 2 if get_family(fam).analytic else 0
+    order = 2
     monkeypatch.setattr(density, "ROW_BLOCK", 10**9)
     whole = log_density_and_derivs(spec, u, order)
     monkeypatch.setattr(density, "ROW_BLOCK", 64)
@@ -417,7 +442,7 @@ def test_stacked_groups_match_one_child_at_a_time(
     # them one at a time must give the same bits
     spec = two_level_spec(tree, fam, _group_thetas(fam, tree, kind))
     u = np.random.default_rng(89).uniform(0.02, 0.98, (37, tree.d))
-    orders = (0, 1, 2) if get_family(fam).analytic else (0,)
+    orders = (0, 1, 2)
     stacked = [log_density_and_derivs(spec, u, order) for order in orders]
     monkeypatch.setattr(
         density, "_size_groups", lambda ds: [[s] for s in range(len(ds))]
@@ -493,9 +518,8 @@ def test_clayton_and_gumbel_theta_columns_match_scalar_calls(n):
     ):
         f = get_family(fam)
         column = np.array(thetas)[:, None, None]
-        names = ["phi", "phi_prime", "log_neg_phi_prime"]
-        if f.analytic:
-            names += ["phi_derivs", "dlog_neg_phi_prime_dtheta"]
+        names = ["phi", "phi_prime", "log_neg_phi_prime", "phi_derivs",
+                 "dlog_neg_phi_prime_dtheta"]
         for name in names:
             stacked = getattr(f, name)(column, u)
             for i, th in enumerate(thetas):
@@ -505,16 +529,18 @@ def test_clayton_and_gumbel_theta_columns_match_scalar_calls(n):
                     assert np.array_equal(stacked.dtheta2[i], one.dtheta2)
                 else:
                     assert np.array_equal(stacked[i], one), (fam, name, th)
+        stacked = f.sum_d2log_neg_phi_prime_dtheta2(column, u, 1)
+        for i, th in enumerate(thetas):
+            one = f.sum_d2log_neg_phi_prime_dtheta2(th, u[i], 0)
+            assert np.array_equal(stacked[i], one), (fam, th)
 
 
 @pytest.mark.parametrize("fam", ["clayton", "gumbel", "frank", "joe"])
 def test_zero_rows_give_empty_outputs(fam):
     spec = two_level_spec(TREE4, fam, (1.5, 2.0, 2.5))
-    order = 2 if get_family(fam).analytic else 0
-    logc, g, H = log_density_and_derivs(spec, np.empty((0, 4)), order)
+    logc, g, H = log_density_and_derivs(spec, np.empty((0, 4)), 2)
     assert logc.shape == (0,)
-    if order:
-        assert g.shape == (0, 3) and H.shape == (0, 3, 3)
+    assert g.shape == (0, 3) and H.shape == (0, 3, 3)
 
 
 def test_numeric_error_names_the_global_row(monkeypatch):
@@ -646,11 +672,17 @@ def test_three_level_tree_rejected():
         two_level_spec(HacTree([1, [2, [3, 4]]]), "clayton", (1.0, 2.0, 3.0))
 
 
-def test_analytic_derivatives_unavailable_for_frank_and_joe():
-    for fam in ("frank", "joe"):
-        spec = two_level_spec(TREE3, fam, (1.5, 2.5))
-        with pytest.raises(DomainError):
-            score(spec, np.full(3, 0.5))
+@pytest.mark.parametrize("fam", ["clayton", "gumbel", "frank", "joe"])
+def test_every_family_gives_score_and_hessian(fam):
+    # one derivative path: orders 1 and 2 exist for every family
+    spec = two_level_spec(TREE4, fam, (1.5, 2.0, 2.5))
+    u = np.random.default_rng(7).uniform(0.05, 0.95, (9, 4))
+    for order in (1, 2):
+        logc, g, H = log_density_and_derivs(spec, u, order)
+        assert g.shape == (9, 3) and np.all(np.isfinite(g))
+        assert (H is None) == (order == 1)
+    assert H.shape == (9, 3, 3) and np.all(np.isfinite(H))
+    np.testing.assert_array_equal(H, H.transpose(0, 2, 1))
 
 
 def _lru_entries():
@@ -672,8 +704,7 @@ def test_density_caches_stay_bounded_over_fresh_theta():
             ("clayton", 0.9), ("gumbel", 1.3), ("frank", 0.9), ("joe", 1.3)
         ):
             theta = (th0 + 1e-3 * i, th0 + 0.5 + 2e-3 * i, th0 + 1.0 + 3e-3 * i)
-            order = 2 if get_family(fam).analytic else 0
-            log_density_and_derivs(two_level_spec(TREE4, fam, theta), u, order)
+            log_density_and_derivs(two_level_spec(TREE4, fam, theta), u, 2)
         if i + 1 in (50, 100):
             sizes.append(_lru_entries())
     assert sizes[0] == sizes[1]
@@ -701,3 +732,103 @@ def test_log_density_finite_on_interior(fam, seed):
     spec = _random_spec(rng, fam, TREE4)
     u = rng.uniform(1e-6, 1.0 - 1e-6, 4)
     assert np.isfinite(log_density(spec, u))
+
+
+# --- Frank and Joe jets against 50-digit mpmath ----------------------------
+
+def _mp_generators(fam, mp):
+    if fam == "frank":
+        def psi(th, s):
+            return -mp.log(1 - (1 - mp.exp(-th)) * mp.exp(-s)) / th
+
+        def phi(th, u):
+            return -mp.log(mp.expm1(-th * u) / mp.expm1(-th))
+
+        def dphi(th, u):
+            return th * mp.exp(-th * u) / mp.expm1(-th * u)
+    else:
+        def psi(th, s):
+            return 1 - (1 - mp.exp(-s)) ** (1 / th)
+
+        def phi(th, u):
+            return -mp.log(1 - (1 - u) ** th)
+
+        def dphi(th, u):
+            return -th * (1 - u) ** (th - 1) / (1 - (1 - u) ** th)
+    return psi, phi, dphi
+
+
+def _mp_log_density(fam, tree, theta, u, mp):
+    # c = (-1)^d sum_k b_k psi_0^(k)(t) prod(-phi'), with b_k the
+    # coefficients of prod_s sum_q a_{s,q} z^q times z^|L| and a_{s,q} the
+    # partial Bell polynomials of h_s = phi_0(psi_s(.))'s derivatives at
+    # t_s, all by 50-digit numerical differentiation of the closed forms
+    psi, phi, dphi = _mp_generators(fam, mp)
+    th0 = theta[0]
+    poly = [mp.mpf(1)]
+    t = mp.mpf(0)
+    log_b2 = mp.mpf(0)
+    for s, child in enumerate(c for c in tree.children(()) if not isinstance(c, int)):
+        ths = theta[1 + s]
+        cols = [u[lbl - 1] for lbl in tree.leaf_labels(child)]
+        ts = sum(phi(ths, x) for x in cols)
+        t += phi(th0, psi(ths, ts))
+        log_b2 += sum(mp.log(-dphi(ths, x)) for x in cols)
+        ds = len(cols)
+        x = mp.diffs(lambda z: phi(th0, psi(ths, z)), ts, ds)
+        x = list(x)[1:]
+        bell = {(0, 0): mp.mpf(1)}
+        for n in range(1, ds + 1):
+            for k in range(1, n + 1):
+                bell[n, k] = sum(
+                    mp.binomial(n - 1, i - 1) * x[i - 1] * bell.get((n - i, k - 1), 0)
+                    for i in range(1, n - k + 2)
+                )
+        a = [mp.mpf(0)] + [bell[ds, q] for q in range(1, ds + 1)]
+        poly = [sum(poly[i] * a[j - i] for i in range(len(poly)) if 0 <= j - i < len(a))
+                for j in range(len(poly) + ds)]
+    for c in tree.children(()):
+        if isinstance(c, int):
+            t += phi(th0, u[c - 1])
+            log_b2 += mp.log(-dphi(th0, u[c - 1]))
+            poly = [mp.mpf(0)] + poly
+    d = len(u)
+    dpsi = list(mp.diffs(lambda z: psi(th0, z), t, d))
+    total = sum(b * dpsi[k] for k, b in enumerate(poly))
+    return mp.log((-1) ** d * total) + log_b2
+
+
+# Frank and Joe at interior, tied and half-tied theta on trees up to d = 6
+MP_TABLE = [
+    ("frank", TREE3, (1.5, 3.0)),
+    ("frank", TREE4, (2.0, 2.0, 4.5)),
+    ("frank", HacTree([[1, 2, 3], 4, [5, 6]]), (1.2, 2.5, 1.2)),
+    ("joe", TREE3, (1.4, 2.6)),
+    ("joe", TREE4, (1.6, 1.6, 2.9)),
+    ("joe", HacTree([[1, 2, 3], 4, [5, 6]]), (1.3, 2.2, 1.3)),
+]
+
+
+@pytest.mark.parametrize("fam,tree,theta", MP_TABLE)
+def test_frank_and_joe_jets_match_mpmath(fam, tree, theta):
+    mp = pytest.importorskip("mpmath")
+    spec = two_level_spec(tree, fam, theta)
+    u = np.random.default_rng(tree.d).uniform(0.1, 0.9, tree.d)
+    logc, g, H = log_density_and_derivs(spec, u, 2)
+    p = tree.p
+    with mp.workdps(50):
+        uu = [mp.mpf(float(x)) for x in u]
+
+        def f(*th):
+            return _mp_log_density(fam, tree, th, uu, mp)
+
+        th = [mp.mpf(x) for x in theta]
+        assert abs(logc - f(*th)) <= 1e-13
+        for a in range(p):
+            n = [int(i == a) for i in range(p)]
+            ref = mp.diff(f, th, n)
+            assert abs(g[a] - ref) <= 1e-12 * (1 + abs(ref)), a
+            for b in range(a, p):
+                nb = [k + int(i == b) for i, k in enumerate(n)]
+                ref = mp.diff(f, th, nb)
+                assert abs(H[a, b] - ref) <= 1e-11 * (1 + abs(ref)), (a, b)

@@ -205,7 +205,7 @@ def test_row_permutation_invariance():
 
 @pytest.mark.parametrize("instance", [Gumbel(), Clayton()], ids=["gumbel", "clayton"])
 def test_family_instance_fits_like_its_name(instance):
-    # the analytic gradient is chosen from the family, however it is passed
+    # a family instance fits exactly as its name does
     theta = (tau_inv(instance, 0.3), tau_inv(instance, 0.5))
     u = sample(TREE3, theta, instance.name, 300, seed=37).values
     by_name = mle(u, TREE3, instance.name)
@@ -440,7 +440,7 @@ def test_objective_builds_the_spec_once_per_fit(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(estimate, "two_level_spec", counted)
-    fun = estimate._objective(u, TREE4, "gumbel", gaps, True)
+    fun = estimate._objective(u, TREE4, "gumbel", gaps)
     val, grad = fun(np.array([1.2, 0.4, 0.8]))
     assert np.isfinite(val) and np.all(np.isfinite(grad))
     assert fun(np.array([0.5, 0.4, 0.8]))[0] == estimate._PENALTY

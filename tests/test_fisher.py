@@ -123,7 +123,8 @@ def test_tie_stencil_points_all_feasible():
 
 
 def test_fd_matches_analytic_hessian_interior():
-    for fam, th in [("clayton", (0.8, 2.1)), ("gumbel", (1.5, 2.5))]:
+    for fam, th in [("clayton", (0.8, 2.1)), ("gumbel", (1.5, 2.5)),
+                    ("frank", (2.0, 5.0)), ("joe", (1.4, 2.5))]:
         u = sample(TREE3, th, fam, 4000, seed=5).values
         fd = fd_hessian(u, TREE3, fam, th)
         spec = two_level_spec(TREE3, fam, th)
@@ -165,7 +166,8 @@ def test_sigma_family_instance_takes_analytic_route():
 
 
 def test_sigma_fd_close_to_analytic_interior():
-    for fam, th in [("clayton", (0.667, 2.0)), ("gumbel", (1.5, 2.5))]:
+    for fam, th in [("clayton", (0.667, 2.0)), ("gumbel", (1.5, 2.5)),
+                    ("frank", (2.0, 5.0)), ("joe", (1.4, 2.5))]:
         u = sample(TREE3, th, fam, 20000, seed=11).values
         ea = sigma_hat(u, TREE3, fam, th, method="analytic")
         ef = sigma_hat(u, TREE3, fam, th, method="fd")
@@ -282,8 +284,17 @@ def test_sigma_rejects_bad_arguments():
         sigma_hat(u, TREE3, "clayton", (1.0, 2.0), method="exact")
     with pytest.raises(DomainError):
         sigma_hat(u[:, :2], TREE3, "clayton", (1.0, 2.0))
-    with pytest.raises(DomainError):
-        sigma_hat(u, TREE3, "frank", (1.0, 2.0), method="analytic")
+
+
+@pytest.mark.parametrize("fam", ["frank", "joe"])
+def test_sigma_defaults_to_the_analytic_hessian_for_frank_and_joe(fam):
+    # the default method is the density's Hessian for every family
+    th = (1.5, 3.0)
+    u = sample(TREE3, th, fam, 500, seed=3).values
+    est = sigma_hat(u, TREE3, fam, th)
+    assert est.method == "analytic" and est.steps is None
+    info = -hessian(two_level_spec(TREE3, fam, th), u).mean(axis=0)
+    np.testing.assert_allclose(est.info, info, atol=1e-12)
 
 
 @pytest.mark.parametrize("source", ["mc", "observed"])

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from haclrt import generators as G
 
 FAMILIES = ("clayton", "gumbel", "frank", "joe")
-ANALYTIC = ("clayton", "gumbel")
 
 THETA_RANGES = {
     "clayton": (0.2, 8.0),
@@ -379,10 +378,10 @@ def test_psi_t_deriv_vectorizes():
 
 
 # ---------------------------------------------------------------
-# theta-derivatives (analytic families only)
+# theta-derivatives
 # ---------------------------------------------------------------
 
-@pytest.mark.parametrize("family", ANALYTIC)
+@pytest.mark.parametrize("family", FAMILIES)
 def test_phi_derivs_match_fd(family):
     rng = np.random.default_rng(37)
     lo, hi = THETA_RANGES[family]
@@ -400,13 +399,91 @@ def test_phi_derivs_match_fd(family):
         assert fam.dlog_neg_phi_prime_dtheta(th, u) == pytest.approx(
             _fd(lambda s: fam.log_neg_phi_prime(s, u), th), rel=1e-5, abs=1e-8
         )
+        got = fam.sum_d2log_neg_phi_prime_dtheta2(th, np.array([u]), 0)
+        assert float(got) == pytest.approx(
+            _fd(lambda s: fam.dlog_neg_phi_prime_dtheta(s, u), th),
+            rel=1e-5, abs=1e-8,
+        )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_sum_d2log_neg_phi_prime_is_the_coordinate_sum(family):
+    # one theta column over a (g, d, n) block, summed over the coordinates
+    fam = G.get_family(family)
+    lo = THETA_RANGES[family][0]
+    u = np.random.default_rng(5).uniform(0.01, 0.99, (2, 3, 4))
+    thetas = np.array([lo + 0.5, lo + 2.0])
+    got = fam.sum_d2log_neg_phi_prime_dtheta2(thetas[:, None, None], u, 1)
+    assert got.shape == (2, 4)
+    for i, th in enumerate(thetas):
+        per_u = fam.sum_d2log_neg_phi_prime_dtheta2(th, u[i][..., None], -1)
+        np.testing.assert_allclose(got[i], per_u.sum(axis=0), rtol=1e-14)
 
 
 @pytest.mark.parametrize("family", ("frank", "joe"))
-def test_theta_deriv_suite_unavailable_raises(family):
+def test_frank_and_joe_phi_prime_exact_near_zero(family):
+    # theta e^(-theta u)/expm1(-theta u) (Frank) and -theta e^((theta-1) L)
+    # /(-expm1(theta L)), L = log1p(-u) (Joe) keep every digit at small u,
+    # where the former forms cancelled (1.5e-5 off at the clamp 1e-12)
+    mp = pytest.importorskip("mpmath")
     fam = G.get_family(family)
-    with pytest.raises(G.UnsupportedFamilyError):
-        fam.phi_derivs(2.0, 0.5)
+    us = np.array([1e-16, 1e-12, 1e-8, 1e-4, 0.5, 1 - 1e-8])
+    with mp.workdps(50):
+        for theta in (1.5, 2.0, 8.0):
+            th = mp.mpf(theta)
+            pp = fam.phi_prime(theta, us)
+            lp = fam.log_neg_phi_prime(theta, us)
+            for u, p_val, l_val in zip(us, pp, lp):
+                x = mp.mpf(float(u))
+                if family == "frank":
+                    ref = th * mp.exp(-th * x) / mp.expm1(-th * x)
+                else:
+                    ref = -th * (1 - x) ** (th - 1) / (1 - (1 - x) ** th)
+                assert abs(mp.mpf(p_val) / ref - 1) <= 1e-14, (theta, u)
+                assert abs(mp.mpf(l_val) / mp.log(-ref) - 1) <= 1e-14, (
+                    theta, u)
+
+
+def _psi_mp(family, th, s, mp):
+    if family == "clayton":
+        return (1 + s) ** (-1 / th)
+    if family == "gumbel":
+        return mp.exp(-(s ** (1 / th)))
+    if family == "frank":
+        return -mp.log(1 - (1 - mp.exp(-th)) * mp.exp(-s)) / th
+    return 1 - (1 - mp.exp(-s)) ** (1 / th)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_psi_column_ratio_rows_match_mpmath(family):
+    # f = psi^(k)(t; theta): ft = f_t/f, ftt, fr = f_theta/f, frr and frt,
+    # against 50-digit numerical derivatives of the closed-form generator
+    mp = pytest.importorskip("mpmath")
+    fam = G.get_family(family)
+    t = np.array([1e-3, 0.3, 2.0, 15.0])
+    lo = THETA_RANGES[family][0]
+    for theta in (lo + 0.4, 2.0, 8.0):
+        col = fam.psi_column(theta, t, 1, 3, ratios=True)
+        assert sorted(col.logmag) == [1, 2, 3]
+        with mp.workdps(50):
+            th = mp.mpf(theta)
+            for i, ti in enumerate(t):
+                s = mp.mpf(float(ti))
+                for k in range(1, 4):
+                    def dk(a, j=k):
+                        return mp.diff(lambda x: _psi_mp(family, a, x, mp), s, j)
+                    f = dk(th)
+                    refs = {
+                        "ft": dk(th, k + 1) / f,
+                        "ftt": dk(th, k + 2) / f,
+                        "fr": mp.diff(dk, th) / f,
+                        "frr": mp.diff(dk, th, 2) / f,
+                        "frt": mp.diff(lambda a: dk(a, k + 1), th) / f,
+                    }
+                    for name, ref in refs.items():
+                        got = getattr(col, name)[k - 1, i]
+                        assert abs(got - ref) <= 1e-11 * (1 + abs(ref)), (
+                            theta, ti, k, name)
 
 
 # ---------------------------------------------------------------

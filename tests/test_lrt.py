@@ -1074,18 +1074,6 @@ def test_power_estimates_sigma_when_missing():
     assert 0.0 <= pc.power[0] <= 0.12
 
 
-def test_power_delta_tau_reaches_fd_covariance():
-    # analytic families ignore the step; a finite-difference family
-    # (joe at a tie has only step-regularized information) must not
-    kw = dict(n_sigma=6000, seed=17)
-    a = power_curve("clayton", 0.5, [0.1], delta_tau=0.005, **kw)
-    b = power_curve("clayton", 0.5, [0.1], delta_tau=0.001, **kw)
-    assert a.power == b.power
-    ja = power_curve("joe", 0.5, [0.1], delta_tau=0.005, **kw)
-    jb = power_curve("joe", 0.5, [0.1], delta_tau=0.001, **kw)
-    assert ja.power != jb.power
-
-
 def test_power_curve_shift_invariance_in_e():
     # moving both coordinates by the same e-offset changes nothing
     sigma = np.array([[1.5, 0.3], [0.3, 1.0]])
