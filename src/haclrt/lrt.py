@@ -22,7 +22,9 @@ that is exact, an upper bound, or simulated.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -104,8 +106,9 @@ def _chol_pd(sigma) -> np.ndarray:
 
 
 # floats of gathered certificate rows and points in one chunk of the face
-# search; the rows per chunk shrink as k * p grows, so memory stays
-# bounded in m and k
+# search, and of gathered q forms and their products in one chunk of the
+# q pass; the rows per chunk shrink as k * p or p * p grows, so memory
+# stays bounded in m and k
 _CERT_BUDGET = 2**20
 
 
@@ -210,30 +213,44 @@ def _search_faces(z, tol, ops: _FaceOps) -> np.ndarray:
     return face
 
 
+def _quad(z, forms) -> np.ndarray:
+    """z_n' Q_n z_n per row, with Q_n = forms[n].
+
+    Two two-operand products, each summing in a fixed order per row, so
+    a row's q depends only on its own z and Q: the same bits whether
+    forms is gathered per row or one form broadcast to every row.
+    """
+    return np.einsum("nj,nj->n", np.einsum("ni,nij->nj", z, forms), z)
+
+
 def _batch_q(z, ops: _FaceOps):
     """Projection q for a batch of points, by KKT certificate.
 
     Each row's face is found by _search_faces, with the tolerance
     1e-9 (1 + max|z|) on the certificate rows; on a cone's independent
-    rows exactly one face holds for almost every point.  q is then
-    z' Q z on each row's face.  With no inequalities the only face is
-    the subspace, and every row takes its form.
+    rows exactly one face holds for almost every point.  q is then one
+    gathered pass over the draws: each row takes its face's form
+    q_forms[face] and _quad evaluates z' Q z, in chunks whose gathered
+    forms take at most _CERT_BUDGET floats.  With no inequalities the
+    only face is the subspace, and its form is broadcast to every row.
     Returns (q, rank of the active rows at that face, index of the face
     in ops.faces).
     """
     n = z.shape[0]
-    if not ops.cert.shape[1]:
+    _, k, p = ops.cert.shape
+    if not k:
         face = np.zeros(n, dtype=int)
-        q = np.einsum("ni,ij,nj->n", z, ops.q_forms[0], z)
+        q = _quad(z, np.broadcast_to(ops.q_forms[0], (n, p, p)))
     else:
-        tol = 1e-9 * (1.0 + np.max(np.abs(z), axis=1))
-        face = _search_faces(z, tol, ops)
+        # a column-wise reduce: the same maxima as max(axis=1), which
+        # runs an inner loop of only p per row
+        zmax = functools.reduce(np.maximum, np.abs(z).T)
+        face = _search_faces(z, 1e-9 * (1.0 + zmax), ops)
         q = np.empty(n)
-        order = np.argsort(face, kind="stable")
-        used, starts = np.unique(face[order], return_index=True)
-        for f, rows in zip(used, np.split(order, starts[1:])):
-            zf = z[rows]
-            q[rows] = np.einsum("ni,ij,nj->n", zf, ops.q_forms[f], zf)
+        step = max(1, _CERT_BUDGET // ((p + 1) * p))
+        for lo in range(0, n, step):
+            rows = slice(lo, lo + step)
+            q[rows] = _quad(z[rows], ops.q_forms[face[rows]])
     if not np.all(np.isfinite(q)):
         raise NumericError("non-finite projection q for some points")
     return np.maximum(q, 0.0), ops.ranks[face], face
@@ -287,6 +304,22 @@ def lrt_statistic(fit_null: FitResult, fit_full: FitResult) -> float:
     return max(0.0, diff)
 
 
+def _check_draws(m, least: int = MIN_NULL_DRAWS) -> None:
+    # numpy integers pass; a float m would reach the draws as a shape
+    if not isinstance(m, numbers.Integral):
+        raise DomainError(f"m must be an integer, got {m!r}")
+    if m < least:
+        raise DomainError(f"m must be at least {least}")
+
+
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    try:
+        return np.random.SeedSequence(seed)
+    except (TypeError, ValueError):
+        raise DomainError(
+            f"seed must be a nonnegative integer, got {seed!r}") from None
+
+
 def _as_cones(null_cones):
     if isinstance(null_cones, Cone):
         return (null_cones,)
@@ -320,14 +353,16 @@ def null_statistics(
     cones = _as_cones(null_cones)
     if any(c.p != p for c in cones):
         raise DomainError("null cone dimension does not match sigma")
-    if m < 1:
-        raise DomainError("m must be positive")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((m, p)) @ chol.T
+    _check_draws(m, 1)
     if h is not None:
         h = np.asarray(h, dtype=float)
         if h.shape != (p,):
             raise DomainError(f"h must have shape ({p},)")
+        if not np.all(np.isfinite(h)):
+            raise DomainError("h has non-finite entries")
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((m, p)) @ chol.T
+    if h is not None:
         z = z + h
 
     q_full, rank_full, _ = _batch_q(z, _face_ops(cone, sigma))
@@ -420,8 +455,7 @@ class LimitLaw:
 
     def __post_init__(self):
         if self.kind == "simulated":
-            if self.m is None or self.m < MIN_NULL_DRAWS:
-                raise DomainError(f"m must be at least {MIN_NULL_DRAWS}")
+            _check_draws(self.m)
             return
         if self.kind not in ("exact", "bound"):
             raise DomainError(f"unknown law kind {self.kind!r}")
@@ -795,8 +829,7 @@ def _check_choices(method: str, sigma_at: str, alpha: float, m: int) -> None:
         raise DomainError("sigma_at must be 'null' or 'full'")
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must be in (0, 1)")
-    if m < MIN_NULL_DRAWS:
-        raise DomainError(f"m must be at least {MIN_NULL_DRAWS}")
+    _check_draws(m)
 
 
 @dataclass(frozen=True)
@@ -990,6 +1023,7 @@ def run_test(
     SeedSequence(seed); see run_fitted for the methods.
     """
     _check_choices(method, sigma_at, alpha, m)
+    sigma_seed, mc_seed = _seed_sequence(seed).spawn(2)
     hac = tree if isinstance(tree, HacTree) else HacTree(tree)
     hyp = (
         hypothesis
@@ -998,7 +1032,6 @@ def run_test(
     )
     rows = np.asarray(getattr(data, "values", data), dtype=float)
     pair = fit_pair(rows, hac, family, hyp, config=config)
-    sigma_seed, mc_seed = np.random.SeedSequence(seed).spawn(2)
     result = run_fitted(
         pair, method, sigma_seed, mc_seed,
         alpha=alpha, sigma_source=sigma_source, sigma_at=sigma_at,

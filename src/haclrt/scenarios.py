@@ -28,7 +28,8 @@ from .errors import (DomainError, NumericError, SingularSigmaError,
                      UnsupportedNestingError)
 from .estimate import FitConfig, _lazy_taus
 from .fisher import SIGMA_DRAWS
-from .lrt import MIN_NULL_DRAWS, NULL_DRAWS, fit_pair, run_fitted
+from .lrt import (NULL_DRAWS, _check_draws, _seed_sequence, fit_pair,
+                  run_fitted)
 from .sampler import sample
 from .tree import HacTree, Hypothesis, holding_branches, quotient
 
@@ -92,8 +93,8 @@ class ScenarioSpec:
             raise DomainError("r must be positive")
         if not 0.0 < self.alpha < 0.5:
             raise DomainError("alpha must be in (0, 0.5)")
-        if self.m < MIN_NULL_DRAWS:
-            raise DomainError(f"m must be at least {MIN_NULL_DRAWS}")
+        _check_draws(self.m)
+        _seed_sequence(self.seed)
         if self.n_sigma < 1:
             raise DomainError("n_sigma must be positive")
         known = {c.label for c in scenario_cases(self.scenario)}

@@ -270,7 +270,7 @@ def _enumerate_q(z, cone, sigma):
             q_form, rank = np.zeros((p, p)), 0
         proj = np.eye(p) - sigma @ q_form
         inactive = [j for j in range(cone.n_ineq) if j not in tight]
-        q = np.einsum("ni,ij,nj->n", z, q_form, z)
+        q = lrt._quad(z, np.broadcast_to(q_form, (z.shape[0], p, p)))
         if inactive:
             slack = (z @ proj.T) @ cone.ineq[inactive].T
             q = np.where(np.all(slack <= tol[:, None], axis=1), q, np.inf)
@@ -353,6 +353,35 @@ def test_batch_q_equals_face_enumeration_on_tree_cones(kind, k):
     assert np.array_equal(q, q0)
 
 
+def _three_operand_q(z, ops, face):
+    """q by the three-operand einsum, one group of draws per face."""
+    q = np.empty(z.shape[0])
+    for f in np.unique(face):
+        rows = face == f
+        q[rows] = np.einsum("ni,ij,nj->n", z[rows], ops.q_forms[f], z[rows])
+    return np.maximum(q, 0.0)
+
+
+def test_batch_q_agrees_with_the_three_operand_einsum():
+    # the gathered pass sums in another order than the per-face einsum;
+    # both are z' Q z on the same face to within roundoff
+    tied = local_cones(_nests(6), _all_tied(6), np.full(7, 2.0))
+    cases = [(TREE_CONES[kind](k), 0.0, f"{kind} {k}")
+             for kind in sorted(TREE_CONES) for k in range(1, 9)]
+    cases += [(tied[1][0], 0.0, "six equalities"),
+              (tied[0], 1.0, "six-nest star, shifted")]
+    for i, (cone, shift, label) in enumerate(cases):
+        rng = np.random.default_rng(30 + i)
+        sigma = _spd(rng, cone.p)
+        h = shift * rng.standard_normal(cone.p) * np.sqrt(np.diag(sigma))
+        z = _gauss(rng, sigma, 2000) + h
+        ops = lrt._face_ops(cone, sigma)
+        q, _, face = lrt._batch_q(z, ops)
+        q3 = _three_operand_q(z, ops, face)
+        assert np.all(np.abs(q - q3) <= 1e-13 * np.maximum(np.abs(q3), 1.0)), \
+            label
+
+
 def _spd_cond(rng, p, cond):
     u, _ = np.linalg.qr(rng.standard_normal((p, p)))
     sigma = u @ np.diag(np.logspace(0.0, math.log10(cond), p)) @ u.T
@@ -395,6 +424,24 @@ def test_null_statistics_equals_face_enumeration_on_six_nests():
     assert np.array_equal(info["q_null"], q_null)
     assert np.array_equal(draws, np.maximum(q_null - q_full, 0.0))
     assert np.array_equal(info["nu"], np.maximum(rank_null - rank_full, 0))
+
+
+def test_null_statistics_is_exactly_zero_where_both_faces_agree():
+    # on the six-nest tie, a draw whose full projection has every
+    # inequality tight lands on the null's subspace: one arithmetic for
+    # both q values makes their difference exactly 0, not roundoff.  A
+    # root shifted up sends a few hundred draws there.
+    cone, null_cones = local_cones(_nests(6), _all_tied(6), np.full(7, 2.0))
+    sigma = _spd(np.random.default_rng(0), 7)
+    h = np.zeros(7)
+    h[0] = 2.0 * math.sqrt(sigma[0, 0])
+    draws = null_statistics(sigma, cone, null_cones, h=h, m=20_000, seed=19)
+    z = _gauss(np.random.default_rng(19), sigma, 20_000) + h
+    _, _, face = lrt._batch_q(z, lrt._face_ops(cone, sigma))
+    both = face == 2**6 - 1
+    assert np.count_nonzero(both) >= 100
+    assert np.all(draws[both] == 0.0)
+    assert np.all(draws[~both] > 0.0)
 
 
 def test_batch_q_memory_does_not_grow_with_draws():
@@ -600,6 +647,24 @@ def test_mc_pvalue_validates_inputs():
         LimitLaw.simulated(CONE2, LINE2, np.eye(2), m=2000).sf(-0.5)
     with pytest.raises(SingularSigmaError):
         LimitLaw.simulated(CONE2, LINE2, np.ones((2, 2)), m=2000).sf(1.0)
+
+
+def test_simulated_law_refuses_a_non_integer_m():
+    with pytest.raises(DomainError, match="m must be an integer"):
+        LimitLaw.simulated(CONE2, LINE2, np.eye(2), m=2000.0)
+    with pytest.raises(DomainError, match="m must be an integer"):
+        null_statistics(np.eye(2), CONE2, LINE2, m=1000.7)
+
+
+def test_null_statistics_refuses_non_finite_h_before_any_draw(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before h was checked")
+
+    monkeypatch.setattr(lrt.np.random, "default_rng", no_draws)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="h has non-finite entries"):
+            null_statistics(np.eye(3), CONE3, BOTH3, h=[0.0, bad, 1.0],
+                            m=5000)
 
 
 def test_mc_pvalue_rejects_nan_statistic():
@@ -1387,10 +1452,34 @@ def test_alpha_and_m_are_checked_before_any_fit(monkeypatch, method):
 
     monkeypatch.setattr(lrt, "mle", no_fit)
     monkeypatch.setattr(lrt, "sigma_hat", no_fit)
-    for bad in ({"alpha": 5.0}, {"alpha": 0.0}, {"m": 10}):
+    for bad in ({"alpha": 5.0}, {"alpha": 0.0}, {"m": 10}, {"m": 2000.0},
+                {"m": 1000.7}):
         with pytest.raises(DomainError):
             run_test(np.full((50, 3), 0.5), TREE3, "gumbel", "(0,1)=(0)",
                      method=method, **bad)
+
+
+@pytest.mark.parametrize("method", ["mixture", "mc", "conditional", "hybrid"])
+def test_negative_seed_is_refused_before_any_fit(monkeypatch, method):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted before the seed was checked")
+
+    monkeypatch.setattr(lrt, "mle", no_fit)
+    monkeypatch.setattr(lrt, "sigma_hat", no_fit)
+    with pytest.raises(DomainError, match="seed"):
+        run_test(np.full((50, 3), 0.5), TREE3, "gumbel", "(0,1)=(0)",
+                 method=method, seed=-1)
+
+
+def test_run_test_takes_numpy_integer_m_and_seed():
+    data = _data3(n=200, seed=66)
+    kwargs = dict(method="mc", sigma_source="observed", config=CFG)
+    res = run_test(data, TREE3, "gumbel", "(0,1)=(0)",
+                   m=np.int64(1000), seed=np.int64(4), **kwargs)
+    ref = run_test(data, TREE3, "gumbel", "(0,1)=(0)", m=1000, seed=4,
+                   **kwargs)
+    assert res.m == 1000
+    assert res.p_value == ref.p_value
 
 
 def test_run_test_union_flagged_conservative():

@@ -126,6 +126,10 @@ def test_spec_validation():
         ScenarioSpec("IV", seed=6, r=1, m=500, n_sigma=2000)
     with pytest.raises(DomainError, match="m must be at least 1000"):
         ScenarioSpec("I", m=999)
+    with pytest.raises(DomainError, match="m must be an integer"):
+        ScenarioSpec("IV", m=2000.0)
+    with pytest.raises(DomainError, match="seed must be a nonnegative"):
+        ScenarioSpec("I", seed=-1)
     with pytest.raises(DomainError, match="n_sigma must be positive"):
         ScenarioSpec("II", n_sigma=0)
     assert ScenarioSpec("I", m=lrt_module.MIN_NULL_DRAWS, n_sigma=1).m == 1000
