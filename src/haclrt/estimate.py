@@ -30,6 +30,7 @@ from .density import (
 )
 from .errors import ConvergenceError, DomainError, NumericError
 from .generators import get_family
+from .sampler import _seed_sequence
 from .tree import (HacTree, Hypothesis, check_theta, node_name, quotient,
                    tie_classes, tight_edges)
 
@@ -62,6 +63,9 @@ class FitConfig:
 
     n_perturbed: int = 4
     seed: int = 1777            # internal; refits are bit-reproducible
+
+    def __post_init__(self):
+        _seed_sequence(self.seed)
 
 
 @dataclass(frozen=True)

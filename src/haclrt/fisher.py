@@ -23,7 +23,7 @@ from .density import (
 )
 from .errors import DomainError, NumericError, SchemeError, SingularSigmaError
 from .generators import get_family
-from .sampler import sample
+from .sampler import _seed_sequence, sample
 from .tree import HacTree, check_theta, node_name, tie_classes, tight_edges
 
 __all__ = [
@@ -440,7 +440,7 @@ def determinant_scan(
             if x1 < x0:
                 continue
             th = (o + float(x0), o + float(x1))
-            cell_seed = np.random.SeedSequence(seed, spawn_key=(i, j))
+            cell_seed = _seed_sequence(seed, spawn_key=(i, j))
             try:
                 rows = clamp_unit(
                     sample(tree, th, family, n_mc, seed=cell_seed).values

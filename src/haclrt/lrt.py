@@ -39,6 +39,7 @@ from .errors import (
 from .estimate import FitConfig, FitResult, _lazy_taus, mle
 from .fisher import SIGMA_DRAWS, FisherEstimate, sigma_hat
 from .generators import get_family, tau_inv
+from .sampler import _rng, _seed_sequence
 from .tree import (Cone, HacTree, Hypothesis, holding_branches, local_cones,
                    tight_edges)
 
@@ -312,14 +313,6 @@ def _check_draws(m, least: int = MIN_NULL_DRAWS) -> None:
         raise DomainError(f"m must be at least {least}")
 
 
-def _seed_sequence(seed) -> np.random.SeedSequence:
-    try:
-        return np.random.SeedSequence(seed)
-    except (TypeError, ValueError):
-        raise DomainError(
-            f"seed must be a nonnegative integer, got {seed!r}") from None
-
-
 def _as_cones(null_cones):
     if isinstance(null_cones, Cone):
         return (null_cones,)
@@ -360,7 +353,7 @@ def null_statistics(
             raise DomainError(f"h must have shape ({p},)")
         if not np.all(np.isfinite(h)):
             raise DomainError("h has non-finite entries")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     z = rng.standard_normal((m, p)) @ chol.T
     if h is not None:
         z = z + h
@@ -723,6 +716,7 @@ def power_curve(
     for h in h_values:
         for shifted in tau + h * e:
             fam._check_tau_range(float(shifted))
+    root = _seed_sequence(seed)
 
     if sigma is None:
         hac = HacTree([[1, 2], 3])
@@ -734,7 +728,7 @@ def power_curve(
             np.full(2, theta),
             source="mc",
             n_mc=n_sigma,
-            seed=np.random.SeedSequence(seed).spawn(1)[0],
+            seed=root.spawn(1)[0],
             atoms=(hac.internal_paths[1],),
         )
         sigma = est.sigma

@@ -28,9 +28,8 @@ from .errors import (DomainError, NumericError, SingularSigmaError,
                      UnsupportedNestingError)
 from .estimate import FitConfig, _lazy_taus
 from .fisher import SIGMA_DRAWS
-from .lrt import (NULL_DRAWS, _check_draws, _seed_sequence, fit_pair,
-                  run_fitted)
-from .sampler import sample
+from .lrt import NULL_DRAWS, _check_draws, fit_pair, run_fitted
+from .sampler import _seed_sequence, sample
 from .tree import HacTree, Hypothesis, holding_branches, quotient
 
 __all__ = [

@@ -76,6 +76,16 @@ def test_sample_cone_violation_exits_2(runner):
     assert "cone" in err["message"]
 
 
+def test_sample_negative_seed_exits_2(runner):
+    result = runner.invoke(main, [
+        "--seed", "-1", "sample", "--tree", TREE, "--family", "gumbel",
+        "--theta", "2,3", "-n", "5",
+    ])
+    assert result.exit_code == 2
+    err = json.loads(result.stderr)
+    assert err["error"] == "DomainError" and "seed" in err["message"]
+
+
 def test_unknown_family_exits_2(runner, tmp_path):
     data = _sample_file(runner, tmp_path / "d.csv")
     result = runner.invoke(main, [

@@ -256,6 +256,11 @@ def test_config_is_honored():
     assert len(fit.start_logliks) == 1
 
 
+def test_config_refuses_a_negative_seed():
+    with pytest.raises(DomainError, match="seed must be a nonnegative"):
+        FitConfig(seed=-1)
+
+
 def test_start_runs_one_descent_from_it():
     u = sample(TREE3, (1.0, 2.0), "clayton", 200, seed=41).values
     start = np.array([1.2, 1.2])

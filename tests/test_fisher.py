@@ -342,6 +342,17 @@ def test_determinant_scan_single_point():
     assert scan.origin == 1.0
 
 
+def test_determinant_scan_refuses_a_negative_seed():
+    with pytest.raises(DomainError, match="seed must be a nonnegative"):
+        determinant_scan("gumbel", offsets=[0.5], n_mc=100, seed=-1)
+
+
+def test_mc_sigma_refuses_a_negative_seed():
+    with pytest.raises(DomainError, match="seed must be a nonnegative"):
+        sigma_hat(None, TREE3, "gumbel", (1.5, 2.0), source="mc", n_mc=100,
+                  seed=-1)
+
+
 def test_determinant_scan_rejects_bad_grid():
     with pytest.raises(DomainError):
         determinant_scan("clayton", offsets=[0.0, 0.5], n_mc=100)

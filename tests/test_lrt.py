@@ -1471,6 +1471,19 @@ def test_negative_seed_is_refused_before_any_fit(monkeypatch, method):
                  method=method, seed=-1)
 
 
+def test_null_statistics_refuses_a_negative_seed():
+    with pytest.raises(DomainError, match="seed must be a nonnegative"):
+        null_statistics(np.eye(2), CONE2, LINE2, m=10, seed=-1)
+
+
+def test_power_curve_refuses_a_negative_seed():
+    # checked whether or not the seed feeds a Monte Carlo sigma
+    for sigma in (None, np.eye(2)):
+        with pytest.raises(DomainError, match="seed must be a nonnegative"):
+            power_curve("gumbel", 0.4, [0.1], sigma=sigma, n_sigma=100,
+                        seed=-1)
+
+
 def test_run_test_takes_numpy_integer_m_and_seed():
     data = _data3(n=200, seed=66)
     kwargs = dict(method="mc", sigma_source="observed", config=CFG)

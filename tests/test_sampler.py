@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +9,16 @@ from scipy.stats import kendalltau, kstest, kstwo
 from haclrt import sampler
 from haclrt.density import clamp_unit, log_density, two_level_spec
 from haclrt.errors import DomainError, UnsupportedNestingError
-from haclrt.generators import get_family, tau_inv
+from haclrt.generators import _log1mexp, get_family, tau_inv
 from haclrt.sampler import (
-    _frank_inner_count,
+    _compound,
+    _dense,
+    _frank_sparse,
     _log_series,
+    _ordered_sum,
     _positive_stable,
     _sibuya,
+    _sibuya_sparse,
     _tilted_stable,
     pseudo_obs,
     sample,
@@ -89,12 +94,154 @@ def test_frank_inner_count_pmf(th_parent, th_child):
     c1 = -math.expm1(-th_child)
     c0 = -math.expm1(-th_parent)
     m = 200_000
-    draws = _frank_inner_count(rng, alpha, th_child, m)
+    draws = _dense(m, _frank_sparse(rng, alpha, th_child, m))
     pk = alpha * c1 / c0
     for k in range(1, 6):
         got = np.mean(draws == k)
         assert abs(got - pk) < 5 * math.sqrt(pk / m) + 2e-4
         pk = pk * c1 * (k - alpha) / (k + 1.0)
+
+
+# --- streamed counts against the dense reference --------------------------
+#
+# The reference draws every count of a level into one dense array and sums
+# each entry's counts left to right with one bincount; the sampler keeps
+# only the counts above 1.  Both must take the same uniforms in the same
+# order and give the same bits.
+
+
+def _ref_log_series(rng, lam, size):
+    p = -math.expm1(-lam)
+    u = np.clip(rng.random(size), 1e-300, 1.0)
+    out = np.ones(size)
+    go = u <= p
+    ngo = int(go.sum())
+    if ngo:
+        v = rng.random(ngo)
+        with np.errstate(divide="ignore"):
+            lnq = _log1mexp(v * lam)
+            lnu = np.log(u[go])
+            k = np.ones(ngo)
+            small = lnu < 2.0 * lnq
+            k[small] = np.floor(1.0 + lnu[small] / lnq[small])
+        k[(~small) & (lnu <= lnq)] = 2.0
+        out[go] = k
+    return out
+
+
+def _ref_sibuya(rng, alpha, size):
+    neg_table = -sampler._sibuya_log_surv_table(alpha)
+    lnw = np.log(np.clip(rng.random(size), 1e-300, 1.0))
+    idx = np.searchsorted(neg_table, -lnw, side="left")
+    out = idx + 1.0
+    tail = idx == neg_table.size
+    if tail.any():
+        out[tail] = sampler._sibuya_tail(alpha, lnw[tail])
+    return out
+
+
+def _ref_frank_inner_count(rng, alpha, th_child, size):
+    lnc = float(_log1mexp(np.asarray(th_child)))
+    use_sibuya = alpha * th_child > 1.0
+    lgn = gammaln(1.0 - alpha)
+    out = pending = None
+    k = size
+    while k:
+        if use_sibuya:
+            cand = _ref_sibuya(rng, alpha, k)
+            lacc = cand * lnc
+        else:
+            cand = _ref_log_series(rng, th_child, k)
+            lacc = gammaln(cand - alpha) - lgn - gammaln(cand)
+        with np.errstate(divide="ignore"):
+            keep = np.log(rng.random(k)) <= lacc
+        if pending is None:
+            out = cand
+            pending = np.flatnonzero(~keep)
+        else:
+            out[pending[keep]] = cand[keep]
+            pending = pending[~keep]
+        k = pending.size
+    return np.empty(0) if out is None else out
+
+
+def _ref_compound(rng, v, draw_one):
+    counts = np.asarray(v, dtype=float).astype(np.int64)
+    xs = draw_one(rng, int(counts.sum()))
+    row = np.repeat(np.arange(counts.size), counts)
+    return np.bincount(row, weights=xs, minlength=counts.size)
+
+
+@pytest.mark.parametrize("n", [1, 7, 512, 20000])
+@pytest.mark.parametrize(
+    "family,th_parent,th_child",
+    [
+        ("frank", 0.6, 1.4),          # logarithmic envelope
+        ("frank", 0.9, 0.95),         # logarithmic envelope, alpha near 1
+        ("frank", 1.2, 1.5),          # Sibuya envelope, many 1s rejected
+        ("frank", 3.0, 8.0),          # Sibuya envelope, alpha far from 1
+        ("frank", 14.1385, 14.2385),  # the shifted nest at tau = 3/4
+        ("joe", 1.0, 5.0),            # alpha 0.2: counts of 2^53 and more
+        ("joe", 1.5, 3.0),
+        ("joe", 2.91, 3.0),           # alpha 0.97
+    ],
+)
+def test_compound_matches_dense_reference(monkeypatch, family, th_parent,
+                                          th_child, n):
+    alpha = th_parent / th_child
+    if family == "frank":
+        def new(r, m):
+            return _frank_sparse(r, alpha, th_child, m)
+
+        def ref(r, m):
+            return _ref_frank_inner_count(r, alpha, th_child, m)
+    else:
+        def new(r, m):
+            return _sibuya_sparse(r, alpha, m)
+
+        def ref(r, m):
+            return _ref_sibuya(r, alpha, m)
+    v = np.random.default_rng(n).geometric(0.4, n) + 0.0
+    v[0] = 0.0 if n > 1 else v[0]         # an entry without counts
+    want = _ref_compound(np.random.default_rng(61), v, ref)
+    monkeypatch.setattr(sampler, "_SLICE", 7)
+    got = _compound(np.random.default_rng(61), v, new, family)
+    assert np.array_equal(got, want)
+    if (family, th_parent, n) == ("joe", 1.0, 20000):
+        assert want.max() >= 2.0**53       # the in-order sums ran
+
+
+def test_ordered_sum_matches_dense_bincount():
+    # entries that reach 2^53: crossings by a count, by a run of 1s, and
+    # runs of 1s after the crossing that round up once (s + 1 to even)
+    rng = np.random.default_rng(67)
+    cases = [(np.array([0]), np.array([2.0**53 - 10]), 20),
+             (np.array([0, 15]), np.array([2.0**53 - 10, 3.0]), 20)]
+    for _ in range(300):
+        count = int(rng.integers(2, 40))
+        off = np.sort(rng.choice(count, int(rng.integers(1, count)), replace=False))
+        x = 2.0 + rng.integers(0, 12, off.size)
+        big = rng.random(off.size) < 0.3
+        x[big] = np.floor(2.0**53 * rng.uniform(0.3, 1.2, int(big.sum())))
+        cases.append((off, x, count))
+    for off, x, count in cases:
+        dense = np.ones(count)
+        dense[off] = x
+        want = np.bincount(np.zeros(count, dtype=np.int64), weights=dense)[0]
+        if want >= 2.0**53:
+            assert _ordered_sum(off, x, count) == want
+
+
+def test_shifted_frank_draw_stays_small_in_memory():
+    # the tau = 3/4 frank nest 0.1 above the root sums 3e7 - 6e7 counts at
+    # n = 512; a dense array of them took 610 MiB
+    tracemalloc.start()
+    try:
+        sample(TREE3, (14.1385, 14.2385), "frank", 512, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 # --- sample() contract ----------------------------------------------------
@@ -111,15 +258,23 @@ def test_fixed_seed_replays_bit_identical():
 
 
 @pytest.mark.parametrize(
-    "family,theta", [("frank", (3.0, 8.0)), ("frank", (0.6, 1.4)),
-                     ("joe", (1.5, 3.0))],
+    "family,theta,n",
+    [
+        pytest.param("frank", (3.0, 8.0), 300, id="frank-theta0"),
+        pytest.param("frank", (0.6, 1.4), 300, id="frank-theta1"),
+        pytest.param("joe", (1.5, 3.0), 300, id="joe-theta2"),
+        # the shifted nest at tau = 3/4: 5,640 counts in two rows, where
+        # 300 rows would take 3e7 slices of 7
+        pytest.param("frank", (14.1385, 14.2385), 2, id="frank-theta3"),
+    ],
 )
-def test_compound_rows_do_not_depend_on_slice_size(monkeypatch, family, theta):
+def test_compound_rows_do_not_depend_on_slice_size(monkeypatch, family, theta,
+                                                   n):
     # compound levels are drawn and summed in slices of draws; slices of
     # a few draws must replay the rows that one slice of all gives
-    whole = sample(TREE3, theta, family, 300, seed=21).values
+    whole = sample(TREE3, theta, family, n, seed=21).values
     monkeypatch.setattr(sampler, "_SLICE", 7)
-    sliced = sample(TREE3, theta, family, 300, seed=21).values
+    sliced = sample(TREE3, theta, family, n, seed=21).values
     assert np.array_equal(whole, sliced)
 
 
@@ -220,6 +375,16 @@ def test_unsupported_nesting_budget(monkeypatch):
     monkeypatch.setattr(sampler, "MAX_COMPOUND_DRAWS", 500)
     with pytest.raises(UnsupportedNestingError):
         sample(TREE3, (1.5, 3.0), "joe", 1000, seed=51)
+
+
+def test_negative_seed_is_a_domain_error():
+    with pytest.raises(DomainError, match="seed must be a nonnegative"):
+        sample(TREE3, (1.0, 2.0), "clayton", 10, seed=-1)
+    # numpy's seed objects still pass, and replay what the integer gives
+    want = sample(TREE3, (1.0, 2.0), "clayton", 10, seed=5).values
+    for seed in (np.random.SeedSequence(5), np.random.default_rng(5)):
+        got = sample(TREE3, (1.0, 2.0), "clayton", 10, seed=seed).values
+        assert np.array_equal(got, want)
 
 
 def test_invalid_arguments_rejected():
